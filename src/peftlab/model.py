@@ -131,7 +131,6 @@ class EncoderState:
     prompt_len: int                     # number of prepended rows at the front
     seq_len: int                        # original token count per row
     branches: list = field(default_factory=list)   # [(label or None, row_count)]
-    kv_cache: list = field(default_factory=list)   # per layer (keys, values, key_mask)
 
 
 CLASSIFICATION = "classification"
@@ -256,8 +255,7 @@ class TransformerEncoder:
             )
         return tokens
 
-    def _attn_core(self, layer: int, q: Tensor, k: Tensor, v: Tensor,
-                   key_mask: np.ndarray, state: Optional[EncoderState] = None) -> Tensor:
+    def _attn_core(self, q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
         """Multi-head scaled dot-product attention over flat (B, S, d)
         projections.  ``key_mask`` has shape (B, S_k); masked keys receive
         (numerically) zero weight via a large negative score offset."""
@@ -275,8 +273,6 @@ class TransformerEncoder:
         scores = scores + T.constant(bias.reshape(B, 1, 1, Sk))
         att = T.softmax(scores, axis=-1)
         ctxv = T.matmul(att, v4)                                   # (B,H,Sq,dh)
-        if state is not None:
-            state.kv_cache.append((k, v, key_mask))
         return T.reshape(T.swapaxes(ctxv, 1, 2), (B, Sq, d))
 
     def encode(self, tokens, mask=None, ctx=None) -> EncoderState:
@@ -312,12 +308,9 @@ class TransformerEncoder:
             k = T.matmul(x, p[pre + "attn.wk"]) + p[pre + "attn.bk"]
             v = T.matmul(x, p[pre + "attn.wv"]) + p[pre + "attn.bv"]
             if ctx is not None:
-                attn = ctx.attention(
-                    l, x, q, k, v, mask,
-                    lambda q2, k2, v2, m2, _l=l: self._attn_core(_l, q2, k2, v2, m2, state),
-                )
+                attn = ctx.attention(l, x, q, k, v, mask, self._attn_core)
             else:
-                attn = self._attn_core(l, q, k, v, mask, state)
+                attn = self._attn_core(q, k, v, mask)
             attn = T.matmul(attn, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
             a_in = h
             h = h + attn

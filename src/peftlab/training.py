@@ -121,10 +121,17 @@ class TrainResult:
     diverged: bool
 
 
-def train_model(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
-                lr: float, epochs: int, batch_size: int = 16,
-                seed: int = 0) -> TrainResult:
-    """Minimize the task loss over the model's trainable partition."""
+def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
+                     lr: float, milestones, batch_size: int = 16, seed: int = 0):
+    """Minimize the task loss over the model's trainable partition, once
+    through every epoch count in ``milestones``.
+
+    A generator: yields ``(epochs, TrainResult)`` at each milestone, in
+    ascending order with duplicates dropped, while the model holds exactly
+    the state that training for ``epochs`` from scratch gives (each epoch's
+    shuffle comes from one seeded stream and there is no LR schedule).  A
+    non-finite loss ends training; every later milestone then reports the
+    same diverged result."""
     params = model.trainable_parameters()
     if not params:
         raise RuntimeError("nothing is trainable; call train_adapter or train_full first")
@@ -132,25 +139,42 @@ def train_model(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
     kind = model.head(head).kind
     rng = np.random.default_rng(seed)
     losses = []
-    steps = 0
     n = x.shape[0]
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for off in range(0, n, batch_size):
-            idx = perm[off:off + batch_size]
-            with Tape() as tape:
-                state = model.encode(x[idx])
-                logits = model.logits(state, head)
-                loss = task_loss(kind, logits, y[idx])
-                val = loss.item()
+    done, diverged = 0, False
+    for target in sorted(set(milestones)):
+        while done < target and not diverged:
+            perm = rng.permutation(n)
+            for off in range(0, n, batch_size):
+                idx = perm[off:off + batch_size]
+                val = _train_step(model, head, kind, x[idx], y[idx])
                 if not np.isfinite(val):
-                    return TrainResult(losses, steps, diverged=True)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(val)
-            steps += 1
-    return TrainResult(losses, steps, diverged=False)
+                    diverged = True
+                    break
+                opt.step()
+                opt.zero_grad()
+                losses.append(val)
+            done += 1
+        yield target, TrainResult(losses[:], len(losses), diverged)
+
+
+def _train_step(model: AdapterModel, head: str, kind: str, xb: np.ndarray,
+                yb: np.ndarray) -> float:
+    """Forward one batch and, when its loss is finite, backward into the
+    trainable gradients.  The step's activations are freed on return."""
+    with Tape() as tape:
+        loss = task_loss(kind, model.logits(model.encode(xb), head), yb)
+        val = loss.item()
+        if np.isfinite(val):
+            tape.backward(loss)
+    return val
+
+
+def train_model(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
+                lr: float, epochs: int, batch_size: int = 16,
+                seed: int = 0) -> TrainResult:
+    """Minimize the task loss over the model's trainable partition for
+    ``epochs`` epochs: :func:`train_milestones` with one milestone."""
+    return next(train_milestones(model, head, x, y, lr, (epochs,), batch_size, seed))[1]
 
 
 def pretrain_base(model: AdapterModel, spec: TaskSpec, data: Dataset,
@@ -196,6 +220,14 @@ class GridSpec:
 
 @dataclass
 class CellRecord:
+    """One grid cell's result.
+
+    ``seconds`` is the wall time spent on the cell's chain (see
+    :func:`run_grid`) from its start, model construction included, until
+    this record was ready; time the caller spends between records is not
+    counted.  A chain's last milestone therefore carries its whole cost,
+    and a cell run on its own carries exactly its own."""
+
     method: str
     config: dict
     lr: float
@@ -254,6 +286,16 @@ def run_cell(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
 
     When ``capture`` is a dict, the trained model and head name are stored
     under ``"model"``/``"head"`` so callers can persist the result."""
+    return next(_run_chain(dims, spec, data, base_state, method, config, lr, (epochs,),
+                           batch_size, seed, capture))
+
+
+def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
+               method: str, config, lr: float, milestones, batch_size: int,
+               seed: int, capture: Optional[dict] = None):
+    """Build one (method, config, lr) model from the base snapshot, train it
+    once through ``milestones`` and yield the record of each, in ascending
+    epoch order."""
     start = time.perf_counter()
     model = AdapterModel(dims, seed=seed)
     model.encoder.load_state_array(base_state)
@@ -266,29 +308,32 @@ def run_cell(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
         model.add_adapter(head, config)
         model.train_adapter(head)
         n_params = model.adapter_instance(head).num_params()
-    result = train_model(model, head, data.train_x, data.train_y,
-                         lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-    if result.diverged:
-        metric = float("nan")
-    else:
-        model.set_active(None if method == FULL_FT else head)
-        metric = evaluate(model, head, data.eval_x, data.eval_y)
     if capture is not None:
         capture["model"] = model
         capture["head"] = head
-    return CellRecord(
-        method=method,
-        config={} if config is None else _config_axes(config, method),
-        lr=lr,
-        epochs=epochs,
-        seed=seed,
-        metric=metric,
-        metric_name=spec.metric_name,
-        n_params=n_params,
-        seconds=round(time.perf_counter() - start, 3),
-        diverged=result.diverged,
-        final_loss=result.losses[-1] if result.losses else None,
-    )
+    axes = {} if config is None else _config_axes(config, method)
+    for epochs, result in train_milestones(model, head, data.train_x, data.train_y,
+                                           lr, milestones, batch_size, seed):
+        if result.diverged:
+            metric = float("nan")
+        else:
+            model.set_active(None if method == FULL_FT else head)
+            metric = evaluate(model, head, data.eval_x, data.eval_y)
+        spent = time.perf_counter() - start
+        yield CellRecord(
+            method=method,
+            config=axes,
+            lr=lr,
+            epochs=epochs,
+            seed=seed,
+            metric=metric,
+            metric_name=spec.metric_name,
+            n_params=n_params,
+            seconds=round(spent, 3),
+            diverged=result.diverged,
+            final_loss=result.losses[-1] if result.losses else None,
+        )
+        start = time.perf_counter() - spent
 
 
 def _config_axes(config, method: str) -> dict:
@@ -307,7 +352,19 @@ def _config_axes(config, method: str) -> dict:
 def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
              data: Optional[Dataset] = None, base_state: Optional[dict] = None) -> list:
     """Cross methods (and their axes) with lrs and epochs; returns all cell
-    records, invoking ``sink(record)`` as each one finishes.
+    records in grid order, invoking ``sink(record)`` on each in that order.
+
+    Each adapter (method, config, lr) is one chain: its model is trained
+    once, to ``max(grid.epochs)``, and evaluated at every requested epoch
+    count.  Every record equals what :func:`run_cell` gives for that cell
+    on its own, to all digits; only ``seconds`` differs (see
+    :class:`CellRecord`).  Records stream as the chain reaches them and are
+    held back only when ``grid.epochs`` is unsorted or repeats a value.
+
+    ``full-ft`` cells are not chained: full fine-tuning trains in the
+    ``base_state`` arrays themselves (``load_state_array`` keeps them), so
+    each full-ft cell, and every cell after it, starts from the base the
+    previous full-ft cell left, and a chain would change those records.
 
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
     snapshot; otherwise the base is pretrained here."""
@@ -316,18 +373,34 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     methods = list(grid.methods)
     if grid.include_full_ft and FULL_FT not in methods:
         methods = [FULL_FT] + methods
+    epochs = tuple(grid.epochs)
     records = []
     for method in methods:
+        chains = [(ep,) for ep in epochs] if method == FULL_FT else [epochs]
         axes = grid.method_axes.get(method, {})
         for _, config in _method_configs(method, axes):
             for lr in grid.lrs:
-                for epochs in grid.epochs:
-                    rec = run_cell(dims, spec, data, base_state, method, config,
-                                   lr, epochs, grid.batch_size, grid.seed)
-                    records.append(rec)
-                    if sink is not None:
-                        sink(rec)
+                for chain_epochs in chains:
+                    chain = _run_chain(dims, spec, data, base_state, method, config, lr,
+                                       chain_epochs, grid.batch_size, grid.seed)
+                    for rec in _in_order(chain, chain_epochs):
+                        records.append(rec)
+                        if sink is not None:
+                            sink(rec)
     return records
+
+
+def _in_order(chain, epochs: tuple):
+    """The chain's records in the order of ``epochs`` (one per entry, so a
+    repeated value gets its own copy), each as soon as it and every record
+    before it are ready."""
+    ready, i = {}, 0
+    for rec in chain:
+        ready[rec.epochs] = rec
+        while i < len(epochs) and epochs[i] in ready:
+            due = ready[epochs[i]]
+            yield replace(due, config=dict(due.config))
+            i += 1
 
 
 def best_metric(records, method: str) -> float:

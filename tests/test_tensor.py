@@ -1,6 +1,9 @@
 """Tape engine tests: forward values against numpy/scipy references and
 gradients against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.special
@@ -205,6 +208,31 @@ def test_backward_module_function(rng):
         loss = T.tsum(T.mul(x, x))
         backward(loss)
     assert np.allclose(x.grad, 2 * x.data)
+
+
+def test_tape_exit_frees_activations(rng):
+    # The records -> output -> Tensor._tape -> tape cycle must not outlive
+    # the block: with the cyclic collector off, an intermediate activation
+    # dies as soon as its last outside name goes.
+    x = t(rng.normal(size=(4, 6)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = T.gelu(T.matmul(x, T.constant(rng.normal(size=(6, 5)))))
+            loss = T.tsum(T.mul(h, h))
+            tape.backward(loss)
+            assert len(tape) == 4          # intact until the block ends
+        alive = weakref.ref(h.data)
+        del h
+        assert alive() is None
+        assert len(tape) == 0
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert x.grad is not None
 
 
 def test_no_tape_no_recording(rng):

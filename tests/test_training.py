@@ -5,6 +5,7 @@ grid determinism is asserted bit-for-bit because every source of randomness
 is seeded.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -267,6 +268,77 @@ def test_run_grid_expands_method_axes():
     assert [r.config for r in records] == [{"reduction_factor": 2},
                                            {"reduction_factor": 4}]
     assert records[0].n_params > records[1].n_params
+
+
+REGRESSION_TASK = TaskSpec(kind="masked-sum", vocab=SMALL_DIMS.vocab, seq_len=6,
+                           n_train=32, n_eval=16, n_pretrain=8, seed=5)
+
+
+def _cell_fields(rec) -> str:
+    """Every field but ``seconds``, floats at full precision (NaN included)."""
+    d = dataclasses.asdict(rec)
+    d.pop("seconds")
+    return json.dumps(d, sort_keys=True)
+
+
+def _independent_cells(spec, grid, data, state):
+    """The unchained loop: ``run_cell`` for every cell, in grid order."""
+    methods = ([FULL_FT] if grid.include_full_ft else []) + list(grid.methods)
+    out = []
+    for method in methods:
+        configs = [None] if method == FULL_FT else [parse_config(method)]
+        for axis, values in grid.method_axes.get(method, {}).items():
+            configs = [dataclasses.replace(c, **{axis: v}) for c in configs for v in values]
+        for cfg in configs:
+            for lr in grid.lrs:
+                for epochs in grid.epochs:
+                    out.append(run_cell(SMALL_DIMS, spec, data, state, method, cfg, lr,
+                                        epochs, grid.batch_size, grid.seed))
+    return out
+
+
+def _check_against_independent_cells(spec, grid):
+    data, state = prepare_base(SMALL_DIMS, spec, grid)
+    copy = {k: v.copy() for k, v in state.items()}
+    want = _independent_cells(spec, grid, data, copy)
+    seen = []
+    got = run_grid(SMALL_DIMS, spec, grid, sink=seen.append, data=data, base_state=state)
+    assert [_cell_fields(r) for r in got] == [_cell_fields(r) for r in want]
+    assert len(seen) == len(got) and all(a is b for a, b in zip(seen, got))
+    assert all(np.array_equal(state[k], copy[k]) for k in state)
+    return got
+
+
+def test_run_grid_chains_equal_independent_cells_with_unsorted_epochs():
+    grid = _mini_grid(methods=("seq_bn", "lora"), lrs=(5e-3,), epochs=(3, 1, 2, 3),
+                      method_axes={"seq_bn": {"reduction_factor": (2, 4)}})
+    got = _check_against_independent_cells(REGRESSION_TASK, grid)
+    assert [(r.method, r.config, r.epochs) for r in got[:4]] == [
+        ("seq_bn", {"reduction_factor": 2}, ep) for ep in (3, 1, 2, 3)]
+    assert len(got) == 3 * 4
+    assert got[0] is not got[3] and got[0].config is not got[3].config
+    # a chain's last milestone carries its whole cost
+    assert got[0].seconds >= got[2].seconds >= got[1].seconds
+
+
+def test_run_grid_chain_keeps_reporting_a_divergence():
+    # one step per epoch: epoch 1 is finite, the 1e200 update then diverges
+    grid = _mini_grid(methods=("seq_bn",), lrs=(1e200,), epochs=(1, 2, 3, 5),
+                      batch_size=REGRESSION_TASK.n_train)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _check_against_independent_cells(REGRESSION_TASK, grid)
+    assert [r.diverged for r in got] == [False, True, True, True]
+    assert all(np.isnan(r.metric) for r in got[1:])
+    assert {r.final_loss for r in got} == {got[0].final_loss}
+
+
+def test_run_grid_runs_full_ft_cells_unchained():
+    # full-ft trains in the snapshot's own arrays, so the epochs-2 cell and
+    # the seq_bn chain start from the base the epochs-1 cell left behind
+    grid = _mini_grid(methods=("seq_bn",), epochs=(1, 2), include_full_ft=True)
+    got = _check_against_independent_cells(TINY_TASK, grid)
+    assert [(r.method, r.epochs) for r in got] == [
+        (FULL_FT, 1), (FULL_FT, 2), ("seq_bn", 1), ("seq_bn", 2)]
 
 
 def test_best_metric_direction_depends_on_the_metric():
