@@ -15,6 +15,7 @@ byte-identical.  Compute stays float64; only persisted payloads are float32.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -56,7 +57,9 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError(f"truncated weights file {self.path} (checksum failure)")
+            raise CheckpointError(
+                f"truncated weights file {self.path}: {n} bytes needed at offset {self.pos}, "
+                f"{len(self.blob) - self.pos} left")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -86,14 +89,17 @@ def read_weights(path) -> dict:
     count = r.u64()
     out = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path} has a tensor name that is not valid UTF-8") from None
         rank = r.u32()
         shape = tuple(r.u64() for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)              # Python ints: a hostile extent cannot wrap
         payload = r.take(4 * n)
         out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
     if r.pos != len(blob):
-        raise CheckpointError(f"{path} has {len(blob) - r.pos} trailing bytes (checksum failure)")
+        raise CheckpointError(f"{path} has {len(blob) - r.pos} trailing bytes after its last tensor")
     return out
 
 
@@ -107,14 +113,23 @@ def write_manifest(path, name: str, config_dict: dict, dims_dict: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def read_manifest(path) -> dict:
+def read_json_object(path, what: str) -> dict:
+    """Parse ``path`` as one JSON object; any other content, or a file that
+    cannot be read, raises :class:`CheckpointError` naming ``what``."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
-        raise CheckpointError(f"cannot read manifest {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"malformed manifest {path}: {e}") from None
+        raise CheckpointError(f"cannot read {what} {path}: {e}") from None
+    except (ValueError, RecursionError) as e:   # syntax, non-UTF-8 bytes, deep nesting
+        raise CheckpointError(f"malformed {what} {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+def read_manifest(path) -> dict:
+    doc = read_json_object(path, "manifest")
     if doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported manifest version {doc.get('format_version')!r} "
@@ -123,4 +138,6 @@ def read_manifest(path) -> dict:
     for key in ("name", "config", "dims"):
         if key not in doc:
             raise CheckpointError(f"manifest {path} is missing {key!r}")
+    if not isinstance(doc["name"], str):
+        raise CheckpointError(f"manifest {path} has a name that is not a string")
     return doc

@@ -3,8 +3,9 @@ composition execution, adapter averaging, and low-rank merging.
 
 Verbs::
 
-    count-params   symbolic trainable-parameter audits (``--check-paper``
-                   compares the published grid extremes, exit 2 on mismatch)
+    count-params   trainable-parameter audits from builds that allocate nothing
+                   (``--check-paper`` compares the published grid extremes,
+                   exit 2 on mismatch)
     check-paper    shorthand for ``count-params --check-paper``
     train          hyperparameter-grid training on a synthetic task; emits
                    line-delimited JSON records (and optionally CSV)
@@ -27,11 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (FORMAT_VERSION, CheckpointError, read_weights,
-                         write_weights)
+from .checkpoint import (FORMAT_VERSION, CheckpointError, read_json_object,
+                         read_weights, write_weights)
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
-                      count_params, parse_config, run_count_audit)
+                      count_params, expand_axes, parse_config, run_count_audit)
 from .methods import StateError
 from .model import (DESK_DIMS, DIM_PRESETS, ROBERTA_BASE_DIMS, CapacityError,
                     InputError, ModelDims)
@@ -80,16 +81,16 @@ def save_base(model: AdapterModel, directory) -> Path:
 def load_base(directory) -> AdapterModel:
     directory = Path(directory)
     path = directory / BASE_CONFIG_FILE
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise CheckpointError(f"cannot read base checkpoint: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"malformed base manifest {path}: {e}") from None
+    doc = read_json_object(path, "base manifest")
     if doc.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported base format version {doc.get('format_version')!r}")
-    dims = ModelDims.from_dict(doc["dims"])
+    if not isinstance(doc.get("dims"), dict):
+        raise CheckpointError(f"base manifest {path} has no dims object")
+    try:
+        dims = ModelDims.from_dict(doc["dims"])
+    except (TypeError, ValueError) as e:      # unknown, missing or bad extents
+        raise CheckpointError(f"bad dims in base manifest {path}: {e}") from None
     model = AdapterModel(dims)
     model.encoder.load_state_array(read_weights(directory / BASE_WEIGHTS_FILE))
     return model
@@ -105,17 +106,18 @@ def save_head(model: AdapterModel, name: str, directory) -> Path:
 
 
 def load_head_file(model: AdapterModel, name: str, path) -> None:
-    path = Path(path)
+    doc = read_json_object(path, "head file")
+    missing = [k for k in ("kind", "num_labels", "w", "b") if k not in doc]
+    if missing:
+        raise CheckpointError(f"head file {path} is missing {', '.join(missing)}")
     try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise CheckpointError(f"cannot read head file: {e}") from None
-    except json.JSONDecodeError as e:
+        w = np.asarray(doc["w"], dtype=np.float64)
+        b = np.asarray(doc["b"], dtype=np.float64)
+        num_labels = int(doc["num_labels"])
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"malformed head file {path}: {e}") from None
-    model.add_prediction_head(name, doc["kind"], int(doc["num_labels"]))
+    model.add_prediction_head(name, doc["kind"], num_labels)
     h = model.head(name)
-    w = np.asarray(doc["w"], dtype=np.float64)
-    b = np.asarray(doc["b"], dtype=np.float64)
     if w.shape != h.w.data.shape or b.shape != h.b.data.shape:
         raise CheckpointError(
             f"head in {path} has shape {w.shape}, expected {h.w.data.shape}")
@@ -304,17 +306,17 @@ def cmd_train(args) -> int:
 
     try:
         if args.save:
-            cells = [(m, cfg) for m in methods
-                     for _, cfg in _expand_method(m, method_axes.get(m, {}))]
-            n_cells = len(cells) * len(grid.lrs) * len(grid.epochs)
+            cells = [(m, cfg) for m in methods if m != FULL_FT
+                     for _, cfg in expand_axes(parse_config(m), method_axes.get(m, {}))]
+            n_cells = (len(cells) + (FULL_FT in methods)) * len(grid.lrs) * len(grid.epochs)
             if n_cells != 1:
                 raise ValueError(
                     "--save requires exactly one grid cell (one --config with "
                     f"one --lr and one --epochs); this grid has {n_cells}")
-            method, cfg = cells[0]
-            if method == FULL_FT:
+            if not cells:
                 raise ValueError("full fine-tuning has no adapter to save; "
                                  "use --save-base for the encoder weights")
+            method, cfg = cells[0]
             capture = {}
             rec = run_cell(dims, task, data, base_state, method, cfg,
                            grid.lrs[0], grid.epochs[0], grid.batch_size,
@@ -337,11 +339,6 @@ def cmd_train(args) -> int:
         print(f"# best[{m}] {task.metric_name}={best_metric(records, m):.4f}",
               file=sys.stderr)
     return 0
-
-
-def _expand_method(method: str, axes: dict):
-    from .training import _method_configs
-    return list(_method_configs(method, axes))
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ class Average(_Block):
         return f"Average({inner}, weights={list(self.weights)})"
 
 
-CompositionNode = object  # Leaf | Stack | Fuse | Split | BatchSplit | Parallel | Average
-
 _CONTAINER_KINDS = (Stack, Parallel, BatchSplit, Average)
 _LEAF_ONLY_KINDS = (Fuse, Split)
 

@@ -1,17 +1,26 @@
-"""Adapter method configurations and the symbolic parameter counter.
+"""Adapter method configurations: one definition per method.
 
-Each supported method gets a frozen dataclass; the short config strings
-(``seq_bn``, ``lora``, ...) map onto preconfigured instances.  The counter
-works purely from the config and the model dims, so audits can be run at
-arbitrary extents without instantiating weights.
+Each supported method is one frozen dataclass holding its fields, its
+``validate(dims)`` rules and its ``build(b)``, which allocates the method's
+tensors and binds its modules at hook points through a
+:class:`peftlab.methods.AdapterBuild`.  Every other per-method fact is
+derived from that build: an instance's hook footprint is the set of hook
+points it declared, and :func:`tensor_shapes` / :func:`count_params` are a
+dry run of it that records shapes and allocates nothing, so audits run at
+any extents without instantiating weights.  The short config strings
+(``seq_bn``, ``lora``, ...) map onto preconfigured instances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
+from .methods import (AdapterBuild, BottleneckModule, CompacterModule,
+                      IA3Module, InvertibleModule, LoraModule, PrefixModule,
+                      PromptModule)
 from .model import HookPoint, ModelDims
 
 
@@ -25,6 +34,18 @@ DOUBLE = "double"
 PLACEMENTS = (SEQUENTIAL, PARALLEL, DOUBLE)
 
 NONLINEARITIES = ("relu", "gelu", "tanh", "identity")
+
+LORA_TARGETS = ("query", "value")
+IA3_TARGETS = ("keys", "values", "ffn_intermediate")
+
+
+def _check_reduction(reduction_factor: int, dims: ModelDims) -> None:
+    if reduction_factor < 1:
+        raise ConfigError(f"reduction_factor must be >= 1, got {reduction_factor}")
+    if dims.hidden % reduction_factor != 0:
+        raise ConfigError(
+            f"hidden={dims.hidden} not divisible by reduction_factor={reduction_factor}"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,12 +65,59 @@ class BottleneckConfig:
     with_invertible: bool = False
     inv_reduction_factor: int = 2
 
+    def validate(self, dims: ModelDims) -> None:
+        if self.placement not in PLACEMENTS:
+            raise ConfigError(f"unknown placement {self.placement!r}; expected {PLACEMENTS}")
+        if self.nonlinearity not in NONLINEARITIES:
+            raise ConfigError(
+                f"unknown nonlinearity {self.nonlinearity!r}; expected {NONLINEARITIES}"
+            )
+        _check_reduction(self.reduction_factor, dims)
+        if not math.isfinite(self.scaling):
+            raise ConfigError(f"scaling must be finite, got {self.scaling}")
+        if self.with_invertible:
+            if dims.hidden % 2 != 0:
+                raise ConfigError("invertible coupling needs an even hidden size")
+            half = dims.hidden // 2
+            if self.inv_reduction_factor < 1 or half % self.inv_reduction_factor != 0:
+                raise ConfigError(
+                    f"half hidden {half} not divisible by inv_reduction_factor="
+                    f"{self.inv_reduction_factor}"
+                )
+
+    def build(self, b: AdapterBuild) -> None:
+        d = b.dims.hidden
+        sites = {
+            SEQUENTIAL: [(HookPoint.POST_FFN_RESIDUAL, "post_ffn", d)],
+            DOUBLE: [(HookPoint.POST_FFN_RESIDUAL, "post_ffn", d),
+                     (HookPoint.POST_ATTN_RESIDUAL, "post_attn", d)],
+            PARALLEL: [(HookPoint.PARALLEL_TO_LAYER, "par_ffn", d)],
+        }[self.placement]
+        width = d // self.reduction_factor
+        b.layers(sites, lambda name, _: BottleneckModule(
+            b, name + ".", d, width, self.nonlinearity, self.scaling))
+        if self.with_invertible:
+            b.once(HookPoint.EMBEDDING_BOUNDARY,
+                   InvertibleModule(b, "invertible.", d, self.inv_reduction_factor))
+
 
 @dataclass(frozen=True)
 class PromptTuningConfig:
     """Trainable rows prepended to the embedded input sequence."""
 
     prompt_length: int = 10
+
+    def validate(self, dims: ModelDims) -> None:
+        if self.prompt_length < 1:
+            raise ConfigError(f"prompt_length must be >= 1, got {self.prompt_length}")
+        if self.prompt_length >= dims.max_seq:
+            raise ConfigError(
+                f"prompt_length {self.prompt_length} leaves no room under max_seq {dims.max_seq}"
+            )
+
+    def build(self, b: AdapterBuild) -> None:
+        b.once(HookPoint.INPUT_PREPEND,
+               PromptModule(b, "prompt.", self.prompt_length, b.dims.hidden))
 
 
 @dataclass(frozen=True)
@@ -65,6 +133,16 @@ class PrefixTuningConfig:
     bottleneck_size: int = 512
     flat: bool = False
 
+    def validate(self, dims: ModelDims) -> None:
+        if self.prefix_length < 1:
+            raise ConfigError(f"prefix_length must be >= 1, got {self.prefix_length}")
+        if not self.flat and self.bottleneck_size < 1:
+            raise ConfigError(f"bottleneck_size must be >= 1, got {self.bottleneck_size}")
+
+    def build(self, b: AdapterBuild) -> None:
+        prefix = PrefixModule(b, "prefix.", self, b.dims)
+        b.layers([(HookPoint.ATTN_KV, "prefix", b.dims.hidden)], lambda name, _: prefix)
+
 
 @dataclass(frozen=True)
 class CompacterConfig:
@@ -73,8 +151,25 @@ class CompacterConfig:
 
     reduction_factor: int = 16
     phm_dim: int = 4
-    factor_rank: int = 1
-    share_factors: bool = True
+
+    def validate(self, dims: ModelDims) -> None:
+        _check_reduction(self.reduction_factor, dims)
+        b = dims.hidden // self.reduction_factor
+        n = self.phm_dim
+        if n < 1:
+            raise ConfigError(f"phm_dim must be >= 1, got {n}")
+        if dims.hidden % n != 0 or b % n != 0:
+            raise ConfigError(
+                f"phm_dim={n} must divide both hidden={dims.hidden} and bottleneck={b}"
+            )
+
+    def build(self, b: AdapterBuild) -> None:
+        d, n = b.dims.hidden, self.phm_dim
+        width = d // self.reduction_factor
+        shared_a = b.normal("phm.a", (n, n, n), std=0.5)
+        b.layers([(HookPoint.POST_ATTN_RESIDUAL, "post_attn", d),
+                  (HookPoint.POST_FFN_RESIDUAL, "post_ffn", d)],
+                 lambda name, _: CompacterModule(b, name + ".", d, width, n, shared_a))
 
 
 @dataclass(frozen=True)
@@ -86,6 +181,24 @@ class LoraConfig:
     alpha: float = 8.0
     targets: tuple = ("query", "value")
 
+    def validate(self, dims: ModelDims) -> None:
+        if self.r < 1:
+            raise ConfigError(f"r must be >= 1, got {self.r}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
+        bad = [t for t in self.targets if t not in LORA_TARGETS]
+        if bad or not self.targets:
+            raise ConfigError(f"lora targets must be a non-empty subset of {LORA_TARGETS}")
+
+    def build(self, b: AdapterBuild) -> None:
+        d = b.dims.hidden
+        sites = {
+            "query": (HookPoint.ATTN_Q_PROJ, "query", d),
+            "value": (HookPoint.ATTN_V_PROJ, "value", d),
+        }
+        b.layers([sites[t] for t in LORA_TARGETS if t in self.targets],
+                 lambda name, _: LoraModule(b, name + ".", d, self.r, self.alpha))
+
 
 @dataclass(frozen=True)
 class IA3Config:
@@ -93,6 +206,21 @@ class IA3Config:
     feed-forward intermediate activations."""
 
     targets: tuple = ("keys", "values", "ffn_intermediate")
+
+    def validate(self, dims: ModelDims) -> None:
+        bad = [t for t in self.targets if t not in IA3_TARGETS]
+        if bad or not self.targets:
+            raise ConfigError(f"ia3 targets must be a non-empty subset of {IA3_TARGETS}")
+
+    def build(self, b: AdapterBuild) -> None:
+        d, dff = b.dims.hidden, b.dims.intermediate
+        sites = {
+            "keys": (HookPoint.ATTN_KEYS_SCALE, "keys", d),
+            "values": (HookPoint.ATTN_VALUES_SCALE, "values", d),
+            "ffn_intermediate": (HookPoint.FFN_INTERMEDIATE_SCALE, "ffn", dff),
+        }
+        b.layers([sites[t] for t in IA3_TARGETS if t in self.targets],
+                 lambda name, width: IA3Module(b, name, width))
 
 
 @dataclass(frozen=True)
@@ -109,6 +237,26 @@ class ConfigUnion:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
 
+    def validate(self, dims: ModelDims) -> None:
+        if not self.members:
+            raise ConfigError("a union needs at least one member")
+        for m in self.members:
+            if isinstance(m, ConfigUnion):
+                raise ConfigError("unions cannot nest unions")
+            validate_config(m, dims)
+        if self.gated:
+            for m in self.members:
+                if isinstance(m, PromptTuningConfig):
+                    raise ConfigError("prompt members cannot be gated")
+                if isinstance(m, BottleneckConfig) and m.with_invertible:
+                    raise ConfigError("invertible members cannot be gated")
+
+    def build(self, b: AdapterBuild) -> None:
+        b.gated = self.gated
+        for i, m in enumerate(self.members):
+            b.prefix = f"member{i}."
+            m.build(b)
+
 
 AdapterConfig = Union[
     BottleneckConfig,
@@ -119,9 +267,6 @@ AdapterConfig = Union[
     IA3Config,
     ConfigUnion,
 ]
-
-LORA_TARGETS = ("query", "value")
-IA3_TARGETS = ("keys", "values", "ffn_intermediate")
 
 
 def _mam() -> ConfigUnion:
@@ -182,211 +327,33 @@ def config_label(config: AdapterConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation and parameter counting
 
 
 def validate_config(config: AdapterConfig, dims: ModelDims) -> None:
     """Raise :class:`ConfigError` unless ``config`` can be instantiated on
     ``dims``."""
-    if isinstance(config, BottleneckConfig):
-        if config.placement not in PLACEMENTS:
-            raise ConfigError(f"unknown placement {config.placement!r}; expected {PLACEMENTS}")
-        if config.nonlinearity not in NONLINEARITIES:
-            raise ConfigError(
-                f"unknown nonlinearity {config.nonlinearity!r}; expected {NONLINEARITIES}"
-            )
-        if config.reduction_factor < 1:
-            raise ConfigError(f"reduction_factor must be >= 1, got {config.reduction_factor}")
-        if dims.hidden % config.reduction_factor != 0:
-            raise ConfigError(
-                f"hidden={dims.hidden} not divisible by reduction_factor={config.reduction_factor}"
-            )
-        if config.with_invertible:
-            if dims.hidden % 2 != 0:
-                raise ConfigError("invertible coupling needs an even hidden size")
-            half = dims.hidden // 2
-            if config.inv_reduction_factor < 1 or half % config.inv_reduction_factor != 0:
-                raise ConfigError(
-                    f"half hidden {half} not divisible by inv_reduction_factor="
-                    f"{config.inv_reduction_factor}"
-                )
-    elif isinstance(config, PromptTuningConfig):
-        if config.prompt_length < 1:
-            raise ConfigError(f"prompt_length must be >= 1, got {config.prompt_length}")
-        if config.prompt_length >= dims.max_seq:
-            raise ConfigError(
-                f"prompt_length {config.prompt_length} leaves no room under max_seq {dims.max_seq}"
-            )
-    elif isinstance(config, PrefixTuningConfig):
-        if config.prefix_length < 1:
-            raise ConfigError(f"prefix_length must be >= 1, got {config.prefix_length}")
-        if not config.flat and config.bottleneck_size < 1:
-            raise ConfigError(f"bottleneck_size must be >= 1, got {config.bottleneck_size}")
-    elif isinstance(config, CompacterConfig):
-        if config.reduction_factor < 1:
-            raise ConfigError(f"reduction_factor must be >= 1, got {config.reduction_factor}")
-        if dims.hidden % config.reduction_factor != 0:
-            raise ConfigError(
-                f"hidden={dims.hidden} not divisible by reduction_factor={config.reduction_factor}"
-            )
-        b = dims.hidden // config.reduction_factor
-        n = config.phm_dim
-        if n < 1:
-            raise ConfigError(f"phm_dim must be >= 1, got {n}")
-        if dims.hidden % n != 0 or b % n != 0:
-            raise ConfigError(
-                f"phm_dim={n} must divide both hidden={dims.hidden} and bottleneck={b}"
-            )
-        if config.factor_rank != 1:
-            raise ConfigError("only rank-1 projection factors are supported")
-    elif isinstance(config, LoraConfig):
-        if config.r < 1:
-            raise ConfigError(f"r must be >= 1, got {config.r}")
-        bad = [t for t in config.targets if t not in LORA_TARGETS]
-        if bad or not config.targets:
-            raise ConfigError(f"lora targets must be a non-empty subset of {LORA_TARGETS}")
-    elif isinstance(config, IA3Config):
-        bad = [t for t in config.targets if t not in IA3_TARGETS]
-        if bad or not config.targets:
-            raise ConfigError(f"ia3 targets must be a non-empty subset of {IA3_TARGETS}")
-    elif isinstance(config, ConfigUnion):
-        if not config.members:
-            raise ConfigError("a union needs at least one member")
-        for m in config.members:
-            if isinstance(m, ConfigUnion):
-                raise ConfigError("unions cannot nest unions")
-            validate_config(m, dims)
-        if config.gated:
-            for m in config.members:
-                if isinstance(m, (PromptTuningConfig,)):
-                    raise ConfigError("prompt members cannot be gated")
-                if isinstance(m, BottleneckConfig) and m.with_invertible:
-                    raise ConfigError("invertible members cannot be gated")
-    else:
+    if type(config) not in _TYPE_NAMES:
         raise ConfigError(f"unknown config type {type(config).__name__}")
+    config.validate(dims)
 
 
-# ---------------------------------------------------------------------------
-# hook footprints
-
-
-def hook_footprint(config: AdapterConfig) -> frozenset:
-    """Hook points this configuration touches."""
-    if isinstance(config, BottleneckConfig):
-        pts = set()
-        if config.placement in (SEQUENTIAL, DOUBLE):
-            pts.add(HookPoint.POST_FFN_RESIDUAL)
-        if config.placement == DOUBLE:
-            pts.add(HookPoint.POST_ATTN_RESIDUAL)
-        if config.placement == PARALLEL:
-            pts.add(HookPoint.PARALLEL_TO_LAYER)
-        if config.with_invertible:
-            pts.add(HookPoint.EMBEDDING_BOUNDARY)
-        return frozenset(pts)
-    if isinstance(config, PromptTuningConfig):
-        return frozenset({HookPoint.INPUT_PREPEND})
-    if isinstance(config, PrefixTuningConfig):
-        return frozenset({HookPoint.ATTN_KV})
-    if isinstance(config, CompacterConfig):
-        return frozenset({HookPoint.POST_FFN_RESIDUAL, HookPoint.POST_ATTN_RESIDUAL})
-    if isinstance(config, LoraConfig):
-        pts = set()
-        if "query" in config.targets:
-            pts.add(HookPoint.ATTN_Q_PROJ)
-        if "value" in config.targets:
-            pts.add(HookPoint.ATTN_V_PROJ)
-        return frozenset(pts)
-    if isinstance(config, IA3Config):
-        mapping = {
-            "keys": HookPoint.ATTN_KEYS_SCALE,
-            "values": HookPoint.ATTN_VALUES_SCALE,
-            "ffn_intermediate": HookPoint.FFN_INTERMEDIATE_SCALE,
-        }
-        return frozenset(mapping[t] for t in config.targets)
-    if isinstance(config, ConfigUnion):
-        pts: set = set()
-        for m in config.members:
-            pts |= hook_footprint(m)
-        return frozenset(pts)
-    raise ConfigError(f"unknown config type {type(config).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# parameter counting
-
-
-def _bottleneck_modules(placement: str) -> int:
-    return 2 if placement == DOUBLE else 1
+def tensor_shapes(config: AdapterConfig, dims: ModelDims) -> dict:
+    """Name -> shape of every tensor the adapter's build declares on
+    ``dims``, in allocation order, from a dry run that allocates nothing."""
+    validate_config(config, dims)
+    build = AdapterBuild(dims)
+    config.build(build)
+    return build.shapes
 
 
 def count_params(config: AdapterConfig, dims: ModelDims) -> int:
     """Number of trainable scalars the adapter adds on ``dims``.
 
-    This is the symbolic dual of instantiation: it never allocates, and the
-    instantiation path asserts agreement with it.
+    This is a dry run of the config's build: the total size of the tensors
+    it declares (:func:`tensor_shapes`), none of which is allocated.
     """
-    validate_config(config, dims)
-    L, d, dff = dims.num_layers, dims.hidden, dims.intermediate
-
-    if isinstance(config, BottleneckConfig):
-        b = d // config.reduction_factor
-        per_module = 2 * d * b + b + d          # down w+b, up w+b
-        total = L * _bottleneck_modules(config.placement) * per_module
-        if config.with_invertible:
-            half = d // 2
-            bi = half // config.inv_reduction_factor
-            per_net = half * bi + bi + bi * half + half
-            total += 2 * per_net                # one coupling pair per model
-        return total
-    if isinstance(config, PromptTuningConfig):
-        return config.prompt_length * d
-    if isinstance(config, PrefixTuningConfig):
-        p = config.prefix_length
-        if config.flat:
-            return 2 * L * p * d
-        b = config.bottleneck_size
-        return p * d + (d * b + b) + (b * 2 * L * d + 2 * L * d)
-    if isinstance(config, CompacterConfig):
-        b = d // config.reduction_factor
-        n = config.phm_dim
-        # Per module: rank-1 factors for down (d -> b) and up (b -> d) plus
-        # biases; the n mixing factors (n^3 scalars) are shared model-wide.
-        per_module = (d + b) + b + (b + d) + d
-        return L * 2 * per_module + n ** 3
-    if isinstance(config, LoraConfig):
-        return L * len(config.targets) * 2 * d * config.r
-    if isinstance(config, IA3Config):
-        total = 0
-        for t in config.targets:
-            total += L * (dff if t == "ffn_intermediate" else d)
-        return total
-    if isinstance(config, ConfigUnion):
-        total = sum(count_params(m, dims) for m in config.members)
-        if config.gated:
-            for m in config.members:
-                total += _gate_count(m, dims)
-        return total
-    raise ConfigError(f"unknown config type {type(config).__name__}")
-
-
-def _gate_count(member: AdapterConfig, dims: ModelDims) -> int:
-    """One ``hidden``-sized gate vector per gated module instance."""
-    L, d = dims.num_layers, dims.hidden
-    if isinstance(member, BottleneckConfig):
-        return L * _bottleneck_modules(member.placement) * d
-    if isinstance(member, CompacterConfig):
-        return L * 2 * d
-    if isinstance(member, LoraConfig):
-        return L * len(member.targets) * d
-    if isinstance(member, IA3Config):
-        # Key/value gates read the layer input (hidden-wide); the
-        # feed-forward gate reads the intermediate activations.
-        return sum(
-            L * (dims.intermediate if t == "ffn_intermediate" else d) for t in member.targets
-        )
-    if isinstance(member, PrefixTuningConfig):
-        return L * d
-    raise ConfigError(f"members of type {type(member).__name__} cannot be gated")
+    return sum(math.prod(shape) for shape in tensor_shapes(config, dims).values())
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +389,36 @@ def config_to_dict(config: AdapterConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> AdapterConfig:
+    """Parse a manifest's config object.  Unknown keys are ignored, so
+    manifests that carry retired fields still load; a known field whose
+    value does not have the type of its default raises :class:`ConfigError`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
     kind = d.get("type")
-    cls = _CONFIG_TYPES.get(kind)
+    cls = _CONFIG_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown config type tag {kind!r}")
-    if cls is ConfigUnion:
-        return ConfigUnion(
-            members=tuple(config_from_dict(m) for m in d.get("members", [])),
-            gated=bool(d.get("gated", False)),
-        )
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            v = d[f.name]
-            kwargs[f.name] = tuple(v) if isinstance(v, list) else v
+    kwargs = {f.name: _field_value(cls, f, d[f.name]) for f in fields(cls) if f.name in d}
+    if "members" in kwargs:
+        kwargs["members"] = tuple(config_from_dict(m) for m in kwargs["members"])
     return cls(**kwargs)
+
+
+def _field_value(cls, f, v):
+    """``v`` for field ``f`` of ``cls`` if it has the type of the field's
+    default (a list for tuple fields, whose items must be strings outside
+    unions), else :class:`ConfigError`."""
+    want = type(f.default)
+    if want is tuple and isinstance(v, list):
+        v = tuple(v)
+        ok = cls is ConfigUnion or all(isinstance(x, str) for x in v)
+    elif want in (int, float):
+        ok = isinstance(v, (int, float) if want is float else int) and not isinstance(v, bool)
+    else:
+        ok = isinstance(v, want)
+    if not ok:
+        raise ConfigError(f"{cls.__name__}.{f.name} must be of type {want.__name__}, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +467,25 @@ AUDIT_GRID = {
 }
 
 
+def expand_axes(config: AdapterConfig, axes: dict) -> list:
+    """Every ``(assignment, config)`` variant of ``config`` over the cross
+    product of ``axes`` (field -> values), with fields in sorted order.  No
+    axes gives the one variant ``({}, config)``."""
+    keys = sorted(axes)
+    out = []
+    for combo in itertools.product(*(axes[k] for k in keys)):
+        assignment = dict(zip(keys, combo))
+        out.append((assignment, replace(config, **assignment)))
+    return out
+
+
 def audit_counts(name: str, dims: ModelDims) -> list:
     """Enumerate the audit grid for one config string; returns
     ``[(axis_assignment, count), ...]`` sorted by count."""
     if name not in AUDIT_GRID:
         raise ConfigError(f"no audit grid for {name!r}; have {', '.join(sorted(AUDIT_GRID))}")
-    base = parse_config(name)
-    axes = AUDIT_GRID[name]["axes"]
-    rows = []
-    keys = sorted(axes)
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        assignment = dict(zip(keys, combo))
-        cfg = replace(base, **assignment)
-        rows.append((assignment, count_params(cfg, dims)))
+    rows = [(assignment, count_params(cfg, dims))
+            for assignment, cfg in expand_axes(parse_config(name), AUDIT_GRID[name]["axes"])]
     rows.sort(key=lambda r: r[1])
     return rows
 

@@ -1,37 +1,29 @@
-"""Adapter method modules: parameter allocation and forward math.
+"""Adapter method modules, the builder that adapter configs run, and the
+per-adapter instance.
 
-An :class:`AdapterInstance` bundles every tensor one named adapter owns plus
-per-layer module bindings for each hook point it touches.  All modules are
-built so that a freshly initialized adapter is the identity wherever the
-method admits it (zero-initialized up-projections, ones-initialized scaling
-vectors, zero-initialized second coupling layers).
+Each config class in :mod:`peftlab.configs` has one ``build`` that talks to
+an :class:`AdapterBuild`: it allocates named tensors and binds modules at
+hook points.  Everything else about an adapter comes from that build: the
+:class:`AdapterInstance` keeps the tensors, the bindings and the footprint
+(the hook points the build declared), and a dry build with no rng is the
+parameter count.  All modules are built so that a freshly initialized
+adapter is the identity wherever the method admits it (zero-initialized
+up-projections, ones-initialized scaling vectors, zero-initialized second
+coupling layers).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .configs import (
-    AdapterConfig,
-    BottleneckConfig,
-    CompacterConfig,
-    ConfigUnion,
-    IA3Config,
-    LoraConfig,
-    PrefixTuningConfig,
-    PromptTuningConfig,
-    DOUBLE,
-    PARALLEL,
-    SEQUENTIAL,
-    count_params,
-    hook_footprint,
-    validate_config,
-)
-from .model import HookPoint, ModelDims
+from .model import ATTENTION_HOOKS, HookPoint, ModelDims
+
+if TYPE_CHECKING:
+    from .configs import AdapterConfig, PrefixTuningConfig
 
 
 class StateError(RuntimeError):
@@ -48,30 +40,41 @@ _NONLIN: dict[str, Callable[[Tensor], Tensor]] = {
 
 
 class _Alloc:
-    """Named tensor allocator for one adapter instance."""
+    """Named tensor allocator for one adapter instance.
 
-    def __init__(self, rng: np.random.Generator):
+    Every name gets :attr:`prefix` prepended and its shape recorded in
+    :attr:`shapes`.  With ``rng=None`` nothing is drawn or allocated: each
+    call returns ``None`` in place of the tensor.
+    """
+
+    def __init__(self, rng: Optional[np.random.Generator]):
         self.rng = rng
+        self.prefix = ""
+        self.shapes: dict[str, tuple] = {}
         self.tensors: dict[str, Tensor] = {}
 
-    def _register(self, name: str, arr: np.ndarray) -> Tensor:
-        if name in self.tensors:
+    def _register(self, name: str, shape: tuple, draw: Callable[[], np.ndarray]):
+        name = self.prefix + name
+        if name in self.shapes:
             raise ValueError(f"duplicate tensor name {name!r}")
-        t = Tensor(arr, name=name)
+        self.shapes[name] = shape
+        if self.rng is None:
+            return None
+        t = Tensor(draw(), name=name)
         self.tensors[name] = t
         return t
 
     def uniform(self, name, shape, scale=0.05):
-        return self._register(name, self.rng.uniform(-scale, scale, size=shape))
+        return self._register(name, shape, lambda: self.rng.uniform(-scale, scale, size=shape))
 
     def normal(self, name, shape, std=0.02):
-        return self._register(name, self.rng.normal(0.0, std, size=shape))
+        return self._register(name, shape, lambda: self.rng.normal(0.0, std, size=shape))
 
     def zeros(self, name, shape):
-        return self._register(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name, shape):
-        return self._register(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
 
 class BottleneckModule:
@@ -282,37 +285,80 @@ class FusionLayer:
 
 
 # ---------------------------------------------------------------------------
-# adapter instances
+# builds and adapter instances
 
 
-_OUTPUT = "output"
-_BLOCK_INPUT = "block_input"
+# Sequential and parallel bottlenecks both add to the feed-forward block's
+# output.  They share the POST_FFN_RESIDUAL per-layer lists, so they apply in
+# build order, and each entry there also names the hook (and so the input)
+# it reads.
+_FFN_BLOCK_HOOKS = (HookPoint.POST_FFN_RESIDUAL, HookPoint.PARALLEL_TO_LAYER)
+
+
+class AdapterBuild(_Alloc):
+    """What a config's ``build`` talks to: the allocator plus the hook
+    bindings and footprint it declares.
+
+    ``bindings`` maps a hook point to a per-layer list of entries for the
+    encoder-layer hooks, and to one list of modules for the model-wide
+    ``EMBEDDING_BOUNDARY`` and ``INPUT_PREPEND``.  A layer entry is
+    ``(module, gate)``, with ``gate`` ``None`` unless the adapter is a gated
+    union; entries of the feed-forward block list are ``(module, gate,
+    hook)``.  Without an rng this is a dry run: shapes only.
+    """
+
+    def __init__(self, dims: ModelDims, rng: Optional[np.random.Generator] = None):
+        super().__init__(rng)
+        self.dims = dims
+        self.gated = False
+        self.footprint: set = set()
+        self.bindings: dict = {}
+
+    def layers(self, sites, make: Callable) -> None:
+        """Declare each ``(hook, tag, width)`` site, then for every layer,
+        site by site, build ``make(name, width)`` with ``name`` =
+        ``layer<l>.<tag>`` and bind it.  When :attr:`gated` is set, each
+        module gets a gate named ``gate.<name>`` over the same width."""
+        L = self.dims.num_layers
+        targets = []
+        for hook, _, _ in sites:
+            self.footprint.add(hook)
+            key = HookPoint.POST_FFN_RESIDUAL if hook in _FFN_BLOCK_HOOKS else hook
+            targets.append(self.bindings.setdefault(key, [[] for _ in range(L)]))
+        for l in range(L):
+            for (hook, tag, width), per_layer in zip(sites, targets):
+                name = f"layer{l}.{tag}"
+                module = make(name, width)
+                gate = GateModule(self, "gate." + name, width) if self.gated else None
+                per_layer[l].append((module, gate, hook) if hook in _FFN_BLOCK_HOOKS
+                                    else (module, gate))
+
+    def once(self, hook: HookPoint, module) -> None:
+        """Bind one model-wide module (prompt rows, an invertible coupling)."""
+        self.footprint.add(hook)
+        self.bindings.setdefault(hook, []).append(module)
 
 
 class AdapterInstance:
-    """All tensors and per-hook bindings for one named adapter."""
+    """All tensors and hook bindings of one named adapter, as its build
+    declared them (see :class:`AdapterBuild` for the ``bindings`` layout)."""
 
-    def __init__(self, name: str, config: AdapterConfig, dims: ModelDims):
+    def __init__(self, name: str, config: AdapterConfig, dims: ModelDims,
+                 build: AdapterBuild):
         self.name = name
         self.config = config
         self.dims = dims
-        self.tensors: dict[str, Tensor] = {}
-        self.footprint = hook_footprint(config)
+        self.tensors: dict[str, Tensor] = build.tensors
+        self.bindings: dict = build.bindings
+        self.footprint = frozenset(build.footprint)
         self.merged = False
-        L = dims.num_layers
-        # per-layer bindings; lists of (module, gate or None[, source])
-        self.ffn_hook: list = [[] for _ in range(L)]
-        self.post_attn_hook: list = [[] for _ in range(L)]
-        self.lora_q: list = [[] for _ in range(L)]
-        self.lora_v: list = [[] for _ in range(L)]
-        self.ia3_k: list = [[] for _ in range(L)]
-        self.ia3_v: list = [[] for _ in range(L)]
-        self.ia3_ff: list = [[] for _ in range(L)]
-        self.prefixes: list = []      # (PrefixModule, per-layer gate list or None)
-        self.prompts: list = []       # PromptModule
-        self.invertibles: list = []   # InvertibleModule
 
     # -- queries -----------------------------------------------------------
+
+    def at(self, hook: HookPoint, layer: int):
+        """The entries bound at an encoder-layer ``hook`` in ``layer``."""
+        per_layer = self.bindings.get(hook)
+        return per_layer[layer] if per_layer is not None else ()
 
     def num_params(self) -> int:
         return sum(t.size for t in self.tensors.values())
@@ -323,112 +369,26 @@ class AdapterInstance:
 
     @property
     def grows_sequence(self) -> bool:
-        return bool(self.prompts)
+        return HookPoint.INPUT_PREPEND in self.footprint
 
     @property
     def touches_attention(self) -> bool:
-        from .model import ATTENTION_HOOKS
         return bool(self.footprint & ATTENTION_HOOKS)
 
     def has_lora(self) -> bool:
-        return any(self.lora_q) or any(self.lora_v)
+        return any(self.at(hook, l) for hook in (HookPoint.ATTN_Q_PROJ, HookPoint.ATTN_V_PROJ)
+                   for l in range(self.dims.num_layers))
 
     def prompt_length(self) -> int:
-        return sum(p.length for p in self.prompts)
-
-
-def _build_member(inst: AdapterInstance, al: _Alloc, prefix: str,
-                  cfg: AdapterConfig, dims: ModelDims, gated: bool) -> None:
-    L, d, dff = dims.num_layers, dims.hidden, dims.intermediate
-
-    def gate(name_suffix, width=d):
-        if not gated:
-            return None
-        return GateModule(al, prefix + "gate." + name_suffix, width)
-
-    if isinstance(cfg, BottleneckConfig):
-        b = d // cfg.reduction_factor
-        for l in range(L):
-            if cfg.placement in (SEQUENTIAL, DOUBLE):
-                m = BottleneckModule(al, f"{prefix}layer{l}.post_ffn.", d, b,
-                                     cfg.nonlinearity, cfg.scaling)
-                inst.ffn_hook[l].append((m, gate(f"layer{l}.post_ffn"), _OUTPUT))
-            if cfg.placement == DOUBLE:
-                m = BottleneckModule(al, f"{prefix}layer{l}.post_attn.", d, b,
-                                     cfg.nonlinearity, cfg.scaling)
-                inst.post_attn_hook[l].append((m, gate(f"layer{l}.post_attn")))
-            if cfg.placement == PARALLEL:
-                m = BottleneckModule(al, f"{prefix}layer{l}.par_ffn.", d, b,
-                                     cfg.nonlinearity, cfg.scaling)
-                inst.ffn_hook[l].append((m, gate(f"layer{l}.par_ffn"), _BLOCK_INPUT))
-        if cfg.with_invertible:
-            inst.invertibles.append(
-                InvertibleModule(al, prefix + "invertible.", d, cfg.inv_reduction_factor)
-            )
-    elif isinstance(cfg, CompacterConfig):
-        b = d // cfg.reduction_factor
-        n = cfg.phm_dim
-        shared_a = al.normal(prefix + "phm.a", (n, n, n), std=0.5)
-        for l in range(L):
-            m1 = CompacterModule(al, f"{prefix}layer{l}.post_attn.", d, b, n, shared_a)
-            inst.post_attn_hook[l].append((m1, gate(f"layer{l}.post_attn")))
-            m2 = CompacterModule(al, f"{prefix}layer{l}.post_ffn.", d, b, n, shared_a)
-            inst.ffn_hook[l].append((m2, gate(f"layer{l}.post_ffn"), _OUTPUT))
-    elif isinstance(cfg, LoraConfig):
-        for l in range(L):
-            if "query" in cfg.targets:
-                m = LoraModule(al, f"{prefix}layer{l}.query.", d, cfg.r, cfg.alpha)
-                inst.lora_q[l].append((m, gate(f"layer{l}.query")))
-            if "value" in cfg.targets:
-                m = LoraModule(al, f"{prefix}layer{l}.value.", d, cfg.r, cfg.alpha)
-                inst.lora_v[l].append((m, gate(f"layer{l}.value")))
-    elif isinstance(cfg, IA3Config):
-        for l in range(L):
-            if "keys" in cfg.targets:
-                inst.ia3_k[l].append(
-                    (IA3Module(al, f"{prefix}layer{l}.keys", d), gate(f"layer{l}.keys"))
-                )
-            if "values" in cfg.targets:
-                inst.ia3_v[l].append(
-                    (IA3Module(al, f"{prefix}layer{l}.values", d), gate(f"layer{l}.values"))
-                )
-            if "ffn_intermediate" in cfg.targets:
-                inst.ia3_ff[l].append(
-                    (IA3Module(al, f"{prefix}layer{l}.ffn", dff),
-                     gate(f"layer{l}.ffn", width=dff))
-                )
-    elif isinstance(cfg, PrefixTuningConfig):
-        pm = PrefixModule(al, prefix + "prefix.", cfg, dims)
-        gates = None
-        if gated:
-            gates = [GateModule(al, f"{prefix}gate.layer{l}.prefix", d) for l in range(L)]
-        inst.prefixes.append((pm, gates))
-    elif isinstance(cfg, PromptTuningConfig):
-        inst.prompts.append(PromptModule(al, prefix + "prompt.", cfg.prompt_length, d))
-    else:
-        raise ValueError(f"cannot build modules for {type(cfg).__name__}")
+        return sum(p.length for p in self.bindings.get(HookPoint.INPUT_PREPEND, ()))
 
 
 def instantiate_adapter(name: str, config: AdapterConfig, dims: ModelDims,
                         rng: np.random.Generator) -> AdapterInstance:
-    """Allocate and initialize every tensor of one adapter.
-
-    Postcondition (asserted): the number of allocated scalars equals
-    :func:`peftlab.configs.count_params` for the same config and dims.
-    """
+    """Validate ``config`` on ``dims``, then run its build: allocate and
+    initialize every tensor of one adapter and bind its modules."""
+    from .configs import validate_config      # configs imports this module
     validate_config(config, dims)
-    inst = AdapterInstance(name, config, dims)
-    al = _Alloc(rng)
-    if isinstance(config, ConfigUnion):
-        for i, member in enumerate(config.members):
-            _build_member(inst, al, f"member{i}.", member, dims, config.gated)
-    else:
-        _build_member(inst, al, "", config, dims, gated=False)
-    inst.tensors = al.tensors
-    allocated = inst.num_params()
-    expected = count_params(config, dims)
-    if allocated != expected:
-        raise AssertionError(
-            f"allocation mismatch for {name!r}: allocated {allocated}, counted {expected}"
-        )
-    return inst
+    build = AdapterBuild(dims, rng)
+    config.build(build)
+    return AdapterInstance(name, config, dims, build)

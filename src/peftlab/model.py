@@ -29,7 +29,7 @@ class CapacityError(ValueError):
 @dataclass(frozen=True)
 class ModelDims:
     """Architecture extents.  ``num_layers`` may be zero so parameter
-    formulas can be evaluated symbolically on degenerate shapes."""
+    counts can be evaluated on degenerate shapes."""
 
     num_layers: int
     hidden: int
@@ -92,22 +92,6 @@ class HookPoint(Enum):
     POST_FFN_RESIDUAL = "post_ffn_residual"     # bottleneck after the feed-forward residual
     PARALLEL_TO_LAYER = "parallel_to_layer"     # delta computed from the block input
 
-
-# Hooks whose effect is local to each (row, position) pair.  Methods that only
-# touch these may be routed through token- and row-slicing composition blocks.
-TOKEN_LOCAL_HOOKS = frozenset(
-    {
-        HookPoint.EMBEDDING_BOUNDARY,
-        HookPoint.ATTN_Q_PROJ,
-        HookPoint.ATTN_V_PROJ,
-        HookPoint.ATTN_KEYS_SCALE,
-        HookPoint.ATTN_VALUES_SCALE,
-        HookPoint.FFN_INTERMEDIATE_SCALE,
-        HookPoint.POST_ATTN_RESIDUAL,
-        HookPoint.POST_FFN_RESIDUAL,
-        HookPoint.PARALLEL_TO_LAYER,
-    }
-)
 
 ATTENTION_HOOKS = frozenset(
     {
@@ -312,10 +296,9 @@ class TransformerEncoder:
             else:
                 attn = self._attn_core(q, k, v, mask)
             attn = T.matmul(attn, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
-            a_in = h
             h = h + attn
             if ctx is not None:
-                h = ctx.post_attention(l, h, a_in)
+                h = ctx.post_attention(l, h)
 
             f_in = h
             y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])

@@ -27,18 +27,14 @@ from .checkpoint import (
     write_weights,
 )
 from .composition import Fuse, Leaf, iter_nodes, leaves, parse_setup, validate_composition
-from .configs import (
-    LoraConfig,
-    config_from_dict,
-    config_to_dict,
-    parse_config,
-    validate_config,
-)
+from .configs import (LoraConfig, config_from_dict, config_to_dict, parse_config,
+                      tensor_shapes)
 from .methods import AdapterInstance, FusionLayer, StateError, instantiate_adapter
 from .model import (
     CLASSIFICATION,
     DESK_DIMS,
     EncoderState,
+    HookPoint,
     ModelDims,
     PredictionHead,
     TransformerEncoder,
@@ -91,7 +87,6 @@ class AdapterModel:
             raise RegistryError(f"adapter {name!r} already exists")
         if isinstance(config, str):
             config = parse_config(config)
-        validate_config(config, self.dims)
         inst = instantiate_adapter(name, config, self.dims, self._rng_for("adapter:" + name))
         inst.set_requires_grad(False)
         self._adapters[name] = inst
@@ -283,14 +278,11 @@ class AdapterModel:
     def _lora_pairs(self, inst: AdapterInstance):
         pairs = []
         for l in range(self.dims.num_layers):
-            for m, gate in inst.lora_q[l]:
-                if gate is not None:
-                    raise StateError("gated low-rank modules cannot be merged")
-                pairs.append((self.encoder.params[f"layer{l}.attn.wq"], m))
-            for m, gate in inst.lora_v[l]:
-                if gate is not None:
-                    raise StateError("gated low-rank modules cannot be merged")
-                pairs.append((self.encoder.params[f"layer{l}.attn.wv"], m))
+            for hook, proj in ((HookPoint.ATTN_Q_PROJ, "wq"), (HookPoint.ATTN_V_PROJ, "wv")):
+                for m, gate in inst.at(hook, l):
+                    if gate is not None:
+                        raise StateError("gated low-rank modules cannot be merged")
+                    pairs.append((self.encoder.params[f"layer{l}.attn.{proj}"], m))
         return pairs
 
     def merge_adapter(self, name: str) -> None:
@@ -371,22 +363,22 @@ class AdapterModel:
         config = config_from_dict(doc["config"])
         reg_name = name if name is not None else doc["name"]
         blobs = read_weights(directory / WEIGHTS_FILE)
-        inst = self.add_adapter(reg_name, config)
-        expected = set(inst.tensors)
-        got = set(blobs)
-        if expected != got:
-            del self._adapters[reg_name]
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
+        # Check the file against a dry build first, so a manifest never
+        # allocates more than its weights file holds.
+        shapes = tensor_shapes(config, self.dims)
+        if set(shapes) != set(blobs):
+            missing = sorted(set(shapes) - set(blobs))[:3]
+            extra = sorted(set(blobs) - set(shapes))[:3]
             raise CheckpointError(
                 f"checkpoint tensor set mismatch (missing {missing}, unexpected {extra})"
             )
-        for key, t in inst.tensors.items():
-            if blobs[key].shape != t.data.shape:
-                del self._adapters[reg_name]
+        for key, shape in shapes.items():
+            if blobs[key].shape != shape:
                 raise CheckpointError(
-                    f"tensor {key!r} has shape {blobs[key].shape}, expected {t.data.shape}"
+                    f"tensor {key!r} has shape {blobs[key].shape}, expected {shape}"
                 )
+        inst = self.add_adapter(reg_name, config)
+        for key, t in inst.tensors.items():
             t.data = blobs[key].astype(np.float64)
         return reg_name
 

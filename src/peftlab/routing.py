@@ -34,6 +34,7 @@ from .composition import (
     rows_out,
 )
 from .methods import AdapterInstance, FusionLayer, StateError
+from .model import HookPoint
 
 
 @dataclass
@@ -171,7 +172,7 @@ class RoutingContext:
 
     def _prompts_in_order(self, node) -> list:
         if isinstance(node, Leaf):
-            return list(self._inst(node.adapter).prompts)
+            return list(self._inst(node.adapter).bindings.get(HookPoint.INPUT_PREPEND, ()))
         out = []
         if isinstance(node, Stack):
             for c in node.children:
@@ -276,17 +277,17 @@ class RoutingContext:
     # -- leaf applications ----------------------------------------------------
 
     def _leaf_embed_forward(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
-        for inv in inst.invertibles:
+        for inv in inst.bindings.get(HookPoint.EMBEDDING_BOUNDARY, ()):
             main = inv.forward(main)
         return main
 
     def _leaf_embed_inverse(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
-        for inv in reversed(inst.invertibles):
+        for inv in reversed(inst.bindings.get(HookPoint.EMBEDDING_BOUNDARY, ())):
             main = inv.inverse(main)
         return main
 
     def _leaf_post_attn(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
-        for m, gate in inst.post_attn_hook[self._layer]:
+        for m, gate in inst.at(HookPoint.POST_ATTN_RESIDUAL, self._layer):
             delta = m.delta(main)
             if gate is not None:
                 delta = T.mul(gate.value(main), delta)
@@ -294,8 +295,8 @@ class RoutingContext:
         return main
 
     def _leaf_ffn_block(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
-        for m, gate, source in inst.ffn_hook[self._layer]:
-            base = aux["block_input"] if source == "block_input" else main
+        for m, gate, hook in inst.at(HookPoint.POST_FFN_RESIDUAL, self._layer):
+            base = aux["block_input"] if hook is HookPoint.PARALLEL_TO_LAYER else main
             delta = m.delta(base)
             if gate is not None:
                 delta = T.mul(gate.value(base), delta)
@@ -303,7 +304,7 @@ class RoutingContext:
         return main
 
     def _leaf_ffn_intermediate(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
-        for m, gate in inst.ia3_ff[self._layer]:
+        for m, gate in inst.at(HookPoint.FFN_INTERMEDIATE_SCALE, self._layer):
             if gate is not None:
                 g = gate.value(main)
                 main = main + T.mul(g, m.apply(main) - main)
@@ -313,7 +314,7 @@ class RoutingContext:
 
     # -- hook entry points ----------------------------------------------------
 
-    def post_attention(self, layer: int, h: Tensor, a_in: Tensor) -> Tensor:
+    def post_attention(self, layer: int, h: Tensor) -> Tensor:
         self._layer = layer
         return self._route_point(self.tree, h, {}, self._leaf_post_attn)
 
@@ -392,32 +393,32 @@ class RoutingContext:
             )
         l = self._layer
         x, q, k, v, km = pay.x, pay.q, pay.k, pay.v, pay.km
-        for m, gate in inst.lora_q[l]:
+        for m, gate in inst.at(HookPoint.ATTN_Q_PROJ, l):
             delta = m.delta(x)
             if gate is not None:
                 delta = T.mul(gate.value(x), delta)
             q = q + delta
-        for m, gate in inst.lora_v[l]:
+        for m, gate in inst.at(HookPoint.ATTN_V_PROJ, l):
             delta = m.delta(x)
             if gate is not None:
                 delta = T.mul(gate.value(x), delta)
             v = v + delta
-        for m, gate in inst.ia3_k[l]:
+        for m, gate in inst.at(HookPoint.ATTN_KEYS_SCALE, l):
             if gate is not None:
                 k = k + T.mul(gate.value(x), m.apply(k) - k)
             else:
                 k = m.apply(k)
-        for m, gate in inst.ia3_v[l]:
+        for m, gate in inst.at(HookPoint.ATTN_VALUES_SCALE, l):
             if gate is not None:
                 v = v + T.mul(gate.value(x), m.apply(v) - v)
             else:
                 v = m.apply(v)
         deferred = []
-        for pm, gates in inst.prefixes:
-            if gates is None:
+        for pm, gate in inst.at(HookPoint.ATTN_KV, l):
+            if gate is None:
                 k, v, km = self._extend_kv(pm, k, v, km)
             else:
-                deferred.append((pm, gates[l]))
+                deferred.append((pm, gate))
         return _AttnPayload(x=x, q=q, k=k, v=v, km=km), deferred
 
     def _run_attention(self, pay: _AttnPayload, deferred, core) -> Tensor:

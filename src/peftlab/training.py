@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .configs import parse_config
+from .configs import expand_axes, parse_config
 from .model import REGRESSION, ModelDims
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
@@ -254,22 +254,6 @@ def record_to_csv_row(rec: CellRecord) -> str:
     return ",".join(str(d[k]) for k in CSV_FIELDS)
 
 
-def _method_configs(method: str, axes: dict):
-    """Enumerate (axis_assignment, config) pairs for one method cell axis."""
-    if method == FULL_FT:
-        yield {}, None
-        return
-    base = parse_config(method)
-    if not axes:
-        yield {}, base
-        return
-    import itertools
-    keys = sorted(axes)
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        assignment = dict(zip(keys, combo))
-        yield assignment, replace(base, **assignment)
-
-
 def prepare_base(dims: ModelDims, spec: TaskSpec, grid: GridSpec):
     """Build the task data and a pretrained-base snapshot shared by cells."""
     data = make_task(spec)
@@ -378,7 +362,9 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     for method in methods:
         chains = [(ep,) for ep in epochs] if method == FULL_FT else [epochs]
         axes = grid.method_axes.get(method, {})
-        for _, config in _method_configs(method, axes):
+        configs = ([None] if method == FULL_FT
+                   else [cfg for _, cfg in expand_axes(parse_config(method), axes)])
+        for config in configs:
             for lr in grid.lrs:
                 for chain_epochs in chains:
                     chain = _run_chain(dims, spec, data, base_state, method, config, lr,

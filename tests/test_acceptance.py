@@ -27,7 +27,7 @@ from peftlab.cli import main
 from peftlab.composition import (Average, BatchSplit, CompositionError,
                                  Parallel, Split, validate_composition)
 from peftlab.configs import CONFIG_NAMES
-from peftlab.model import DESK_DIMS
+from peftlab.model import DESK_DIMS, HookPoint
 from peftlab.tasks import TaskSpec
 from peftlab.tensor import grad_check
 from peftlab.training import (GridSpec, best_metric, prepare_base, run_cell,
@@ -260,7 +260,7 @@ def test_criterion_6_invertibility():
     m = AdapterModel(DESK_DIMS, seed=13)
     inst = m.add_adapter("v", parse_config("seq_bn_inv"))
     randomize(inst, seed=77)  # break the zero-init so the map is not identity
-    inv = inst.invertibles[0]
+    inv = inst.bindings[HookPoint.EMBEDDING_BOUNDARY][0]
     rng = np.random.default_rng(44)
     worst = 0.0
     for _ in range(TRIALS):

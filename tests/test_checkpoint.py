@@ -73,20 +73,44 @@ def test_unknown_version_is_rejected(tmp_path, tensors):
         read_weights(path)
 
 
-def test_truncation_is_reported_as_checksum_failure(tmp_path, tensors):
+def test_truncation_is_rejected(tmp_path, tensors):
     path = tmp_path / "weights.bin"
     write_weights(path, tensors)
     blob = path.read_bytes()
     path.write_bytes(blob[:-7])
-    with pytest.raises(CheckpointError, match="checksum failure"):
+    with pytest.raises(CheckpointError, match="truncated"):
         read_weights(path)
 
 
-def test_trailing_garbage_is_reported_as_checksum_failure(tmp_path, tensors):
+def test_trailing_garbage_is_rejected(tmp_path, tensors):
     path = tmp_path / "weights.bin"
     write_weights(path, tensors)
     path.write_bytes(path.read_bytes() + b"\x01\x02")
-    with pytest.raises(CheckpointError, match="checksum failure"):
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        read_weights(path)
+
+
+def test_non_utf8_tensor_name_is_rejected(tmp_path, tensors):
+    path = tmp_path / "weights.bin"
+    write_weights(path, tensors)
+    blob = bytearray(path.read_bytes())
+    # magic, version, count and the first name's length come before its bytes
+    first_name = 4 + 4 + 8 + 4
+    blob[first_name] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="name"):
+        read_weights(path)
+
+
+def test_extents_whose_product_overflows_are_rejected(tmp_path):
+    path = tmp_path / "weights.bin"
+    write_weights(path, {"a": np.zeros((2, 2))})
+    blob = bytearray(path.read_bytes())
+    # magic, version, count, name length, the 1-byte name, rank
+    extents = 4 + 4 + 8 + 4 + 1 + 4
+    blob[extents:extents + 16] = struct.pack("<QQ", 2 ** 62, 4)   # 2**64 wraps to 0
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="truncated"):
         read_weights(path)
 
 
@@ -132,5 +156,26 @@ def test_manifest_schema_violations(tmp_path, mutate):
 def test_malformed_manifest_json(tmp_path):
     path = tmp_path / "adapter_config.json"
     path.write_text("{not json")
+    with pytest.raises(CheckpointError, match="malformed"):
+        read_manifest(path)
+
+
+def test_manifest_that_is_not_an_object(tmp_path):
+    path = tmp_path / "adapter_config.json"
+    path.write_text("[]")
+    with pytest.raises(CheckpointError, match="object"):
+        read_manifest(path)
+
+
+def test_manifest_nested_too_deeply(tmp_path):
+    path = tmp_path / "adapter_config.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(CheckpointError, match="malformed"):
+        read_manifest(path)
+
+
+def test_manifest_that_is_not_utf8(tmp_path):
+    path = tmp_path / "adapter_config.json"
+    path.write_bytes(b'{"name": "\xff"}')
     with pytest.raises(CheckpointError, match="malformed"):
         read_manifest(path)

@@ -382,6 +382,56 @@ def test_eval_rejects_cross_dim_checkpoints(capsys, workspace):
     assert code == 1
 
 
+def _edited_base(workspace, tag, edit):
+    base = workspace["root"] / tag
+    shutil.copytree(workspace["base"], base)
+    path = base / "base_config.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return base
+
+
+def _without_dims(doc):
+    del doc["dims"]
+    return doc
+
+
+def _extra_dims_key(doc):
+    doc["dims"]["depth"] = 3
+    return doc
+
+
+BASE_MANIFEST_EDITS = {
+    "no-dims": _without_dims,
+    "extra-dims-key": _extra_dims_key,
+    "not-an-object": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BASE_MANIFEST_EDITS))
+def test_malformed_base_manifest_exits_one(capsys, workspace, tag):
+    base = _edited_base(workspace, tag, BASE_MANIFEST_EDITS[tag])
+    with pytest.raises(cli.CheckpointError):
+        cli.load_base(base)
+    code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(base),
+                           "--head-file", str(workspace["bn"] / "head.json"))
+    assert code == 1
+    assert "base" in err
+
+
+@pytest.mark.parametrize("key", ["kind", "num_labels", "w", "b"])
+def test_head_file_missing_a_key_exits_one(capsys, workspace, key):
+    doc = json.loads((workspace["bn"] / "head.json").read_text())
+    del doc[key]
+    bad = workspace["root"] / f"head-without-{key}.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(cli.CheckpointError, match=key):
+        cli.load_head_file(cli.load_base(workspace["base"]), "h", bad)
+    code, _, err = run_cli(capsys, "eval", *TASK_ARGS,
+                           "--base", str(workspace["base"]), "--head-file", str(bad))
+    assert code == 1
+    assert key in err
+
+
 def test_console_script_is_installed():
     exe = shutil.which("peftlab")
     assert exe, "console script 'peftlab' not on PATH"

@@ -7,6 +7,7 @@ hide behind itself.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,11 @@ from peftlab.configs import (AUDIT_GRID, BottleneckConfig, CompacterConfig,
                              ConfigError, ConfigUnion, IA3Config, LoraConfig,
                              PrefixTuningConfig, PromptTuningConfig,
                              audit_counts, config_from_dict, config_label,
-                             config_to_dict, count_params, hook_footprint,
-                             parse_config, run_count_audit, validate_config)
+                             config_to_dict, count_params, parse_config,
+                             run_count_audit, validate_config)
+from peftlab import methods
+from peftlab.cli import main
+from peftlab.methods import instantiate_adapter
 from peftlab.model import DESK_DIMS, ROBERTA_BASE_DIMS, HookPoint, ModelDims
 from peftlab.registry import AdapterModel
 
@@ -107,6 +111,10 @@ def test_validate_rejects_bad_fields():
         validate_config(LoraConfig(targets=("query", "keys")), DESK_DIMS)
     with pytest.raises(ConfigError):
         validate_config(IA3Config(targets=()), DESK_DIMS)
+    with pytest.raises(ConfigError):
+        validate_config(BottleneckConfig(scaling=float("nan")), DESK_DIMS)
+    with pytest.raises(ConfigError):
+        validate_config(LoraConfig(alpha=float("inf")), DESK_DIMS)
 
 
 def test_validate_union_rules():
@@ -162,6 +170,59 @@ DESK_COUNTS = {
 }
 
 
+def closed_form_count(config, dims):
+    """The per-method parameter formulas, written out independently of the
+    builds that allocate the tensors."""
+    L, d, dff = dims.num_layers, dims.hidden, dims.intermediate
+    if isinstance(config, BottleneckConfig):
+        b = d // config.reduction_factor
+        modules = 2 if config.placement == "double" else 1
+        total = L * modules * (2 * d * b + b + d)       # down w+b, up w+b
+        if config.with_invertible:
+            half = d // 2
+            bi = half // config.inv_reduction_factor
+            total += 2 * (half * bi + bi + bi * half + half)   # one coupling pair
+        return total
+    if isinstance(config, PromptTuningConfig):
+        return config.prompt_length * d
+    if isinstance(config, PrefixTuningConfig):
+        p = config.prefix_length
+        if config.flat:
+            return 2 * L * p * d
+        b = config.bottleneck_size
+        return p * d + (d * b + b) + (b * 2 * L * d + 2 * L * d)
+    if isinstance(config, CompacterConfig):
+        b = d // config.reduction_factor
+        # rank-1 factors plus bias for down (d -> b) and up (b -> d) in two
+        # modules per layer; the phm_dim**3 mixing factors are shared
+        return L * 2 * ((d + b) + b + (b + d) + d) + config.phm_dim ** 3
+    if isinstance(config, LoraConfig):
+        return L * len(config.targets) * 2 * d * config.r
+    if isinstance(config, IA3Config):
+        return sum(L * (dff if t == "ffn_intermediate" else d) for t in config.targets)
+    assert isinstance(config, ConfigUnion)
+    total = sum(closed_form_count(m, dims) for m in config.members)
+    if config.gated:
+        total += sum(_closed_form_gates(m, dims) for m in config.members)
+    return total
+
+
+def _closed_form_gates(member, dims):
+    """One gate vector, as wide as what the gated module reads, per gated
+    module instance (per layer for prefixes)."""
+    L, d, dff = dims.num_layers, dims.hidden, dims.intermediate
+    if isinstance(member, BottleneckConfig):
+        return L * (2 if member.placement == "double" else 1) * d
+    if isinstance(member, CompacterConfig):
+        return L * 2 * d
+    if isinstance(member, LoraConfig):
+        return L * len(member.targets) * d
+    if isinstance(member, IA3Config):
+        return sum(L * (dff if t == "ffn_intermediate" else d) for t in member.targets)
+    assert isinstance(member, PrefixTuningConfig)
+    return L * d
+
+
 @pytest.mark.parametrize("name,expected", sorted(DESK_COUNTS.items()))
 def test_count_params_desk_literals(name, expected):
     assert count_params(parse_config(name), DESK_DIMS) == expected
@@ -199,6 +260,21 @@ def test_published_grid_extremes():
     assert bad == [], f"mismatching extremes: {bad}"
 
 
+def test_counting_allocates_no_tensors(monkeypatch, capsys):
+    """Counts are dry runs of each build, so roberta-base audits allocate
+    no weight arrays."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parameter count allocated a tensor")
+
+    monkeypatch.setattr(methods, "Tensor", refuse)
+    assert all(row[-1] for row in run_count_audit(ROBERTA_BASE_DIMS))
+    argv = ["count-params", "--dims", "roberta-base"]
+    for name in ALL_STRINGS:
+        argv += ["--config", name]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(ALL_STRINGS)
+
+
 def test_audit_counts_sorted_and_guarded():
     rows = audit_counts("seq_bn", ROBERTA_BASE_DIMS)
     counts = [c for _, c in rows]
@@ -216,6 +292,7 @@ def test_count_matches_allocation(name):
     model = AdapterModel(DESK_DIMS, seed=0)
     inst = model.add_adapter("a", parse_config(name))
     assert inst.num_params() == count_params(inst.config, DESK_DIMS)
+    assert inst.num_params() == closed_form_count(inst.config, DESK_DIMS)
 
 
 @settings(max_examples=20, deadline=None)
@@ -230,6 +307,7 @@ def test_count_matches_allocation_bottleneck_property(rf, placement, scaling):
     model = AdapterModel(DESK_DIMS, seed=1)
     inst = model.add_adapter("a", cfg)
     assert inst.num_params() == count_params(cfg, DESK_DIMS)
+    assert inst.num_params() == closed_form_count(cfg, DESK_DIMS)
 
 
 @settings(max_examples=20, deadline=None)
@@ -242,6 +320,34 @@ def test_count_matches_allocation_lora_property(r, targets):
     model = AdapterModel(DESK_DIMS, seed=1)
     inst = model.add_adapter("a", cfg)
     assert inst.num_params() == count_params(cfg, DESK_DIMS)
+    assert inst.num_params() == closed_form_count(cfg, DESK_DIMS)
+
+
+GATEABLE_MEMBERS = (
+    BottleneckConfig(),
+    BottleneckConfig(placement="double", reduction_factor=4),
+    BottleneckConfig(placement="parallel", reduction_factor=2, nonlinearity="tanh"),
+    CompacterConfig(reduction_factor=4, phm_dim=2),
+    PrefixTuningConfig(prefix_length=3, bottleneck_size=8),
+    PrefixTuningConfig(prefix_length=2, flat=True),
+    LoraConfig(r=3, targets=("value",)),
+    IA3Config(targets=("keys", "ffn_intermediate")),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    picks=st.lists(st.sampled_from(range(len(GATEABLE_MEMBERS))), min_size=1,
+                   max_size=4),
+    gated=st.booleans(),
+    layers=st.integers(0, 3),
+)
+def test_count_matches_allocation_union_property(picks, gated, layers):
+    dims = dataclasses.replace(DESK_DIMS, num_layers=layers)
+    cfg = ConfigUnion(members=tuple(GATEABLE_MEMBERS[i] for i in picks), gated=gated)
+    inst = AdapterModel(dims, seed=1).add_adapter("a", cfg)
+    assert inst.num_params() == count_params(cfg, dims)
+    assert inst.num_params() == closed_form_count(cfg, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +355,7 @@ def test_count_matches_allocation_lora_property(r, targets):
 
 
 def test_hook_footprints():
-    fp = hook_footprint
+    fp = lambda cfg: instantiate_adapter("x", cfg, DESK_DIMS, np.random.default_rng(0)).footprint
     assert fp(parse_config("seq_bn")) == {HookPoint.POST_FFN_RESIDUAL}
     assert fp(parse_config("double_seq_bn")) == {HookPoint.POST_FFN_RESIDUAL,
                                                  HookPoint.POST_ATTN_RESIDUAL}
@@ -261,6 +367,30 @@ def test_hook_footprints():
     assert fp(IA3Config(targets=("values",))) == {HookPoint.ATTN_VALUES_SCALE}
     mam = fp(parse_config("mam"))
     assert {HookPoint.ATTN_KV, HookPoint.PARALLEL_TO_LAYER} <= mam
+
+
+H = HookPoint
+PRESET_FOOTPRINTS = {
+    "seq_bn": {H.POST_FFN_RESIDUAL},
+    "double_seq_bn": {H.POST_FFN_RESIDUAL, H.POST_ATTN_RESIDUAL},
+    "par_bn": {H.PARALLEL_TO_LAYER},
+    "seq_bn_inv": {H.POST_FFN_RESIDUAL, H.EMBEDDING_BOUNDARY},
+    "prompt_tuning": {H.INPUT_PREPEND},
+    "prefix_tuning": {H.ATTN_KV},
+    "compacter": {H.POST_FFN_RESIDUAL, H.POST_ATTN_RESIDUAL},
+    "lora": {H.ATTN_Q_PROJ, H.ATTN_V_PROJ},
+    "ia3": {H.ATTN_KEYS_SCALE, H.ATTN_VALUES_SCALE, H.FFN_INTERMEDIATE_SCALE},
+    "mam": {H.ATTN_KV, H.PARALLEL_TO_LAYER},
+    "unipelt": {H.ATTN_Q_PROJ, H.ATTN_V_PROJ, H.ATTN_KV, H.POST_FFN_RESIDUAL},
+}
+
+
+@pytest.mark.parametrize("layers", [0, DESK_DIMS.num_layers])
+@pytest.mark.parametrize("name", sorted(PRESET_FOOTPRINTS))
+def test_preset_footprints_do_not_depend_on_depth(name, layers):
+    dims = dataclasses.replace(DESK_DIMS, num_layers=layers)
+    inst = instantiate_adapter("x", parse_config(name), dims, np.random.default_rng(0))
+    assert inst.footprint == PRESET_FOOTPRINTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,93 @@
+"""Golden values for every preset and for mixed-order unions.
+
+Each case pins, as literals, the initial adapter fingerprint (names plus
+the drawn values), a digest of the tensor names and shapes in allocation
+order, and a digest of the encoder output after the adapter's weights are
+randomized from a fixed seed.  Any change to naming, allocation order,
+initialization, hook binding or the order adapters apply within a stage
+changes at least one digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from peftlab.configs import (CONFIG_NAMES, BottleneckConfig, CompacterConfig,
+                             ConfigUnion, IA3Config, LoraConfig,
+                             PrefixTuningConfig, parse_config)
+from peftlab.model import DESK_DIMS
+from peftlab.registry import AdapterModel
+
+from test_lifecycle import randomize
+
+PAR_BN = parse_config("par_bn")
+SEQ_BN = parse_config("seq_bn")
+
+UNIONS = {
+    "union(par_bn,seq_bn)": ConfigUnion(members=(PAR_BN, SEQ_BN)),
+    "union(seq_bn,par_bn)": ConfigUnion(members=(SEQ_BN, PAR_BN)),
+    "union(ia3,lora)": ConfigUnion(members=(IA3Config(), LoraConfig())),
+    "union(lora,ia3)": ConfigUnion(members=(LoraConfig(), IA3Config())),
+    # every gateable member kind, with both feed-forward sources interleaved
+    "gated-union": ConfigUnion(
+        members=(
+            IA3Config(),
+            BottleneckConfig(placement="parallel", reduction_factor=2),
+            CompacterConfig(),
+            PrefixTuningConfig(prefix_length=3, flat=True),
+            LoraConfig(r=2, targets=("value",)),
+            BottleneckConfig(placement="double"),
+        ),
+        gated=True,
+    ),
+}
+
+# case -> (initial fingerprint, names/shapes digest, tensor count, output digest)
+GOLDEN = {
+    "compacter": ("7b6df2f71f7255e0", "cfa5180512e99292", 25, "38540eb256c0d7ac"),
+    "double_seq_bn": ("cf0833fa2582e1ad", "4de1cbc854a4e6b6", 16, "a59ab3479bffc18e"),
+    "ia3": ("fb364cb64e2172e0", "c13fbd7bee3efefb", 6, "af0481e7976a3f68"),
+    "lora": ("a839e22df02f1048", "7c6c401ccc9817e3", 8, "08e731a42042870c"),
+    "mam": ("1cd79eef5dfc4f59", "7b87e3f52ddc41b0", 13, "00f8ccf3653ee2f3"),
+    "par_bn": ("92a188eea898a73f", "167d5bee640cae92", 8, "cfe3eb963100d646"),
+    "prefix_tuning": ("65c692df81f715b0", "c15d370dd52348b6", 5, "85027d72e0fd0859"),
+    "prompt_tuning": ("b6b63b7d6af959cd", "8dcf97920f46aeff", 1, "c24ff04d643da35e"),
+    "seq_bn": ("b66b991d2cb4216d", "6a378e61db94fbe8", 8, "b501befe007a0800"),
+    "seq_bn_inv": ("297c7f369468a0b6", "9874859e1ad7cd51", 16, "8a045a767d19e6ad"),
+    "unipelt": ("428db5a311b925f7", "31e07753c02a9753", 29, "f385c68932ccc2c7"),
+    "union(par_bn,seq_bn)": ("367dd08bf0f5280b", "11e7ae460a363740", 16, "09ef5cc9d47dd95d"),
+    "union(seq_bn,par_bn)": ("ebbdebfce4a3896e", "d071916748dd10e9", 16, "033149a05f57f2d9"),
+    "union(ia3,lora)": ("79c3f12b22595e9c", "8b213e54bc8ab2b3", 14, "42c1ded22abeba7f"),
+    "union(lora,ia3)": ("8f4af4ba4168469a", "2342f42ce64dad20", 14, "f19401105a242b13"),
+    "gated-union": ("abbbe80a1693e719", "fda7d585426e3adb", 80, "dcbe58bc3ad84643"),
+}
+
+
+def _config(case):
+    return UNIONS[case] if case in UNIONS else parse_config(case)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def golden_values(case):
+    model = AdapterModel(DESK_DIMS, seed=0)
+    inst = model.add_adapter("a", _config(case))
+    fingerprint = model.adapter_fingerprint("a").hex()[:16]
+    layout = ";".join(f"{n}:{t.data.shape}" for n, t in inst.tensors.items())
+    randomize(inst, seed=5)
+    model.set_active("a")
+    tokens = np.random.default_rng(3).integers(0, DESK_DIMS.vocab, size=(2, 6))
+    out = model.encode(tokens).hidden.data
+    return fingerprint, _digest(layout.encode()), len(inst.tensors), _digest(out.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_adapter_and_forward(case):
+    assert golden_values(case) == GOLDEN[case]
+
+
+def test_golden_covers_every_preset():
+    assert set(CONFIG_NAMES) | set(UNIONS) == set(GOLDEN)

@@ -1,12 +1,16 @@
 """Adapter lifecycle: registration, parameter partitions, identity at init,
 persistence, averaging, merging, and integrity fingerprints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from peftlab import AdapterModel, parse_config
 from peftlab.checkpoint import CheckpointError
+from peftlab.configs import ConfigError
 from peftlab.composition import Fuse, Parallel, Stack, leaves
+from peftlab import methods
 from peftlab.methods import StateError
 from peftlab.model import DESK_DIMS, ModelDims
 from peftlab.registry import RegistryError
@@ -238,9 +242,76 @@ def test_truncated_checkpoint_fails_cleanly(tmp_path):
     blob = (tmp_path / "weights.bin").read_bytes()
     (tmp_path / "weights.bin").write_bytes(blob[: len(blob) // 2])
     m2 = AdapterModel(SMALL_DIMS)
-    with pytest.raises(CheckpointError, match="checksum failure"):
+    with pytest.raises(CheckpointError, match="truncated"):
         m2.load_adapter(tmp_path)
     assert not m2.has_adapter("a")
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "adapter_config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_manifest_config_that_is_not_an_object_fails_cleanly(tmp_path):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "seq_bn")
+    m.save_adapter("a", tmp_path)
+    _edit_manifest(tmp_path, lambda doc: doc.update(config="seq_bn"))
+    m2 = AdapterModel(SMALL_DIMS)
+    with pytest.raises((CheckpointError, ConfigError), match="config"):
+        m2.load_adapter(tmp_path)
+    assert m2.adapter_names() == []
+
+
+def test_manifest_config_field_of_the_wrong_type_fails_cleanly(tmp_path):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "seq_bn")
+    m.save_adapter("a", tmp_path)
+    _edit_manifest(tmp_path, lambda doc: doc.update(
+        config={"type": "bottleneck", "reduction_factor": "x"}))
+    m2 = AdapterModel(SMALL_DIMS)
+    with pytest.raises(ConfigError, match="reduction_factor"):
+        m2.load_adapter(tmp_path)
+    assert m2.adapter_names() == []
+
+
+def test_load_checks_the_weights_file_before_allocating(tmp_path, monkeypatch):
+    """A manifest whose config does not match its weights file is rejected
+    before any tensor is allocated, however large the config claims to be."""
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "seq_bn")
+    m.save_adapter("a", tmp_path)
+    _edit_manifest(tmp_path, lambda doc: doc.update(
+        config={"type": "prefix_tuning", "prefix_length": 1000, "flat": True}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_adapter allocated a tensor")
+
+    m2 = AdapterModel(SMALL_DIMS)
+    monkeypatch.setattr(methods, "Tensor", refuse)
+    with pytest.raises(CheckpointError, match="tensor set mismatch"):
+        m2.load_adapter(tmp_path)
+    assert m2.adapter_names() == []
+
+
+def test_compacter_manifest_with_retired_keys_still_loads(tmp_path):
+    """Manifests written when CompacterConfig still had ``factor_rank`` and
+    ``share_factors`` load as the same adapter: unknown keys are ignored."""
+    m = AdapterModel(DESK_DIMS)
+    m.add_adapter("c", "compacter")
+    m.save_adapter("c", tmp_path)
+    _edit_manifest(tmp_path, lambda doc: doc["config"].update(
+        factor_rank=1, share_factors=False))
+    m2 = AdapterModel(DESK_DIMS)
+    m2.load_adapter(tmp_path)
+    assert m2.adapter_instance("c").config == parse_config("compacter")
+    saved = m.adapter_instance("c").tensors
+    loaded = m2.adapter_instance("c").tensors
+    assert loaded.keys() == saved.keys()
+    for k, t in loaded.items():
+        assert np.array_equal(t.data, saved[k].data.astype(np.float32))
 
 
 def test_tensor_set_mismatch_fails_cleanly(tmp_path):

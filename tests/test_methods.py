@@ -15,6 +15,7 @@ from peftlab.methods import (GateModule, IA3Module, InvertibleModule,
 from peftlab.model import DESK_DIMS, HookPoint
 
 from conftest import SMALL_DIMS
+from test_configs import closed_form_count
 
 
 def alloc(seed=0):
@@ -128,7 +129,7 @@ def test_compacter_identity_at_init(rng):
     inst = instantiate_adapter("c", model_cfg, DESK_DIMS,
                                np.random.default_rng(0))
     h = T.Tensor(rng.normal(size=(2, 3, 64)))
-    mod = inst.ffn_hook[0][0][0]
+    mod = inst.bindings[HookPoint.POST_FFN_RESIDUAL][0][0][0]
     assert np.array_equal(mod.delta(h).data, np.zeros((2, 3, 64)))
 
 
@@ -136,7 +137,8 @@ def test_compacter_shares_mixing_factors():
     inst = instantiate_adapter("c", CompacterConfig(), DESK_DIMS,
                                np.random.default_rng(0))
     assert "phm.a" in inst.tensors
-    mods = [m for layer in (inst.ffn_hook + inst.post_attn_hook)
+    mods = [m for layer in (inst.bindings[HookPoint.POST_FFN_RESIDUAL]
+                            + inst.bindings[HookPoint.POST_ATTN_RESIDUAL])
             for m, _gate, *_ in layer]
     assert len(mods) == 2 * DESK_DIMS.num_layers
     for m in mods:
@@ -327,6 +329,7 @@ def test_instance_allocation_matches_counter(name):
     cfg = parse_config(name)
     inst = instantiate_adapter("x", cfg, DESK_DIMS, np.random.default_rng(0))
     assert inst.num_params() == count_params(cfg, DESK_DIMS)
+    assert inst.num_params() == closed_form_count(cfg, DESK_DIMS)
     assert inst.merged is False
 
 
@@ -362,10 +365,10 @@ def test_unipelt_members_are_gated():
     gate_names = [n for n in inst.tensors if "gate" in n]
     # lora q+v gates, prefix gate, bottleneck gate -- per layer
     assert len(gate_names) == DESK_DIMS.num_layers * 4
-    for layer in inst.lora_q:
+    for layer in inst.bindings[HookPoint.ATTN_Q_PROJ]:
         for _m, gate in layer:
             assert gate is not None
-    for layer in inst.ffn_hook:
+    for layer in inst.bindings[HookPoint.POST_FFN_RESIDUAL]:
         for _m, gate, *_src in layer:
             assert gate is not None
 
