@@ -6,6 +6,11 @@ order, and a digest of the encoder output after the adapter's weights are
 randomized from a fixed seed.  Any change to naming, allocation order,
 initialization, hook binding or the order adapters apply within a stage
 changes at least one digest.
+
+A second table pins the gradient bits: a digest of every trainable
+tensor's ``.grad`` after one backward pass of a fixed scalar of the encoder
+output, with one key masked, for every case above and for full fine-tuning
+(the base weights' gradients).
 """
 
 import hashlib
@@ -13,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from peftlab import tensor as T
 from peftlab.configs import (CONFIG_NAMES, BottleneckConfig, CompacterConfig,
                              ConfigUnion, IA3Config, LoraConfig,
                              PrefixTuningConfig, parse_config)
@@ -91,3 +97,58 @@ def test_golden_adapter_and_forward(case):
 
 def test_golden_covers_every_preset():
     assert set(CONFIG_NAMES) | set(UNIONS) == set(GOLDEN)
+
+
+# case -> digest of (name, .grad) for every trainable tensor, in order
+GRAD_GOLDEN = {
+    "compacter": "d0d62ec9a48a3053",
+    "double_seq_bn": "2452f987ba620999",
+    "full-ft": "aedb4e503f66be5c",
+    "gated-union": "86cac267041a49cf",
+    "ia3": "f13b2db8f07b1681",
+    "lora": "cde731f4ccea08f2",
+    "mam": "87e1b0cb163293ff",
+    "par_bn": "65342c259a2bb460",
+    "prefix_tuning": "1fa33ac5d5cd4ec8",
+    "prompt_tuning": "ee60eba3b83553a9",
+    "seq_bn": "ab400e4d31442364",
+    "seq_bn_inv": "ac5c4968b934296b",
+    "union(ia3,lora)": "94d4b065c0616eaf",
+    "union(lora,ia3)": "78d50fe4c5f475fe",
+    "union(par_bn,seq_bn)": "94ff3ffe6fa1554e",
+    "union(seq_bn,par_bn)": "77c4fcc47c7f528e",
+    "unipelt": "9b1dfdc6ef9d3737",
+}
+
+
+def gradient_digest(case):
+    model = AdapterModel(DESK_DIMS, seed=0)
+    if case == "full-ft":
+        model.train_full()
+        tensors = dict(sorted(model.encoder.params.items()))
+    else:
+        inst = model.add_adapter("a", _config(case))
+        randomize(inst, seed=5)
+        model.train_adapter("a")
+        tensors = inst.tensors
+    tokens = np.random.default_rng(3).integers(0, DESK_DIMS.vocab, size=(2, 6))
+    mask = np.ones((2, 6))
+    mask[1, 4:] = 0.0
+    with T.Tape() as tape:
+        out = model.encode(tokens, mask).hidden
+        weights = np.random.default_rng(11).normal(size=out.shape)
+        tape.backward(T.tsum(T.mul(out, T.constant(weights))))
+    h = hashlib.sha256()
+    for name, t in tensors.items():
+        h.update(name.encode())
+        h.update(b"none" if t.grad is None else t.grad.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_GOLDEN))
+def test_golden_gradients(case):
+    assert gradient_digest(case) == GRAD_GOLDEN[case]
+
+
+def test_golden_gradients_cover_every_case():
+    assert set(GRAD_GOLDEN) == set(GOLDEN) | {"full-ft"}
