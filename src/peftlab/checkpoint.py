@@ -10,13 +10,18 @@ A checkpoint directory holds exactly two files:
 
 Tensors are written in sorted-name order, so save -> load -> save is
 byte-identical.  Compute stays float64; only persisted payloads are float32.
+Each file is written to a temporary name in its directory and renamed over
+the target, so a reader sees either the old file or the whole new one.  A
+payload holding NaN or an infinity is rejected on read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +36,31 @@ class CheckpointError(ValueError):
     """Corrupt, truncated, or incompatible checkpoint contents."""
 
 
+def _replace_with(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over
+    ``path``; on any failure the temporary file is removed and ``path`` is
+    left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_weights(path, tensors: dict) -> None:
     """Write named float arrays to the pinned binary layout."""
-    path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            for e in arr.shape:
-                f.write(struct.pack("<Q", e))
-            f.write(arr.astype("<f4").tobytes(order="C"))
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(tensors))]
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
+        parts += [struct.pack("<Q", e) for e in arr.shape]
+        parts.append(arr.astype("<f4").tobytes(order="C"))
+    _replace_with(path, b"".join(parts))
 
 
 class _Reader:
@@ -96,8 +110,10 @@ def read_weights(path) -> dict:
         rank = r.u32()
         shape = tuple(r.u64() for _ in range(rank))
         n = math.prod(shape)              # Python ints: a hostile extent cannot wrap
-        payload = r.take(4 * n)
-        out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
+        out[name] = arr
     if r.pos != len(blob):
         raise CheckpointError(f"{path} has {len(blob) - r.pos} trailing bytes after its last tensor")
     return out
@@ -110,7 +126,7 @@ def write_manifest(path, name: str, config_dict: dict, dims_dict: dict) -> None:
         "config": config_dict,
         "dims": dims_dict,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _replace_with(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def read_json_object(path, what: str) -> dict:

@@ -90,8 +90,8 @@ class BottleneckModule:
         self.scaling = float(scaling)
 
     def delta(self, h: Tensor) -> Tensor:
-        mid = self.f(T.matmul(h, self.w_down) + self.b_down)
-        out = T.matmul(mid, self.w_up) + self.b_up
+        mid = self.f(T.linear(h, self.w_down, self.b_down))
+        out = T.linear(mid, self.w_up, self.b_up)
         return T.scale(out, self.scaling) if self.scaling != 1.0 else out
 
 
@@ -124,7 +124,7 @@ class PhmLinear:
         return total
 
     def apply(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight()) + self.bias
+        return T.linear(x, self.weight(), self.bias)
 
 
 class CompacterModule:
@@ -161,7 +161,7 @@ class InvertibleModule:
 
     def _net(self, tag: str, x: Tensor) -> Tensor:
         w1, b1, w2, b2 = self.nets[tag]
-        return T.matmul(T.relu(T.matmul(x, w1) + b1), w2) + b2
+        return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
 
     def forward(self, x: Tensor) -> Tensor:
         x1 = T.narrow(x, 2, 0, self.half)
@@ -216,8 +216,8 @@ class PrefixModule:
                 v = T.reshape(T.narrow(lay, 0, 1, 1), (p, d))
                 out.append((k, v))
             return out
-        mid = T.tanh(T.matmul(self.base, self.w_down) + self.b_down)
-        full = T.reshape(T.matmul(mid, self.w_up) + self.b_up, (p, L, 2, d))
+        mid = T.tanh(T.linear(self.base, self.w_down, self.b_down))
+        full = T.reshape(T.linear(mid, self.w_up, self.b_up), (p, L, 2, d))
         for l in range(L):
             lay = T.reshape(T.narrow(full, 1, l, 1), (p, 2, d))
             k = T.reshape(T.narrow(lay, 1, 0, 1), (p, d))

@@ -151,10 +151,10 @@ class PredictionHead:
             h = T.narrow(h, 0, rows.start, rows.stop - rows.start)
         if self.kind == TAGGING:
             tokens = T.narrow(h, 1, state.prompt_len, state.seq_len)
-            return T.matmul(tokens, self.w) + self.b
+            return T.linear(tokens, self.w, self.b)
         pooled = T.narrow(h, 1, state.prompt_len, 1)
         pooled = T.reshape(pooled, (h.shape[0], h.shape[2]))
-        return T.matmul(pooled, self.w) + self.b
+        return T.linear(pooled, self.w, self.b)
 
 
 class TransformerEncoder:
@@ -243,21 +243,8 @@ class TransformerEncoder:
         """Multi-head scaled dot-product attention over flat (B, S, d)
         projections.  ``key_mask`` has shape (B, S_k); masked keys receive
         (numerically) zero weight via a large negative score offset."""
-        dims = self.dims
-        B, Sq, d = q.shape
-        Sk = k.shape[1]
-        H, dh = dims.heads, dims.head_dim
-
-        def heads(t, S):
-            return T.swapaxes(T.reshape(t, (B, S, H, dh)), 1, 2)   # (B,H,S,dh)
-
-        q4, k4, v4 = heads(q, Sq), heads(k, Sk), heads(v, Sk)
-        scores = T.scale(T.matmul(q4, T.swapaxes(k4, 2, 3)), 1.0 / np.sqrt(dh))
         bias = (key_mask.astype(np.float64) - 1.0) * _MASK_BIG
-        scores = scores + T.constant(bias.reshape(B, 1, 1, Sk))
-        att = T.softmax(scores, axis=-1)
-        ctxv = T.matmul(att, v4)                                   # (B,H,Sq,dh)
-        return T.reshape(T.swapaxes(ctxv, 1, 2), (B, Sq, d))
+        return T.attention(q, k, v, bias, self.dims.heads)
 
     def encode(self, tokens, mask=None, ctx=None) -> EncoderState:
         """Run the encoder; ``ctx`` (if given) routes every hook point."""
@@ -288,24 +275,24 @@ class TransformerEncoder:
         for l in range(self.dims.num_layers):
             pre = f"layer{l}."
             x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = T.matmul(x, p[pre + "attn.wq"]) + p[pre + "attn.bq"]
-            k = T.matmul(x, p[pre + "attn.wk"]) + p[pre + "attn.bk"]
-            v = T.matmul(x, p[pre + "attn.wv"]) + p[pre + "attn.bv"]
+            q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
+            k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
+            v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
             if ctx is not None:
                 attn = ctx.attention(l, x, q, k, v, mask, self._attn_core)
             else:
                 attn = self._attn_core(q, k, v, mask)
-            attn = T.matmul(attn, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
+            attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
             h = h + attn
             if ctx is not None:
                 h = ctx.post_attention(l, h)
 
             f_in = h
             y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            inter = T.matmul(y, p[pre + "ffn.w1"]) + p[pre + "ffn.b1"]
+            inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
             if ctx is not None:
                 inter = ctx.ffn_intermediate(l, inter)
-            ffn = T.matmul(T.gelu(inter), p[pre + "ffn.w2"]) + p[pre + "ffn.b2"]
+            ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
             h = f_in + ffn
             if ctx is not None:
                 h = ctx.ffn_block(l, h, f_in)

@@ -341,14 +341,16 @@ class AdapterModel:
     # -- persistence -------------------------------------------------------------------------
 
     def save_adapter(self, name: str, directory) -> Path:
-        """Write ``adapter_config.json`` + ``weights.bin`` for one adapter."""
+        """Write ``weights.bin`` and then ``adapter_config.json`` for one
+        adapter, each atomically, so a failed save leaves the directory's
+        manifest as it was."""
         inst = self.adapter_instance(name)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        write_manifest(directory / CONFIG_FILE, name, config_to_dict(inst.config),
-                       self.dims.to_dict())
         write_weights(directory / WEIGHTS_FILE,
                       {k: t.data for k, t in inst.tensors.items()})
+        write_manifest(directory / CONFIG_FILE, name, config_to_dict(inst.config),
+                       self.dims.to_dict())
         return directory
 
     def load_adapter(self, directory, name: Optional[str] = None) -> str:

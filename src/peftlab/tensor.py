@@ -5,6 +5,12 @@ records itself on the innermost active :class:`Tape`, which replays the
 records in exact reverse order on ``backward``.  Gradient accumulation into
 ``Tensor.grad`` is additive: callers zero gradients between optimizer steps.
 
+Two fused ops cover the encoder's hot path with one record each:
+:func:`linear` (``x @ w + b``) and :func:`attention` (multi-head scaled
+dot-product attention); both give the same bits as the chains of simpler
+ops they replace.  Backward rules compute nothing for an operand that does
+not require a gradient, and GELU computes its derivative only in backward.
+
 A finite-difference oracle (:func:`grad_check`) is provided so analytic
 backward rules can be validated independently of the tape itself.
 """
@@ -247,22 +253,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    return _emit(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    def rule(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _emit(a.data + b.data, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return _emit(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    def rule(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+
+    return _emit(a.data - b.data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    return _emit(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
+    def rule(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+    return _emit(a.data * b.data, (a, b), rule)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -308,6 +319,82 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad @ bd, (a, b), rule)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of a >=2-D ``x``, as one
+    record.  Values and gradients equal ``matmul(x, w) + b`` bit for bit."""
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[-1:]:
+        raise ShapeError(f"linear needs x (..., k), w (k, n), b (n,); got "
+                         f"{xd.shape}, {wd.shape}, {bd.shape}")
+    if xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear inner dims differ: {xd.shape} @ {wd.shape}")
+    k, n = wd.shape
+    out = xd @ wd
+    out += bd
+
+    def rule(g):
+        dx = g @ wd.T if x.requires_grad else None
+        if not w.requires_grad:
+            dw = None
+        elif xd.ndim == 2:
+            dw = xd.T @ g
+        else:
+            dw = xd.reshape(-1, k).T @ g.reshape(-1, n)
+        db = _unbroadcast(g, bd.shape) if b.requires_grad else None
+        return (dx, dw, db)
+
+    return _emit(out, (x, w, b), rule)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one record.
+
+    ``q`` is (B, Sq, d) and ``k``, ``v`` are (B, Sk, d) flat projections
+    whose last axis splits into ``heads`` heads; ``bias`` (B, Sk) is added to
+    every query's scores before the softmax (a large negative value masks a
+    key).  Returns the (B, Sq, d) context.  Values and gradients equal the
+    unfused chain of reshape, swapaxes, matmul, scale, add and softmax bit
+    for bit; the score path's backward runs only when ``q`` or ``k`` needs a
+    gradient.
+    """
+    B, Sq, d = q.data.shape
+    Sk = k.data.shape[1]
+    if k.data.shape != (B, Sk, d) or v.data.shape != (B, Sk, d) or d % heads:
+        raise ShapeError(f"attention needs q (B, Sq, d), k and v (B, Sk, d) with d "
+                         f"divisible by {heads} heads; got {q.shape}, {k.shape}, {v.shape}")
+    if np.shape(bias) != (B, Sk):
+        raise ShapeError(f"attention bias shape {np.shape(bias)} != {(B, Sk)}")
+    dh = d // heads
+    s = float(1.0 / np.sqrt(dh))
+    q4 = np.ascontiguousarray(q.data.reshape(B, Sq, heads, dh).swapaxes(1, 2))   # (B,H,Sq,dh)
+    kt = np.ascontiguousarray(k.data.reshape(B, Sk, heads, dh).transpose(0, 2, 3, 1))
+    v4 = np.ascontiguousarray(v.data.reshape(B, Sk, heads, dh).swapaxes(1, 2))
+    scores = q4 @ kt                                                  # (B,H,Sq,Sk)
+    scores *= s
+    scores += bias.reshape(B, 1, 1, Sk)
+    scores -= scores.max(axis=-1, keepdims=True)
+    att = np.exp(scores)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = att @ v4                                                    # (B,H,Sq,dh)
+    out = np.ascontiguousarray(ctx.swapaxes(1, 2)).reshape(B, Sq, d)
+
+    def rule(g):
+        g4 = g.reshape(B, Sq, heads, dh).swapaxes(1, 2)
+        dq = dk = dv = None
+        if v.requires_grad:
+            dv = (att.swapaxes(-1, -2) @ g4).swapaxes(1, 2).reshape(B, Sk, d)
+        if q.requires_grad or k.requires_grad:
+            datt = g4 @ v4.swapaxes(-1, -2)
+            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                dq = (dscores @ kt.swapaxes(-1, -2)).swapaxes(1, 2).reshape(B, Sq, d)
+            if k.requires_grad:
+                dk = (q4.swapaxes(-1, -2) @ dscores).transpose(0, 3, 1, 2).reshape(B, Sk, d)
+        return (dq, dk, dv)
+
+    return _emit(out, (q, k, v), rule)
+
+
 def kron(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker product of two 2-D tensors."""
     ad, bd = a.data, b.data
@@ -338,8 +425,12 @@ def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd / _SQRT_2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-    return _emit(xd * cdf, (x,), lambda g: (g * (cdf + xd * pdf),))
+
+    def rule(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
+        return (g * (cdf + xd * pdf),)
+
+    return _emit(xd * cdf, (x,), rule)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -418,6 +418,21 @@ def test_malformed_base_manifest_exits_one(capsys, workspace, tag):
     assert "base" in err
 
 
+def test_non_finite_base_weights_exit_one(capsys, workspace):
+    base = workspace["root"] / "inf-base"
+    shutil.copytree(workspace["base"], base)
+    path = base / "base_weights.bin"
+    blobs = {k: v.copy() for k, v in cli.read_weights(path).items()}
+    blobs["layer0.ffn.w1"][0, 0] = np.inf
+    cli.write_weights(path, blobs)
+    with pytest.raises(cli.CheckpointError, match="layer0.ffn.w1"):
+        cli.load_base(base)
+    code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(base),
+                           "--head-file", str(workspace["bn"] / "head.json"))
+    assert code == 1
+    assert "layer0.ffn.w1" in err
+
+
 @pytest.mark.parametrize("key", ["kind", "num_labels", "w", "b"])
 def test_head_file_missing_a_key_exits_one(capsys, workspace, key):
     doc = json.loads((workspace["bn"] / "head.json").read_text())

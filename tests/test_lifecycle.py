@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from peftlab import AdapterModel, parse_config
-from peftlab.checkpoint import CheckpointError
+from peftlab.checkpoint import CheckpointError, read_weights, write_weights
 from peftlab.configs import ConfigError
 from peftlab.composition import Fuse, Parallel, Stack, leaves
 from peftlab import methods
@@ -245,6 +245,36 @@ def test_truncated_checkpoint_fails_cleanly(tmp_path):
     with pytest.raises(CheckpointError, match="truncated"):
         m2.load_adapter(tmp_path)
     assert not m2.has_adapter("a")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_fails_cleanly(tmp_path, bad):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "lora")
+    m.save_adapter("a", tmp_path)
+    path = tmp_path / "weights.bin"
+    blobs = {k: v.copy() for k, v in read_weights(path).items()}
+    blobs["layer1.query.b"][0, 1] = bad
+    write_weights(path, blobs)
+    m2 = AdapterModel(SMALL_DIMS)
+    m2.add_adapter("other", "seq_bn")
+    with pytest.raises(CheckpointError, match="layer1.query.b"):
+        m2.load_adapter(tmp_path)
+    assert m2.adapter_names() == ["other"]
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "lora")
+    m.add_adapter("b", "seq_bn")
+    m.save_adapter("a", tmp_path)
+    manifest = (tmp_path / "adapter_config.json").read_bytes()
+    (tmp_path / "weights.bin").unlink()
+    (tmp_path / "weights.bin").mkdir()
+    with pytest.raises(OSError):
+        m.save_adapter("b", tmp_path)
+    assert (tmp_path / "adapter_config.json").read_bytes() == manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adapter_config.json", "weights.bin"]
 
 
 def _edit_manifest(directory, edit):

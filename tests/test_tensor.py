@@ -2,6 +2,7 @@
 gradients against central finite differences."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peftlab import tensor as T
+from peftlab.model import DESK_DIMS
+from peftlab.registry import AdapterModel
 from peftlab.tensor import ContractError, Tape, Tensor, backward, grad_check
+from peftlab.training import task_loss
 
 
 def t(arr, grad=True):
@@ -377,6 +381,147 @@ def test_tensor_dtype_and_contiguity():
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)[:, ::-1])
     assert x.data.dtype == np.float64
     assert x.data.flags["C_CONTIGUOUS"]
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the unfused chains they replace
+
+
+def unfused_linear(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def unfused_attention(q, k, v, bias, heads):
+    B, Sq, d = q.shape
+    Sk = k.shape[1]
+    dh = d // heads
+
+    def split(t, S):
+        return T.swapaxes(T.reshape(t, (B, S, heads, dh)), 1, 2)
+
+    q4, k4, v4 = split(q, Sq), split(k, Sk), split(v, Sk)
+    scores = T.scale(T.matmul(q4, T.swapaxes(k4, 2, 3)), 1.0 / np.sqrt(dh))
+    scores = scores + T.constant(bias.reshape(B, 1, 1, Sk))
+    ctx = T.matmul(T.softmax(scores, axis=-1), v4)
+    return T.reshape(T.swapaxes(ctx, 1, 2), (B, Sq, d))
+
+
+def run_op(op, arrays, trainable, extra, upstream):
+    """Forward ``op`` on fresh tensors, backward a fixed weighted sum when any
+    input requires grad; returns the output and each input's ``.grad``."""
+    inputs = [Tensor(a.copy(), requires_grad=i in trainable) for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        out = op(*inputs, *extra)
+        if trainable:
+            tape.backward(T.tsum(T.mul(out, T.constant(upstream))))
+    return out.data, [x.grad for x in inputs]
+
+
+def assert_fused_equals_unfused(fused, unfused, arrays, extra, rng):
+    upstream = rng.normal(size=run_op(unfused, arrays, (), extra, None)[0].shape)
+    for n in range(len(arrays) + 1):
+        for trainable in itertools.combinations(range(len(arrays)), n):
+            out_f, grads_f = run_op(fused, arrays, trainable, extra, upstream)
+            out_u, grads_u = run_op(unfused, arrays, trainable, extra, upstream)
+            assert np.array_equal(out_f, out_u)
+            for i, (gf, gu) in enumerate(zip(grads_f, grads_u)):
+                assert (gf is None) == (i not in trainable)
+                assert (gu is None) == (i not in trainable)
+                if gf is not None:
+                    assert np.array_equal(gf, gu), (trainable, i)
+
+
+@pytest.mark.parametrize("x_shape", [(9, 6), (3, 7, 6)])
+def test_linear_equals_matmul_plus_bias(rng, x_shape):
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 3)), rng.normal(size=(3,))]
+    assert_fused_equals_unfused(T.linear, unfused_linear, arrays, (), rng)
+
+
+@pytest.mark.parametrize("sq,sk", [(5, 5), (4, 9)])
+def test_attention_equals_unfused_chain(rng, sq, sk):
+    B, d, heads = 2, 12, 2                       # head dim 6: the scale is inexact
+    arrays = [rng.normal(size=(B, sq, d)), rng.normal(size=(B, sk, d)),
+              rng.normal(size=(B, sk, d))]
+    key_mask = np.ones((B, sk))
+    key_mask[1, -2:] = 0.0                       # masked keys in the second row
+    bias = (key_mask - 1.0) * 1e9
+    assert_fused_equals_unfused(T.attention, unfused_attention, arrays, (bias, heads), rng)
+
+
+def test_attention_gives_masked_keys_no_weight(rng):
+    q, k, v = (t(rng.normal(size=(1, 3, 4))) for _ in range(3))
+    bias = np.array([[0.0, 0.0, -1e9]])
+    out = T.attention(q, k, v, bias, 2).data
+    trimmed = T.attention(q, T.narrow(k, 1, 0, 2), T.narrow(v, 1, 0, 2),
+                          bias[:, :2], 2).data
+    assert np.allclose(out, trimmed, rtol=0, atol=1e-12)
+
+
+def test_grad_check_linear(rng):
+    x = t(rng.normal(size=(2, 3, 4)))
+    w = t(rng.normal(size=(4, 5)))
+    b = t(rng.normal(size=(5,)))
+    assert grad_check(lambda v: scalarize(T.linear(v, w, b)), x) < 1e-6
+    assert grad_check(lambda v: scalarize(T.linear(x, v, b)), w) < 1e-6
+    assert grad_check(lambda v: scalarize(T.linear(x, w, v)), b) < 1e-6
+
+
+def test_grad_check_attention(rng):
+    q = t(rng.normal(size=(2, 3, 4)))
+    k = t(rng.normal(size=(2, 5, 4)))
+    v = t(rng.normal(size=(2, 5, 4)))
+    bias = np.zeros((2, 5))
+    bias[0, 0] = -1e9
+    w = T.constant(rng.normal(size=(2, 3, 4)))
+
+    def loss(q_, k_, v_):
+        return T.tsum(T.mul(T.attention(q_, k_, v_, bias, 2), w))
+
+    assert grad_check(lambda x: loss(x, k, v), q) < 1e-6
+    assert grad_check(lambda x: loss(q, x, v), k) < 1e-6
+    assert grad_check(lambda x: loss(q, k, x), v) < 1e-6
+
+
+def test_binary_rules_skip_operands_without_grad(rng):
+    a = t(rng.normal(size=(2, 3)))
+    frozen = T.constant(rng.normal(size=(3,)))
+    g = rng.normal(size=(2, 3))
+    for op in (T.add, T.sub, T.mul):
+        with Tape() as tape:
+            op(a, frozen)
+            da, db = tape._records[-1].backward(g)
+            assert da is not None and db is None
+            op(frozen, a)
+            da, db = tape._records[-1].backward(g)
+            assert da is None and db is not None
+
+
+def test_full_ft_training_step_record_count():
+    # One record per affine map and per attention core: 12 per encoder
+    # layer (layer norms, 6 affine maps, attention, GELU, 2 residual adds),
+    # 3 for the embeddings, 8 for the final norm, readout and loss.
+    model = AdapterModel(DESK_DIMS, seed=0)
+    model.add_prediction_head("h", "classification", 2)
+    model.train_full(head="h")
+    r = np.random.default_rng(0)
+    x = r.integers(0, DESK_DIMS.vocab, size=(16, 32))
+    y = r.integers(0, 2, size=16)
+    with Tape() as tape:
+        tape.backward(task_loss("classification", model.logits(model.encode(x), "h"), y))
+        assert len(tape) == 35
+
+
+def test_shape_errors_of_fused_ops(rng):
+    x, w, b = t(rng.normal(size=(2, 4))), t(rng.normal(size=(4, 3))), t(rng.normal(size=(3,)))
+    with pytest.raises(T.ShapeError):
+        T.linear(x, t(rng.normal(size=(5, 3))), b)
+    with pytest.raises(T.ShapeError):
+        T.linear(x, w, t(rng.normal(size=(4,))))
+    q = t(rng.normal(size=(2, 3, 4)))
+    with pytest.raises(T.ShapeError):
+        T.attention(q, q, q, np.zeros((2, 3)), 3)
+    with pytest.raises(T.ShapeError):
+        T.attention(q, q, q, np.zeros((2, 4)), 2)
 
 
 def test_shape_error_on_bad_matmul(rng):
