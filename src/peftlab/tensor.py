@@ -378,6 +378,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int) -> 
     ctx = att @ v4                                                    # (B,H,Sq,dh)
     out = np.ascontiguousarray(ctx.swapaxes(1, 2)).reshape(B, Sq, d)
 
+    # Each product below takes its operands in the memory layout the
+    # unfused chain gave them (a transposed view of a contiguous array, a
+    # strided view of g): BLAS rounding depends on that layout.
     def rule(g):
         g4 = g.reshape(B, Sq, heads, dh).swapaxes(1, 2)
         dq = dk = dv = None
