@@ -36,7 +36,7 @@ class CheckpointError(ValueError):
     """Corrupt, truncated, or incompatible checkpoint contents."""
 
 
-def _replace_with(path, data: bytes) -> None:
+def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over
     ``path``; on any failure the temporary file is removed and ``path`` is
     left as it was."""
@@ -60,7 +60,7 @@ def write_weights(path, tensors: dict) -> None:
         parts += [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
         parts += [struct.pack("<Q", e) for e in arr.shape]
         parts.append(arr.astype("<f4").tobytes(order="C"))
-    _replace_with(path, b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:
@@ -126,7 +126,7 @@ def write_manifest(path, name: str, config_dict: dict, dims_dict: dict) -> None:
         "config": config_dict,
         "dims": dims_dict,
     }
-    _replace_with(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def read_json_object(path, what: str) -> dict:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import (FORMAT_VERSION, CheckpointError, read_json_object,
-                         read_weights, write_weights)
+                         read_weights, write_atomic, write_weights)
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
                       count_params, expand_axes, parse_config, run_count_audit)
@@ -67,14 +67,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def save_base(model: AdapterModel, directory) -> Path:
-    """Write ``base_config.json`` + ``base_weights.bin`` for the encoder."""
+    """Write ``base_weights.bin`` and then ``base_config.json`` for the
+    encoder, each atomically, so a failed save leaves the directory's
+    manifest as it was."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    doc = {"format_version": FORMAT_VERSION, "dims": model.dims.to_dict()}
-    (directory / BASE_CONFIG_FILE).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n")
     write_weights(directory / BASE_WEIGHTS_FILE,
                   {k: t.data for k, t in model.encoder.params.items()})
+    doc = {"format_version": FORMAT_VERSION, "dims": model.dims.to_dict()}
+    write_atomic(directory / BASE_CONFIG_FILE,
+                 (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     return directory
 
 
@@ -101,7 +103,7 @@ def save_head(model: AdapterModel, name: str, directory) -> Path:
     doc = {"kind": h.kind, "num_labels": h.num_labels,
            "w": h.w.data.tolist(), "b": h.b.data.tolist()}
     path = Path(directory) / HEAD_FILE
-    path.write_text(json.dumps(doc) + "\n")
+    write_atomic(path, (json.dumps(doc) + "\n").encode("utf-8"))
     return path
 
 

@@ -192,7 +192,8 @@ class Tape:
         """Walk records newest-to-oldest, seeding d(loss)/d(loss)=1.
 
         Leaf tensors with ``requires_grad`` accumulate into ``.grad``
-        additively; tensors with ``requires_grad=False`` are never touched.
+        additively; tensors with ``requires_grad=False`` are never touched,
+        and neither is the ``.grad`` of a tensor this tape recorded.
         """
         if self._records is None:
             raise ContractError("backward after the tape's with block ended; "
@@ -206,7 +207,6 @@ class Tape:
             g = flows.pop(id(rec.output), None)
             if g is None:
                 continue
-            rec.output.grad = g if rec.output.grad is None else rec.output.grad + g
             contribs = rec.backward(g)
             for t, dg in zip(rec.inputs, contribs):
                 if dg is None:
@@ -279,11 +279,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     return _emit(a.data * s, (a,), lambda g: (g * s,))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit(a.data + c, (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +586,6 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         return (dt,)
 
     return _emit(table.data[idx], (table,), rule)
-
-
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """Stack ``reps`` copies of ``x`` along axis 0."""
-    if reps < 1:
-        raise ShapeError(f"tile_rows needs reps >= 1, got {reps}")
-    out = np.concatenate([x.data] * reps, axis=0)
-
-    def rule(g):
-        return (g.reshape((reps,) + x.data.shape).sum(axis=0),)
-
-    return _emit(out, (x,), rule)
 
 
 def expand_dim0(x: Tensor, n: int) -> Tensor:

@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from multiprocessing.connection import wait
 from typing import Optional
 
 import numpy as np
@@ -224,9 +230,10 @@ class CellRecord:
 
     ``seconds`` is the wall time spent on the cell's chain (see
     :func:`run_grid`) from its start, model construction included, until
-    this record was ready; time the caller spends between records is not
-    counted.  A chain's last milestone therefore carries its whole cost,
-    and a cell run on its own carries exactly its own."""
+    this record was ready, in the process that ran the chain: a grid
+    worker, or the caller's.  Time spent between records, handing them
+    on, is not counted.  A chain's last milestone therefore carries its
+    whole cost, and a cell run on its own carries exactly its own."""
 
     method: str
     config: dict
@@ -342,13 +349,27 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     once, to ``max(grid.epochs)``, and evaluated at every requested epoch
     count.  Every record equals what :func:`run_cell` gives for that cell
     on its own, to all digits; only ``seconds`` differs (see
-    :class:`CellRecord`).  Records stream as the chain reaches them and are
-    held back only when ``grid.epochs`` is unsorted or repeats a value.
+    :class:`CellRecord`).
 
-    ``full-ft`` cells are not chained: full fine-tuning trains in the
-    ``base_state`` arrays themselves (``load_state_array`` keeps them), so
-    each full-ft cell, and every cell after it, starts from the base the
-    previous full-ft cell left, and a chain would change those records.
+    Chains run in worker processes forked from this one, one per CPU this
+    process may run on (``os.sched_getaffinity``) and no more than there
+    are chains; with one such CPU, or without ``fork``, they run here.
+    Workers take chains in grid order and send each record as its
+    milestone is reached.  Only this process calls ``sink``: the earliest
+    unfinished chain's records pass through as they arrive, and later
+    chains' records wait for their turn, as do a chain's records when
+    ``grid.epochs`` is unsorted or repeats a value.  An exception raised in
+    a chain is raised here, with its own type, once every earlier record
+    has reached ``sink``; a worker that exits without finishing its chain
+    raises :class:`RuntimeError`.  No worker outlives the call.
+
+    ``full-ft`` cells are not chained, and they run in this process:
+    full fine-tuning trains in the ``base_state`` arrays themselves
+    (``load_state_array`` keeps them), so each full-ft cell, and every cell
+    after it, starts from the base the previous full-ft cell left, and a
+    chain would change those records.  Each run of adapter chains between
+    full-ft cells forks its own workers, so every chain sees the base a
+    serial run gives it.
 
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
     snapshot; otherwise the base is pretrained here."""
@@ -358,22 +379,125 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     if grid.include_full_ft and FULL_FT not in methods:
         methods = [FULL_FT] + methods
     epochs = tuple(grid.epochs)
-    records = []
+    chains = []                       # (method, config, lr, epochs) in grid order
     for method in methods:
-        chains = [(ep,) for ep in epochs] if method == FULL_FT else [epochs]
-        axes = grid.method_axes.get(method, {})
-        configs = ([None] if method == FULL_FT
-                   else [cfg for _, cfg in expand_axes(parse_config(method), axes)])
-        for config in configs:
-            for lr in grid.lrs:
-                for chain_epochs in chains:
-                    chain = _run_chain(dims, spec, data, base_state, method, config, lr,
-                                       chain_epochs, grid.batch_size, grid.seed)
-                    for rec in _in_order(chain, chain_epochs):
-                        records.append(rec)
-                        if sink is not None:
-                            sink(rec)
+        if method == FULL_FT:
+            chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in epochs]
+        else:
+            axes = grid.method_axes.get(method, {})
+            chains += [(method, cfg, lr, epochs)
+                       for _, cfg in expand_axes(parse_config(method), axes) for lr in grid.lrs]
+
+    def run_one(chain):
+        method, config, lr, chain_epochs = chain
+        return _in_order(_run_chain(dims, spec, data, base_state, method, config, lr,
+                                    chain_epochs, grid.batch_size, grid.seed), chain_epochs)
+
+    records = []
+
+    def emit(rec):
+        records.append(rec)
+        if sink is not None:
+            sink(rec)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for full_ft, run in groupby(chains, key=lambda chain: chain[0] == FULL_FT):
+        run = list(run)
+        _run_chains(run, run_one, emit, workers=1 if full_ft else min(cpus, len(run)))
     return records
+
+
+def _run_chains(chains: list, run_one, emit, workers: int) -> None:
+    """``emit`` the records of ``chains`` in order, running the chains in
+    ``workers`` forked processes, or in this one when ``workers`` is 1 or
+    ``fork`` is not available."""
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        for chain in chains:
+            for rec in run_one(chain):
+                emit(rec)
+        return
+    ctx = multiprocessing.get_context("fork")
+    received = [[] for _ in chains]   # records not yet emitted, per chain
+    outcome = [None] * len(chains)    # True once done, or the exception it raised
+    todo = iter(range(len(chains)))
+    procs, conns, held = [], [], []   # per worker; ``held`` is the chain it runs
+    failed = False
+    head = 0                          # the earliest chain not wholly emitted
+    try:
+        for w in range(workers):
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
+            proc = ctx.Process(target=_chain_worker,
+                               args=(child_conn, list(conns), chains, run_one))
+            proc.start()
+            procs.append(proc)
+            child_conn.close()
+            held.append(next(todo))
+            conn.send(held[w])
+        running = set(range(workers))
+        while head < len(chains):
+            ready = wait([conns[w] for w in running] + [procs[w].sentinel for w in running])
+            for w in list(running):
+                gone = procs[w].sentinel in ready
+                try:
+                    while conns[w].poll():
+                        i, msg = conns[w].recv()
+                        if isinstance(msg, CellRecord):
+                            received[i].append(msg)
+                        elif msg is None:             # chain i is done
+                            outcome[i] = True
+                            held[w] = None if failed else next(todo, None)
+                            conns[w].send(held[w])
+                        else:                         # chain i raised; the worker stops
+                            exc, tb = msg
+                            exc.__cause__ = RuntimeError(f"raised in a grid worker:\n{tb}")
+                            outcome[i], held[w], failed = exc, None, True
+                except (EOFError, ConnectionError):
+                    gone = True
+                if gone:
+                    running.discard(w)
+                    if held[w] is not None:
+                        procs[w].join()
+                        method, _, lr, _ = chains[held[w]]
+                        outcome[held[w]] = RuntimeError(
+                            f"grid worker exited with code {procs[w].exitcode} before "
+                            f"finishing the {method} chain at lr {lr}")
+                        failed = True
+            while head < len(chains):
+                for rec in received[head]:
+                    emit(rec)
+                received[head].clear()
+                if outcome[head] is None:
+                    break
+                if outcome[head] is not True:
+                    raise outcome[head]
+                head += 1
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
+
+
+def _chain_worker(conn, parent_ends: list, chains: list, run_one) -> None:
+    """Run the chains whose indices the parent sends, until it sends
+    ``None``.  Sends ``(index, record)`` for each record, then
+    ``(index, None)`` when the chain is done, or ``(index, (exception,
+    traceback text))`` when it raised, and then stops."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)     # the parent stops its workers
+    for end in parent_ends:           # so that a lost parent reads as end of file here
+        end.close()
+    while (i := conn.recv()) is not None:
+        try:
+            for rec in run_one(chains[i]):
+                conn.send((i, rec))
+        except Exception as e:
+            conn.send((i, (e, traceback.format_exc())))
+            return
+        conn.send((i, None))
 
 
 def _in_order(chain, epochs: tuple):

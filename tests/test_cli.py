@@ -5,6 +5,8 @@ else avoids process spawns to keep the suite fast.
 """
 
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,10 @@ import pytest
 
 from peftlab import cli
 from peftlab.cli import main
+from peftlab.registry import AdapterModel
+from peftlab.training import CSV_FIELDS
+
+from conftest import SMALL_DIMS, TINY_DIMS
 
 # small task so training-based tests stay fast; the same flags must be passed
 # to train and eval or the regenerated eval split would differ
@@ -151,6 +157,31 @@ def test_train_grid_rerun_is_identical(capsys, tmp_path):
     assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
+def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_path,
+                                                                     monkeypatch):
+    seconds = CSV_FIELDS.index("seconds")
+    files = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out_f, csv_f = tmp_path / f"{len(cpus)}.jsonl", tmp_path / f"{len(cpus)}.csv"
+        code, _, _ = _train(capsys, tmp_path, "--config", "seq_bn", "--config", "lora",
+                            "--lr", "1e-3", "--lr", "5e-3", "--epochs", "2", "--epochs", "1",
+                            "--out", str(out_f), "--csv", str(csv_f), "--quiet")
+        assert code == 0
+        jsonl = [re.sub(r'"seconds": [^,}]*', '"seconds": 0', line)
+                 for line in out_f.read_text().splitlines()]
+        rows = csv_f.read_text().splitlines()
+        csv = rows[:1] + [",".join(v if i != seconds else "0"
+                                   for i, v in enumerate(row.split(",")))
+                          for row in rows[1:]]
+        files[len(cpus)] = jsonl, csv
+    assert files[1] == files[2]
+    jsonl, csv = files[2]
+    assert len(jsonl) == len(set(jsonl)) == 8 and len(csv) == len(set(csv)) == 9
+    assert [(r["method"], r["lr"], r["epochs"]) for r in map(json.loads, jsonl)] == [
+        (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (2, 1)]
+
+
 def test_train_axis_expansion(capsys, tmp_path):
     code, out, _ = _train(capsys, tmp_path,
                           "--config", "seq_bn", "--lr", "1e-3", "--epochs", "1",
@@ -187,6 +218,18 @@ def test_train_save_rejects_full_ft(capsys, tmp_path):
                           "--save", str(tmp_path / "ck"))
     assert code == 1
     assert "--save-base" in err
+
+
+def test_failed_save_base_leaves_the_previous_manifest(tmp_path):
+    cli.save_base(AdapterModel(SMALL_DIMS), tmp_path)
+    manifest = (tmp_path / cli.BASE_CONFIG_FILE).read_bytes()
+    (tmp_path / cli.BASE_WEIGHTS_FILE).unlink()
+    (tmp_path / cli.BASE_WEIGHTS_FILE).mkdir()
+    with pytest.raises(OSError):
+        cli.save_base(AdapterModel(TINY_DIMS), tmp_path)
+    assert (tmp_path / cli.BASE_CONFIG_FILE).read_bytes() == manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [cli.BASE_CONFIG_FILE, cli.BASE_WEIGHTS_FILE])
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ grid determinism is asserted bit-for-bit because every source of randomness
 is seeded.
 """
 
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 import scipy.special
 
 from peftlab import tensor as T
+from peftlab import training
 from peftlab.configs import parse_config
-from peftlab.model import ModelDims
+from peftlab.model import InputError, ModelDims
 from peftlab.registry import AdapterModel
 from peftlab.tasks import TaskSpec, make_task
 from peftlab.tensor import Tape, Tensor
@@ -28,6 +33,28 @@ from conftest import SMALL_DIMS
 
 TINY_TASK = TaskSpec(kind="parity", vocab=SMALL_DIMS.vocab, seq_len=6,
                      n_train=48, n_eval=24, n_pretrain=16, seed=5)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail with ``TimeoutError`` where the body would hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture(autouse=True)
+def _no_test_hangs_or_leaves_a_worker():
+    with _deadline(120):
+        yield
+    assert multiprocessing.active_children() == []
 
 
 def adam_oracle(grads, lr, betas=(0.9, 0.999), eps=1e-8, x0=0.0):
@@ -339,6 +366,97 @@ def test_run_grid_runs_full_ft_cells_unchained():
     got = _check_against_independent_cells(TINY_TASK, grid)
     assert [(r.method, r.epochs) for r in got] == [
         (FULL_FT, 1), (FULL_FT, 2), ("seq_bn", 1), ("seq_bn", 2)]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that grids fork workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("grid", [
+    # four full-ft cells in this process, then three chains in workers
+    _mini_grid(methods=("seq_bn", "lora"), lrs=(5e-3, 1e-3), epochs=(3, 1, 2, 3),
+               include_full_ft=True, method_axes={"seq_bn": {"reduction_factor": (2, 4)}}),
+    # a run of chains on each side of the full-ft cells, each with its own
+    # workers; one step per epoch, so lr 1e200 diverges at epoch 2
+    _mini_grid(methods=("seq_bn", FULL_FT, "lora"), lrs=(5e-3, 1e200), epochs=(1, 2, 3),
+               batch_size=REGRESSION_TASK.n_train),
+], ids=["full-ft-first", "full-ft-between"])
+def test_parallel_grid_equals_independent_cells(two_cpus, grid):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _check_against_independent_cells(REGRESSION_TASK, grid)
+    assert any(r.diverged for r in got) == (1e200 in grid.lrs)
+
+
+def test_parallel_grid_leaves_the_base_a_serial_grid_leaves(monkeypatch):
+    grid = _mini_grid(methods=("seq_bn", "ia3", FULL_FT, "lora"), epochs=(1, 2))
+    data, state = prepare_base(SMALL_DIMS, TINY_TASK, grid)
+    records, bases = {}, {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        bases[len(cpus)] = {k: v.copy() for k, v in state.items()}
+        records[len(cpus)] = [_cell_fields(r) for r in run_grid(
+            SMALL_DIMS, TINY_TASK, grid, data=data, base_state=bases[len(cpus)])]
+    assert records[1] == records[2]
+    assert all(bases[1][k].tobytes() == bases[2][k].tobytes() for k in state)
+    assert any(not np.array_equal(bases[2][k], state[k]) for k in state)   # full-ft wrote
+
+
+def test_one_cpu_runs_the_grid_in_process(monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _check_against_independent_cells(TINY_TASK, _mini_grid(methods=("seq_bn", "lora"),
+                                                            lrs=(5e-3, 1e-3), epochs=(1, 2)))
+
+
+def _raise_input_error():
+    raise InputError("token id out of range")
+
+
+def _exit_worker():
+    if multiprocessing.parent_process() is None:     # os._exit would end the test run
+        raise AssertionError("the chain ran in the test process")
+    os._exit(1)
+
+
+FAILING_GRID = _mini_grid(methods=("seq_bn", "lora", "ia3"), lrs=(5e-3, 1e-3), epochs=(1, 2))
+
+
+@pytest.mark.parametrize("fail, error, match", [
+    (_raise_input_error, InputError, "token id out of range"),
+    (_exit_worker, RuntimeError, "exited with code 1"),
+], ids=["raises", "exits"])
+def test_a_failing_chain_fails_the_grid_after_every_earlier_record(two_cpus, monkeypatch,
+                                                                   fail, error, match):
+    real_chain = training._run_chain
+
+    def chain(dims, spec, data, base_state, method, *rest):
+        for n, rec in enumerate(real_chain(dims, spec, data, base_state, method, *rest)):
+            if method == "lora" and n == 1:
+                fail()
+            yield rec
+
+    monkeypatch.setattr(training, "_run_chain", chain)
+    seen = []
+    with pytest.raises(error, match=match):
+        run_grid(SMALL_DIMS, TINY_TASK, FAILING_GRID, sink=seen.append)
+    assert [(r.method, r.lr, r.epochs) for r in seen] == [
+        ("seq_bn", 5e-3, 1), ("seq_bn", 5e-3, 2), ("seq_bn", 1e-3, 1), ("seq_bn", 1e-3, 2),
+        ("lora", 5e-3, 1)]
+
+
+@pytest.mark.parametrize("interrupt", [ValueError, KeyboardInterrupt])
+def test_a_failing_sink_stops_every_worker(two_cpus, interrupt):
+    def sink(rec):
+        raise interrupt("stop")
+
+    with pytest.raises(interrupt):
+        run_grid(SMALL_DIMS, TINY_TASK, FAILING_GRID, sink=sink)
 
 
 def test_best_metric_direction_depends_on_the_metric():
