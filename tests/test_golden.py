@@ -11,6 +11,12 @@ A second table pins the gradient bits: a digest of every trainable
 tensor's ``.grad`` after one backward pass of a fixed scalar of the encoder
 output, with one key masked, for every case above and for full fine-tuning
 (the base weights' gradients).
+
+A third table pins composed setups: every block kind, nested blocks, a
+prepended prompt, a gated prefix before a low-rank adapter and a ``Split``
+that covers part of the sequence.  Each entry holds a digest of the encoder
+output with its branch list and a digest of every trainable tensor's
+gradient, fusion layers included.
 """
 
 import hashlib
@@ -152,3 +158,74 @@ def test_golden_gradients(case):
 
 def test_golden_gradients_cover_every_case():
     assert set(GRAD_GOLDEN) == set(GOLDEN) | {"full-ft"}
+
+
+# ---------------------------------------------------------------------------
+# composed setups: every block kind, over one model holding an adapter of
+# each kind the serving benchmark composes, plus unipelt and a fusion layer
+
+
+COMPOSED_ADAPTERS = (("s1", "seq_bn"), ("s2", "seq_bn"), ("pb", "par_bn"), ("lo", "lora"),
+                     ("ia", "ia3"), ("cp", "compacter"), ("pf", "prefix_tuning"),
+                     ("pr", "prompt_tuning"), ("un", "unipelt"))
+
+# setup text -> (batch rows, forward digest, gradient digest).  The forward
+# digest covers the encoder output and the branch list; the gradient digest
+# covers every trainable tensor after ``train_adapter`` (fusion layers
+# included, fused members frozen).
+COMPOSED_GOLDEN = {
+    "Average(Parallel(s1, lo), Parallel(pb, ia))": (4, "6f6abeef18f6165b", "9f5da02b1d92292e"),
+    "Average(s1, s2, weights=[0.25, 0.75])": (4, "f25aca4307351dc5", "7ae63fdfc90719c5"),
+    "BatchSplit(s1, lo, batch_sizes=[2, 2])": (4, "6ebfd319a0e11726", "9992a26760c6bd43"),
+    "Fuse(s1, s2)": (4, "0eca30d79e48d6bf", "d249c3045d2e2429"),
+    "Parallel(s1, pb)": (4, "e87c9c61dc7ffa92", "ae898cd4693cd26d"),
+    "Split(s1, pb, splits=[3, 2])": (4, "88c2fe958c0dc73e", "8d6ffc7045bf472f"),
+    "Split(s1, pb, splits=[4, 4])": (4, "b8bfb7a6c7bffe24", "b44a2fe3706cdcae"),
+    "Stack(Parallel(s1, pb), BatchSplit(s1, pb, batch_sizes=[3, 3]))": (3, "7579256b67afd9ff", "ce838ec75f73dc98"),
+    "Stack(pr, Parallel(s1, lo))": (4, "e1e13734b0169387", "d7af07ba0244667b"),
+    "Stack(pr, s1)": (4, "58187fc5aad31211", "21870dab6de03c0f"),
+    "Stack(s1, lo)": (4, "2ff349f3fc264280", "46357985812dcbac"),
+    "Stack(un, lo)": (4, "a26087f12540d8bb", "5d41ac3a887b9700"),
+    "cp": (4, "7bd7f5807e3f311c", "9fb7c624921fcea6"),
+    "ia": (4, "c534f6d341b3e671", "5e3399c4b7cd7d57"),
+    "lo": (4, "069f36d1ab0bd93c", "a1ea48ee5788c0cc"),
+    "pb": (4, "3c96ab204d7ddc85", "91aa6f6805fc47b3"),
+    "pf": (4, "7826bf0f511183e4", "562474ef1ad0f98e"),
+    "s1": (4, "03e7babf968d8767", "75e9b0f20fc37066"),
+}
+
+
+def composed_model():
+    model = AdapterModel(DESK_DIMS, seed=0)
+    for i, (name, preset) in enumerate(COMPOSED_ADAPTERS):
+        randomize(model.add_adapter(name, preset), seed=20 + i)
+    r = np.random.default_rng(40)
+    for t in model.add_adapter_fusion(["s1", "s2"]).tensors().values():
+        t.data[...] += r.normal(0.0, 0.1, size=t.data.shape)
+    return model
+
+
+def composed_digests(setup, batch):
+    model = composed_model()
+    tokens = np.random.default_rng(3).integers(0, DESK_DIMS.vocab, size=(batch, 8))
+    model.set_active(setup)
+    state = model.encode(tokens)
+    fwd = _digest(state.hidden.data.tobytes() + repr(state.branches).encode())
+    model.train_adapter(setup)
+    mask = np.ones((batch, 8))
+    mask[1, 6:] = 0.0
+    with T.Tape() as tape:
+        out = model.encode(tokens, mask).hidden
+        weights = np.random.default_rng(11).normal(size=out.shape)
+        tape.backward(T.tsum(T.mul(out, T.constant(weights))))
+    h = hashlib.sha256()
+    for name, t in sorted(model.trainable_parameters().items()):
+        h.update(name.encode())
+        h.update(b"none" if t.grad is None else t.grad.tobytes())
+    return fwd, h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("setup", sorted(COMPOSED_GOLDEN))
+def test_golden_composed_forward_and_gradients(setup):
+    batch, fwd, grad = COMPOSED_GOLDEN[setup]
+    assert composed_digests(setup, batch) == (fwd, grad)
