@@ -385,9 +385,7 @@ def cmd_compose(args) -> int:
     if args.fuse:
         names = [s.strip() for s in args.fuse.split(",")]
         model.add_adapter_fusion(names)
-    setup = parse_setup(args.setup)
-    model.validate_setup(setup)
-    model.set_active(setup)
+    model.set_active(parse_setup(args.setup))
 
     if args.input:
         tokens = np.load(args.input)

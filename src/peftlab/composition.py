@@ -15,13 +15,26 @@ Nesting rules (validated exhaustively):
 * ``Stack``/``Parallel``/``BatchSplit``/``Average`` may contain leaves and
   each other;
 * ``Fuse`` and ``Split`` admit only leaves as children.
+
+:func:`validate_composition` checks every rule in one walk of the tree and
+returns a :class:`Plan`: the resolved adapters, the rows each block hands
+its children, the normalised ``Average`` weights, the fusion layers, the
+prepended prompts and the branch list.  :mod:`peftlab.routing` only reads it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+
+from .configs import SEQUENTIAL, BottleneckConfig
+from .methods import StateError
+from .model import HookPoint
 
 log = logging.getLogger(__name__)
 
@@ -70,10 +83,22 @@ class Fuse(_Block):
     pass
 
 
+def _whole(values, what: str) -> tuple:
+    """``values`` as ints, each of which must be a finite whole number."""
+    try:
+        values = tuple(values)
+        out = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != values:
+        raise CompositionError(f"{what} must be whole numbers, got {values!r}")
+    return out
+
+
 class Split(_Block):
     def __init__(self, *children, splits):
         super().__init__(*children)
-        self.splits = tuple(int(s) for s in splits)
+        self.splits = _whole(splits, "Split ranges")
 
     def __repr__(self):
         inner = ", ".join(map(repr, self.children))
@@ -83,7 +108,7 @@ class Split(_Block):
 class BatchSplit(_Block):
     def __init__(self, *children, batch_sizes):
         super().__init__(*children)
-        self.batch_sizes = tuple(int(s) for s in batch_sizes)
+        self.batch_sizes = _whole(batch_sizes, "BatchSplit sizes")
 
     def __repr__(self):
         inner = ", ".join(map(repr, self.children))
@@ -103,7 +128,10 @@ class Average(_Block):
 
 
 _CONTAINER_KINDS = (Stack, Parallel, BatchSplit, Average)
-_LEAF_ONLY_KINDS = (Fuse, Split)
+
+# Blocks nest at most this deep, so that every walk over a tree, compiled or
+# routed, stays far inside Python's recursion limit.
+MAX_DEPTH = 100
 
 # parent kind -> child kinds admitted by the v1 nesting table
 NESTING_TABLE = {
@@ -125,155 +153,177 @@ def leaves(node) -> list:
     return out
 
 
-def fanout(node) -> int:
-    """How many output rows one input row becomes under this subtree.
-
-    ``BatchSplit`` children carry absolute sub-batch sizes, so its fanout is
-    meaningful only per child; the node itself reports output rows per the
-    declared total input rows.
-    """
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, Stack):
-        f = 1
-        for c in node.children:
-            f *= fanout(c)
-        return f
-    if isinstance(node, Parallel):
-        return sum(fanout(c) for c in node.children)
-    if isinstance(node, (Fuse, Split, Average)):
-        fans = {fanout(c) for c in node.children}
-        return max(fans) if fans else 1
-    if isinstance(node, BatchSplit):
-        return 1  # resolved against declared batch sizes during validation
-    raise CompositionError(f"unknown node kind {type(node).__name__}")
-
-
-def rows_out(node, rows_in: int) -> int:
-    """Output rows produced when ``rows_in`` rows enter this subtree."""
-    if isinstance(node, Leaf):
-        return rows_in
-    if isinstance(node, Stack):
-        r = rows_in
-        for c in node.children:
-            r = rows_out(c, r)
-        return r
-    if isinstance(node, Parallel):
-        return sum(rows_out(c, rows_in) for c in node.children)
-    if isinstance(node, BatchSplit):
-        return sum(rows_out(c, s) for c, s in zip(node.children, node.batch_sizes))
-    if isinstance(node, Average):
-        return rows_out(node.children[0], rows_in)
-    if isinstance(node, (Fuse, Split)):
-        return rows_in
-    raise CompositionError(f"unknown node kind {type(node).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# validation
+# compiled route plans
 
 
-def _check_nesting(node) -> None:
-    if isinstance(node, Leaf):
-        return
-    allowed = NESTING_TABLE[type(node)]
-    for c in node.children:
-        if not isinstance(c, allowed):
-            raise CompositionError(
-                f"{type(node).__name__} may not contain {type(c).__name__}; "
-                f"allowed children: {', '.join(k.__name__ for k in allowed)}"
-            )
-        _check_nesting(c)
+@dataclass(eq=False)
+class PlanNode:
+    """One node of a compiled setup, holding everything the router reads."""
+
+    kind: type                 # Leaf or the block class
+    children: tuple = ()
+    inst: object = None        # Leaf: its AdapterInstance
+    gated_prefix: bool = False  # Leaf: binds a gated key/value prefix
+    attn: bool = False         # some leaf below modifies attention
+    sizes: tuple = ()          # Split: token widths; BatchSplit: input rows per child
+    rows: tuple = ()           # Parallel, BatchSplit: output rows per child
+    weights: tuple = ()        # Average: the weights normalised to sum to one
+    fusion: object = None      # Fuse: its FusionLayer
+    members: tuple = ()        # Stack: the children, nested Stacks flattened
 
 
-def _check_arithmetic(node, batch, seq) -> None:
-    if isinstance(node, Leaf):
-        return
-    if isinstance(node, Split):
-        if len(node.splits) != len(node.children):
-            raise CompositionError(
-                f"Split has {len(node.children)} children but {len(node.splits)} ranges"
-            )
-        if any(s <= 0 for s in node.splits):
-            raise CompositionError(f"Split ranges must be positive, got {list(node.splits)}")
-        if seq is not None:
-            total = sum(node.splits)
-            if total > seq:
+@dataclass
+class Plan:
+    """A validated setup.  Row counts hold only when it was compiled for a
+    batch; ``fused`` holds ``(member names, FusionLayer)`` per ``Fuse``."""
+
+    root: PlanNode = None
+    prompts: list = field(default_factory=list)     # prepended-row modules, outermost first
+    branches: list = field(default_factory=list)    # [(label, rows)] over the output rows
+    leaf_names: list = field(default_factory=list)
+    fused: list = field(default_factory=list)
+
+
+class _Rows(NamedTuple):
+    """A row count ``per_batch * batch + fixed``; ``per_batch`` is 0
+    throughout when the batch is known."""
+
+    per_batch: int
+    fixed: int
+
+    def __add__(self, other):
+        return _Rows(self.per_batch + other.per_batch, self.fixed + other.fixed)
+
+    def __str__(self):
+        if not self.per_batch:
+            return str(self.fixed)
+        return f"{self.per_batch}*batch" + (f"+{self.fixed}" if self.fixed else "")
+
+    def count(self):
+        return None if self.per_batch else self.fixed
+
+
+def _can_agree(counts) -> bool:
+    """Whether the row counts are all equal for some batch size >= 1."""
+    a0, c0 = counts[0]
+    for a, c in counts[1:]:
+        if a != a0:
+            b, rem = divmod(c - c0, a0 - a)
+            return rem == 0 and b >= 1 and len({x * b + y for x, y in counts}) == 1
+    return all(c == c0 for _, c in counts)
+
+
+class _Compiler:
+    """The single walk behind :func:`validate_composition`."""
+
+    def __init__(self, resolve, seq, fusion_exists):
+        self.resolve = resolve
+        self.seq = seq
+        self.fusion_exists = fusion_exists
+        self.plan = Plan()
+
+    def walk(self, node, rows: _Rows, ancestors: tuple):
+        """Check ``node`` entered by ``rows`` rows under ``ancestors`` (block
+        kinds, outermost first).  Returns its plan node, its output rows and
+        its branch list."""
+        if isinstance(node, Leaf):
+            return self.leaf(node, rows, ancestors)
+        kind = type(node)
+        if len(ancestors) >= MAX_DEPTH:
+            raise CompositionError(f"blocks nest more than {MAX_DEPTH} deep")
+        allowed = NESTING_TABLE[kind]
+        for c in node.children:
+            if not isinstance(c, allowed):
                 raise CompositionError(
-                    f"Split ranges sum to {total} but the sequence has {seq} positions"
+                    f"{kind.__name__} may not contain {type(c).__name__}; "
+                    f"allowed children: {', '.join(k.__name__ for k in allowed)}"
                 )
-            if total < seq:
-                log.warning(
-                    "Split covers %d of %d positions; the remainder passes through unadapted",
-                    total, seq,
+        within = ancestors + (kind,)
+        pn = PlanNode(kind)
+
+        if kind is Stack:
+            children, members, branches = [], [], [(None, rows)]
+            for c in node.children:
+                sub, rows, sub_branches = self.walk(c, rows, within)
+                children.append(sub)
+                members.extend(sub.members if sub.kind is Stack else (sub,))
+                # a leaf labels the current rows; a branching block replaces
+                # them; any other block keeps a single label over its output
+                if isinstance(c, Leaf):
+                    branches = [(c.adapter, r) for _, r in branches]
+                elif isinstance(c, (Parallel, BatchSplit)):
+                    branches = sub_branches
+                elif len(branches) == 1:
+                    branches = [(branches[0][0], rows)]
+            _check_stack_attention(members)
+            pn.members = tuple(members)
+            out = rows
+
+        elif kind is Parallel or kind is BatchSplit:
+            if kind is BatchSplit:
+                _check_batch_split(node, rows)
+                pn.sizes = node.batch_sizes
+                inputs = [_Rows(0, s) for s in node.batch_sizes]
+            else:
+                inputs = [rows] * len(node.children)
+            walked = [self.walk(c, r, within) for c, r in zip(node.children, inputs)]
+            children = [w[0] for w in walked]
+            pn.rows = tuple(w[1].count() for w in walked)
+            out = sum((w[1] for w in walked), _Rows(0, 0))
+            branches = [b for w in walked for b in w[2]]
+
+        elif kind is Average:
+            pn.weights = _average_weights(node)
+            walked = [self.walk(c, rows, within) for c in node.children]
+            children = [w[0] for w in walked]
+            outs = [w[1] for w in walked]
+            if not _can_agree(outs):
+                raise CompositionError(
+                    f"Average children disagree on output rows: {', '.join(map(str, outs))}"
                 )
-    if isinstance(node, BatchSplit):
-        if len(node.batch_sizes) != len(node.children):
-            raise CompositionError(
-                f"BatchSplit has {len(node.children)} children but "
-                f"{len(node.batch_sizes)} sizes"
-            )
-        if any(s <= 0 for s in node.batch_sizes):
-            raise CompositionError(
-                f"BatchSplit sizes must be positive, got {list(node.batch_sizes)}"
-            )
-        if batch is not None and sum(node.batch_sizes) != batch:
-            raise CompositionError(
-                f"BatchSplit sizes sum to {sum(node.batch_sizes)} but the "
-                f"sub-batch has {batch} rows"
-            )
-    if isinstance(node, Average):
-        if len(node.weights) != len(node.children):
-            raise CompositionError(
-                f"Average has {len(node.children)} children but {len(node.weights)} weights"
-            )
-        if any(w < 0 for w in node.weights):
-            raise CompositionError(f"Average weights must be >= 0, got {list(node.weights)}")
-        if sum(node.weights) <= 0:
-            raise CompositionError("Average weights must not sum to zero")
-        if batch is not None:
-            fans = [rows_out(c, batch) for c in node.children]
-        else:
-            fans = [fanout(c) for c in node.children]
-        if len(set(fans)) > 1:
-            raise CompositionError(f"Average children disagree on output rows: {fans}")
+            out = outs[0]
+            branches = [(None, out)]
 
-    # Row bookkeeping for children.
-    if isinstance(node, BatchSplit):
-        for c, rows in zip(node.children, node.batch_sizes):
-            _check_arithmetic(c, rows, seq)
-    elif isinstance(node, Stack):
-        rows = batch
-        for c in node.children:
-            _check_arithmetic(c, rows, seq)
-            if rows is not None:
-                rows = rows_out(c, rows)
-    else:
-        for c in node.children:
-            _check_arithmetic(c, batch, seq)
+        else:   # Split, Fuse: leaf children on the same rows
+            if kind is Split:
+                _check_split(node, self.seq)
+                pn.sizes = node.splits
+            children = [self.walk(c, rows, within)[0] for c in node.children]
+            if kind is Fuse:
+                names = tuple(c.adapter for c in node.children)
+                if self.fusion_exists is not None:
+                    pn.fusion = self.fusion_exists(names)
+                    if not pn.fusion:
+                        raise StateError(
+                            f"no fusion layer exists for {names}; create one before "
+                            f"activating Fuse"
+                        )
+                self.plan.fused.append((names, pn.fusion))
+            out = rows
+            branches = [(None, out)]
 
+        pn.children = tuple(children)
+        pn.attn = any(c.attn for c in children)
+        return pn, out, branches
 
-def _check_methods(node, resolve, ancestors=()) -> None:
-    """Method/block compatibility.  ``resolve(name)`` returns the adapter
-    instance (or raises KeyError)."""
-    if isinstance(node, Leaf):
+    def leaf(self, node: Leaf, rows: _Rows, ancestors: tuple):
+        name = node.adapter
         try:
-            inst = resolve(node.adapter)
+            inst = self.resolve(name)
         except KeyError:
-            raise CompositionError(f"unknown adapter id {node.adapter!r}") from None
-        kinds = {type(a) for a in ancestors}
+            raise CompositionError(f"unknown adapter id {name!r}") from None
+        kinds = set(ancestors)
         if inst.grows_sequence and kinds - {Stack}:
             raise CompositionError(
-                f"adapter {node.adapter!r} prepends input rows and composes only "
-                f"under Stack"
+                f"adapter {name!r} prepends input rows and composes only under Stack"
             )
         if Split in kinds and (inst.touches_attention or inst.grows_sequence):
             raise CompositionError(
-                f"adapter {node.adapter!r} modifies attention internals and cannot "
+                f"adapter {name!r} modifies attention internals and cannot "
                 f"be routed through token ranges (Split)"
             )
         if Fuse in kinds:
-            from .configs import BottleneckConfig, SEQUENTIAL
             cfg = inst.config
             ok = (
                 isinstance(cfg, BottleneckConfig)
@@ -283,76 +333,116 @@ def _check_methods(node, resolve, ancestors=()) -> None:
             if not ok:
                 raise CompositionError(
                     f"Fuse children must be plain sequential bottleneck adapters; "
-                    f"{node.adapter!r} is not"
+                    f"{name!r} is not"
                 )
-        if getattr(inst, "merged", False):
-            from .methods import StateError
+        if inst.merged:
             raise StateError(
-                f"adapter {node.adapter!r} is merged into the base weights; "
-                f"unmerge it before composing"
+                f"adapter {name!r} is merged into the base weights; unmerge it before composing"
             )
-        return
-    for c in node.children:
-        _check_methods(c, resolve, ancestors + (node,))
+        self.plan.leaf_names.append(name)
+        # prompt adapters sit under Stacks only, so leaf order is prompt order
+        self.plan.prompts.extend(inst.bindings.get(HookPoint.INPUT_PREPEND, ()))
+        gated = any(gate is not None
+                    for per_layer in inst.bindings.get(HookPoint.ATTN_KV, ())
+                    for _, gate in per_layer)
+        pn = PlanNode(Leaf, inst=inst, gated_prefix=gated, attn=inst.touches_attention)
+        return pn, rows, [(name, rows)]
 
-    # Inside a Stack, an attention-modifying subtree may not follow a
-    # branching block that also modifies attention: the per-branch attention
-    # has already been computed by then.
-    if isinstance(node, Stack):
-        seen_branching_attn = False
-        for c in node.children:
-            branches_rows = isinstance(c, (Parallel, BatchSplit)) or (
-                not isinstance(c, Leaf) and fanout(c) > 1
+
+def _check_batch_split(node, rows: _Rows) -> None:
+    sizes = node.batch_sizes
+    if len(sizes) != len(node.children):
+        raise CompositionError(
+            f"BatchSplit has {len(node.children)} children but {len(sizes)} sizes"
+        )
+    if any(s <= 0 for s in sizes):
+        raise CompositionError(f"BatchSplit sizes must be positive, got {list(sizes)}")
+    if not _can_agree([rows, _Rows(0, sum(sizes))]):
+        raise CompositionError(
+            f"BatchSplit sizes sum to {sum(sizes)} but the sub-batch has {rows} rows"
+        )
+
+
+def _check_split(node, seq) -> None:
+    if len(node.splits) != len(node.children):
+        raise CompositionError(
+            f"Split has {len(node.children)} children but {len(node.splits)} ranges"
+        )
+    if any(s <= 0 for s in node.splits):
+        raise CompositionError(f"Split ranges must be positive, got {list(node.splits)}")
+    if seq is not None:
+        total = sum(node.splits)
+        if total > seq:
+            raise CompositionError(
+                f"Split ranges sum to {total} but the sequence has {seq} positions"
             )
-            touches = _subtree_touches_attention(c, resolve)
-            if seen_branching_attn and touches:
-                raise CompositionError(
-                    "within a Stack, attention-modifying members must come before "
-                    "any branching block that modifies attention"
-                )
-            if branches_rows and touches:
-                seen_branching_attn = True
+        if total < seq:
+            log.warning(
+                "Split covers %d of %d positions; the remainder passes through unadapted",
+                total, seq,
+            )
 
 
-def _subtree_touches_attention(node, resolve) -> bool:
-    if isinstance(node, Leaf):
-        try:
-            return resolve(node.adapter).touches_attention
-        except KeyError:
-            return False
-    return any(_subtree_touches_attention(c, resolve) for c in node.children)
+def _average_weights(node) -> tuple:
+    """The weights of an ``Average``, checked and normalised to sum to one."""
+    if len(node.weights) != len(node.children):
+        raise CompositionError(
+            f"Average has {len(node.children)} children but {len(node.weights)} weights"
+        )
+    if not all(map(math.isfinite, node.weights)):
+        raise CompositionError(f"Average weights must be finite, got {list(node.weights)}")
+    if any(w < 0 for w in node.weights):
+        raise CompositionError(f"Average weights must be >= 0, got {list(node.weights)}")
+    total = sum(node.weights)
+    if total <= 0:
+        raise CompositionError("Average weights must not sum to zero")
+    if not math.isfinite(total):
+        raise CompositionError(f"Average weights must have a finite sum, got {total}")
+    weights = np.asarray(node.weights, dtype=np.float64)
+    return tuple(float(w) for w in weights / weights.sum())
+
+
+def _check_stack_attention(members) -> None:
+    """The attention hook runs a Stack's members (nested Stacks flattened)
+    in order until the first block that modifies attention, then hands the
+    rows to that block.  So no member after that block may modify attention,
+    and no gated key/value prefix, which needs a second attention pass over
+    the same rows, may come before it."""
+    gated = block_seen = False
+    for m in members:
+        if not m.attn:
+            continue
+        if block_seen:
+            raise CompositionError(
+                "within a Stack, attention-modifying members must come before "
+                "any block that modifies attention"
+            )
+        if m.kind is Leaf:
+            gated = gated or m.gated_prefix
+            continue
+        if gated:
+            raise CompositionError(
+                "within a Stack, gated key/value prefixes cannot come before "
+                "a block that modifies attention"
+            )
+        block_seen = True
 
 
 def validate_composition(node, resolve, batch=None, seq=None,
-                         fusion_exists=None) -> None:
-    """Full validation: leaf existence, nesting, arithmetic, and
-    method/block compatibility.
+                         fusion_exists=None) -> Plan:
+    """Check every composition rule in one walk and compile the route plan.
 
-    ``resolve(name)`` maps adapter ids to instances; ``fusion_exists(names)``
-    reports whether a fusion layer was created for that child tuple (checked
-    only when given).
+    ``resolve(name)`` maps adapter ids to instances (KeyError for unknown
+    ones).  ``fusion_exists(names)``, when given, returns the fusion layer
+    made for that child tuple, or None.  ``batch`` and ``seq``, when given,
+    are the rows and positions the setup will run on.
     """
-    node = _as_node(node)
-    _check_nesting(node)
-    _check_arithmetic(node, batch, seq)
-    _check_methods(node, resolve)
-    if fusion_exists is not None:
-        for sub in iter_nodes(node):
-            if isinstance(sub, Fuse):
-                names = tuple(leaves(sub))
-                if not fusion_exists(names):
-                    from .methods import StateError
-                    raise StateError(
-                        f"no fusion layer exists for {names}; create one before "
-                        f"activating Fuse"
-                    )
-
-
-def iter_nodes(node):
-    yield node
-    if not isinstance(node, Leaf):
-        for c in node.children:
-            yield from iter_nodes(c)
+    compiler = _Compiler(resolve, seq, fusion_exists)
+    rows = _Rows(0, batch) if batch is not None else _Rows(1, 0)
+    plan = compiler.plan
+    plan.root, _, branches = compiler.walk(_as_node(node), rows, ())
+    plan.branches = [(label, r.count()) for label, r in branches]
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +459,10 @@ _BLOCK_NAMES = {
     "Parallel": Parallel,
     "Average": Average,
 }
+
+
+# block -> its keyword list
+_KEYWORDS = {Split: "splits", BatchSplit: "batch_sizes", Average: "weights"}
 
 
 class _Tokens:
@@ -404,7 +498,10 @@ def parse_setup(text: str):
     """Parse the textual composition form, e.g.
     ``Stack(a, Parallel(b, c))`` or ``Average(n, o, weights=[0.3, 0.7])``."""
     toks = _Tokens(text)
-    node = _parse_node(toks)
+    try:
+        node = _parse_node(toks)
+    except RecursionError:
+        raise CompositionError("setup parse error: blocks nest too deeply") from None
     if not toks.done():
         raise CompositionError(
             f"setup parse error: trailing input at offset {toks.pos}: "
@@ -438,8 +535,10 @@ def _parse_node(toks):
         kwargs: dict = {}
         while True:
             peeked = toks.peek()
-            if peeked in ("splits", "batch_sizes", "weights"):
+            if peeked in _KEYWORDS.values():
                 key = toks.next()
+                if key in kwargs:
+                    raise CompositionError(f"{tok} repeats {key}=[...]")
                 toks.expect("=")
                 kwargs[key] = _parse_number_list(toks)
             else:
@@ -449,22 +548,13 @@ def _parse_node(toks):
                 break
             if nxt != ",":
                 raise CompositionError(f"expected ',' or ')' in {tok}, got {nxt!r}")
-        try:
-            if cls is Split:
-                if "splits" not in kwargs:
-                    raise CompositionError("Split needs splits=[...]")
-                return Split(*children, splits=[int(v) for v in kwargs["splits"]])
-            if cls is BatchSplit:
-                if "batch_sizes" not in kwargs:
-                    raise CompositionError("BatchSplit needs batch_sizes=[...]")
-                return BatchSplit(*children, batch_sizes=[int(v) for v in kwargs["batch_sizes"]])
-            if cls is Average:
-                return Average(*children, weights=kwargs.get("weights"))
-            if kwargs:
-                raise CompositionError(f"{tok} takes no keyword lists")
-            return cls(*children)
-        except TypeError as e:
-            raise CompositionError(f"bad {tok} arguments: {e}") from None
+        key = _KEYWORDS.get(cls)
+        extra = sorted(set(kwargs) - {key})
+        if extra:
+            raise CompositionError(f"{tok} takes no {extra[0]}=[...]")
+        if key is not None and key not in kwargs and cls is not Average:
+            raise CompositionError(f"{tok} needs {key}=[...]")
+        return cls(*children, **kwargs)
     # bare adapter name
     if tok in ("(", ")", ",", "[", "]", "="):
         raise CompositionError(f"setup parse error: unexpected {tok!r}")

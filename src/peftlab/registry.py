@@ -26,7 +26,7 @@ from .checkpoint import (
     write_manifest,
     write_weights,
 )
-from .composition import Fuse, Leaf, iter_nodes, leaves, parse_setup, validate_composition
+from .composition import Leaf, Plan, leaves, parse_setup, validate_composition
 from .configs import (LoraConfig, config_from_dict, config_to_dict, parse_config,
                       tensor_shapes)
 from .methods import AdapterInstance, FusionLayer, StateError, instantiate_adapter
@@ -168,10 +168,11 @@ class AdapterModel:
     # -- activation ----------------------------------------------------------------
 
     def validate_setup(self, setup, batch: Optional[int] = None,
-                       seq: Optional[int] = None) -> None:
+                       seq: Optional[int] = None) -> Plan:
+        """Check every composition rule and return the compiled plan."""
         node = _as_setup(setup)
-        validate_composition(node, self.adapter_instance, batch=batch, seq=seq,
-                             fusion_exists=self.has_fusion)
+        return validate_composition(node, self.adapter_instance, batch=batch, seq=seq,
+                                    fusion_exists=self._fusions.get)
 
     def set_active(self, setup) -> None:
         """Choose the composition used by subsequent encodes.  Pure: never
@@ -217,16 +218,14 @@ class AdapterModel:
         fusion layers, and same-named heads) trainable and activate the
         setup.  Members under ``Fuse`` stay frozen unless requested."""
         node = _as_setup(setup)
-        self.validate_setup(node)
+        plan = self.validate_setup(node)
         self.freeze_all()
-        names = set(leaves(node))
+        names = set(plan.leaf_names)
         fused: set = set()
-        for sub in iter_nodes(node):
-            if isinstance(sub, Fuse):
-                fl = self.fusion_layer(tuple(leaves(sub)))
-                for t in fl.tensors().values():
-                    t.requires_grad = True
-                fused |= set(leaves(sub))
+        for members, fl in plan.fused:
+            for t in fl.tensors().values():
+                t.requires_grad = True
+            fused.update(members)
         if train_fused_members:
             fused = set()
         for n in names - fused:
@@ -253,9 +252,8 @@ class AdapterModel:
         tokens = np.asarray(tokens)
         ctx = None
         if self._active is not None:
-            if tokens.ndim == 2:
-                self.validate_setup(self._active, batch=tokens.shape[0], seq=tokens.shape[1])
-            ctx = RoutingContext(self, self._active)
+            batch, seq = tokens.shape if tokens.ndim == 2 else (None, None)
+            ctx = RoutingContext(self.validate_setup(self._active, batch=batch, seq=seq))
         return self.encoder.encode(tokens, mask, ctx)
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:

@@ -1,15 +1,21 @@
-"""Runtime routing of composition trees onto encoder hook points.
+"""Runtime routing of a compiled setup onto encoder hook points.
 
-A :class:`RoutingContext` is created per encode call.  It first computes a
-row layout for the active tree (how many rows each branching node consumes
-and produces), replicates the embedded input for ``Parallel`` branches, and
-then answers every encoder hook by walking the tree:
+A :class:`RoutingContext` is created per encode call from the
+:class:`~peftlab.composition.Plan` that ``validate_composition`` compiled
+for that call's batch.  The plan holds the verdict of every composition
+rule, the resolved adapters and fusion layers, the rows each block hands
+its children, the prompt order and the branch list, so the context only
+moves tensors:
 
+* the embedding stage replicates the input for ``Parallel`` branches,
+  prepends the plan's prompts and applies entry-direction invertible
+  transforms;
 * pointwise hooks (residual adapters, elementwise scales, invertible
   couplings) slice the payload by rows/tokens and apply leaf modules;
 * the attention hook accumulates projection deltas, key/value scales, and
-  prefix extensions along ``Stack`` paths, runs the core attention per row
-  block, and realizes gated prefixes as a two-pass delta.
+  prefix extensions along a ``Stack``'s members (nested Stacks flattened),
+  runs the core attention per row block, and realizes gated prefixes as a
+  two-pass delta.
 """
 
 from __future__ import annotations
@@ -21,19 +27,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .composition import (
-    Average,
-    BatchSplit,
-    CompositionError,
-    Fuse,
-    Leaf,
-    Parallel,
-    Split,
-    Stack,
-    leaves,
-    rows_out,
-)
-from .methods import AdapterInstance, FusionLayer, StateError
+from .composition import Average, BatchSplit, Leaf, Parallel, Plan, Split, Stack
+from .methods import AdapterInstance
 from .model import HookPoint
 
 
@@ -44,9 +39,6 @@ class _AttnPayload:
     k: Tensor
     v: Tensor
     km: np.ndarray       # key mask (rows, S_k)
-
-    def rows(self) -> int:
-        return self.q.shape[0]
 
     def slice_rows(self, start: int, count: int) -> "_AttnPayload":
         return _AttnPayload(
@@ -59,181 +51,86 @@ class _AttnPayload:
 
 
 class RoutingContext:
-    """Per-encode adapter router for one composition tree."""
+    """Per-encode adapter router for one compiled setup."""
 
-    def __init__(self, owner, tree):
-        self.owner = owner              # resolves instances and fusion layers
-        self.tree = tree
+    def __init__(self, plan: Plan):
+        self.plan = plan
         self._layer = -1
-        self._layout: dict[int, list[int]] = {}    # id(node) -> child row blocks
         self._prefix_mats: dict[int, list] = {}    # id(PrefixModule) -> [(k, v)]
-        self._attn_cache: dict[int, bool] = {}
-        self.prompt_len = 0
-
-    # -- helpers -----------------------------------------------------------
-
-    def _inst(self, name: str) -> AdapterInstance:
-        return self.owner.adapter_instance(name)
-
-    def _subtree_attn(self, node) -> bool:
-        key = id(node)
-        if key not in self._attn_cache:
-            if isinstance(node, Leaf):
-                val = self._inst(node.adapter).touches_attention
-            else:
-                val = any(self._subtree_attn(c) for c in node.children)
-            self._attn_cache[key] = val
-        return self._attn_cache[key]
-
-    def _compute_layout(self, node, rows_in: int) -> int:
-        if isinstance(node, Leaf):
-            return rows_in
-        if isinstance(node, Stack):
-            r = rows_in
-            for c in node.children:
-                r = self._compute_layout(c, r)
-            return r
-        if isinstance(node, Parallel):
-            blocks = [self._compute_layout(c, rows_in) for c in node.children]
-            self._layout[id(node)] = blocks
-            return sum(blocks)
-        if isinstance(node, BatchSplit):
-            if sum(node.batch_sizes) != rows_in:
-                raise CompositionError(
-                    f"BatchSplit sizes sum to {sum(node.batch_sizes)} but the "
-                    f"sub-batch has {rows_in} rows"
-                )
-            blocks = [
-                self._compute_layout(c, s) for c, s in zip(node.children, node.batch_sizes)
-            ]
-            self._layout[id(node)] = blocks
-            return sum(blocks)
-        if isinstance(node, Average):
-            outs = {self._compute_layout(c, rows_in) for c in node.children}
-            if len(outs) != 1:
-                raise CompositionError(f"Average children disagree on output rows: {outs}")
-            return outs.pop()
-        if isinstance(node, (Fuse, Split)):
-            for c in node.children:
-                self._compute_layout(c, rows_in)
-            return rows_in
-        raise CompositionError(f"unknown node kind {type(node).__name__}")
 
     # -- embedding stage ----------------------------------------------------
 
     def embedding_stage(self, h: Tensor, mask: np.ndarray, state) -> tuple:
-        batch = h.shape[0]
-        self._compute_layout(self.tree, batch)
-        h, mask = self._expand(self.tree, h, mask)
+        root = self.plan.root
+        h, mask = self._expand(root, h, mask)
 
         # Prepended rows first (pure-Stack ancestry, so they cover every row),
         # then entry-direction invertible transforms over the full sequence.
-        for pm in self._prompts_in_order(self.tree):
+        for pm in self.plan.prompts:
             rows = h.shape[0]
             block = T.expand_dim0(pm.embedding, rows)
             h = T.concat([block, h], axis=1)
             mask = np.concatenate([np.ones((rows, pm.length)), mask], axis=1)
-            self.prompt_len += pm.length
+            state.prompt_len += pm.length
 
-        h = self._route_point(self.tree, h, {}, self._leaf_embed_forward)
-
-        state.prompt_len = self.prompt_len
-        state.branches = self._branch_blocks(self.tree, batch)
+        h = self._route_point(root, h, {}, self._leaf_embed_forward)
+        state.branches = self.plan.branches
         return h, mask
 
     def _expand(self, node, h, mask):
-        if isinstance(node, Leaf) or isinstance(node, (Split, Fuse)):
-            return h, mask
-        if isinstance(node, Stack):
+        if node.kind is Stack:
             for c in node.children:
                 h, mask = self._expand(c, h, mask)
             return h, mask
-        if isinstance(node, Parallel):
+        if node.kind is Parallel:
             hs, ms = [], []
             for c in node.children:
                 hc, mc = self._expand(c, h, mask)
                 hs.append(hc)
                 ms.append(mc)
             return T.concat(hs, axis=0), np.concatenate(ms, axis=0)
-        if isinstance(node, BatchSplit):
+        if node.kind is BatchSplit:
             hs, ms = [], []
             off = 0
-            for c, s in zip(node.children, node.batch_sizes):
+            for c, s in zip(node.children, node.sizes):
                 hc, mc = self._expand(c, T.narrow(h, 0, off, s), mask[off:off + s])
                 hs.append(hc)
                 ms.append(mc)
                 off += s
             return T.concat(hs, axis=0), np.concatenate(ms, axis=0)
-        if isinstance(node, Average):
-            # Children replicate identically (equal fanout, same input), so
-            # one child's expansion is the shared payload for all of them.
+        if node.kind is Average:
+            # Children replicate identically (equal output rows, same input),
+            # so one child's expansion is the shared payload for all of them.
             return self._expand(node.children[0], h, mask)
-        raise CompositionError(f"unknown node kind {type(node).__name__}")
-
-    def _prompts_in_order(self, node) -> list:
-        if isinstance(node, Leaf):
-            return list(self._inst(node.adapter).bindings.get(HookPoint.INPUT_PREPEND, ()))
-        out = []
-        if isinstance(node, Stack):
-            for c in node.children:
-                out.extend(self._prompts_in_order(c))
-        return out
-
-    def _branch_blocks(self, node, rows: int) -> list:
-        if isinstance(node, Leaf):
-            return [(node.adapter, rows)]
-        if isinstance(node, Stack):
-            blocks = [(None, rows)]
-            for c in node.children:
-                if isinstance(c, Leaf):
-                    blocks = [(c.adapter, r) for (_, r) in blocks]
-                elif isinstance(c, (Parallel, BatchSplit)):
-                    total = sum(r for (_, r) in blocks)
-                    blocks = self._branch_blocks(c, total)
-                else:
-                    total = rows_out(c, sum(r for (_, r) in blocks))
-                    if len(blocks) == 1:
-                        blocks = [(blocks[0][0], total)]
-            return blocks
-        if isinstance(node, Parallel):
-            out = []
-            for c in node.children:
-                out.extend(self._branch_blocks(c, rows))
-            return out
-        if isinstance(node, BatchSplit):
-            out = []
-            for c, s in zip(node.children, node.batch_sizes):
-                out.extend(self._branch_blocks(c, s))
-            return out
-        return [(None, rows_out(node, rows))]
+        return h, mask          # Leaf, Split, Fuse
 
     # -- generic pointwise routing ------------------------------------------
 
     def _route_point(self, node, main: Tensor, aux: dict, leaf_apply,
                      reverse: bool = False, fusion_hook: bool = False):
-        if isinstance(node, Leaf):
-            return leaf_apply(self._inst(node.adapter), main, aux)
-        if isinstance(node, Stack):
+        kind = node.kind
+        if kind is Leaf:
+            return leaf_apply(node.inst, main, aux)
+        if kind is Stack:
             order = reversed(node.children) if reverse else node.children
             for c in order:
                 main = self._route_point(c, main, aux, leaf_apply, reverse, fusion_hook)
             return main
-        if isinstance(node, (Parallel, BatchSplit)):
-            blocks = self._layout[id(node)]
+        if kind is Parallel or kind is BatchSplit:
             outs = []
             off = 0
-            for c, r in zip(node.children, blocks):
+            for c, r in zip(node.children, node.rows):
                 sub_main = T.narrow(main, 0, off, r)
                 sub_aux = {k: T.narrow(v, 0, off, r) for k, v in aux.items()}
                 outs.append(self._route_point(c, sub_main, sub_aux, leaf_apply,
                                               reverse, fusion_hook))
                 off += r
             return T.concat(outs, axis=0)
-        if isinstance(node, Split):
+        if kind is Split:
             seq = main.shape[1]
             parts = []
             off = 0
-            for c, width in zip(node.children, node.splits):
+            for c, width in zip(node.children, node.sizes):
                 sub_main = T.narrow(main, 1, off, width)
                 sub_aux = {k: T.narrow(v, 1, off, width) for k, v in aux.items()}
                 parts.append(self._route_point(c, sub_main, sub_aux, leaf_apply,
@@ -242,26 +139,22 @@ class RoutingContext:
             if off < seq:
                 parts.append(T.narrow(main, 1, off, seq - off))
             return T.concat(parts, axis=1)
-        if isinstance(node, Average):
-            weights = np.asarray(node.weights, dtype=np.float64)
-            weights = weights / weights.sum()
+        if kind is Average:
             total = None
-            for c, w in zip(node.children, weights):
+            for c, w in zip(node.children, node.weights):
                 out = self._route_point(c, main, aux, leaf_apply, reverse, fusion_hook)
-                term = T.scale(out, float(w))
+                term = T.scale(out, w)
                 total = term if total is None else total + term
             return total
-        if isinstance(node, Fuse):
-            if not fusion_hook:
-                return main
-            return self._fuse(node, main, aux, leaf_apply)
-        raise CompositionError(f"unknown node kind {type(node).__name__}")
+        # Fuse
+        if not fusion_hook:
+            return main
+        return self._fuse(node, main, aux, leaf_apply)
 
-    def _fuse(self, node: Fuse, main: Tensor, aux: dict, leaf_apply) -> Tensor:
-        names = tuple(leaves(node))
-        fl: FusionLayer = self.owner.fusion_layer(names)
+    def _fuse(self, node, main: Tensor, aux: dict, leaf_apply) -> Tensor:
+        fl = node.fusion
         d = main.shape[-1]
-        outs = [leaf_apply(self._inst(c.adapter), main, aux) for c in node.children]
+        outs = [leaf_apply(c.inst, main, aux) for c in node.children]
         qh = T.matmul(main, fl.wq)
         scores = []
         for o in outs:
@@ -316,19 +209,19 @@ class RoutingContext:
 
     def post_attention(self, layer: int, h: Tensor) -> Tensor:
         self._layer = layer
-        return self._route_point(self.tree, h, {}, self._leaf_post_attn)
+        return self._route_point(self.plan.root, h, {}, self._leaf_post_attn)
 
     def ffn_block(self, layer: int, h: Tensor, f_in: Tensor) -> Tensor:
         self._layer = layer
-        return self._route_point(self.tree, h, {"block_input": f_in},
+        return self._route_point(self.plan.root, h, {"block_input": f_in},
                                  self._leaf_ffn_block, fusion_hook=True)
 
     def ffn_intermediate(self, layer: int, inter: Tensor) -> Tensor:
         self._layer = layer
-        return self._route_point(self.tree, inter, {}, self._leaf_ffn_intermediate)
+        return self._route_point(self.plan.root, inter, {}, self._leaf_ffn_intermediate)
 
     def exit_stage(self, h: Tensor) -> Tensor:
-        return self._route_point(self.tree, h, {}, self._leaf_embed_inverse, reverse=True)
+        return self._route_point(self.plan.root, h, {}, self._leaf_embed_inverse, reverse=True)
 
     # -- attention hook ---------------------------------------------------------
 
@@ -336,61 +229,44 @@ class RoutingContext:
                   key_mask: np.ndarray, core: Callable) -> Tensor:
         self._layer = layer
         pay = _AttnPayload(x=x, q=q, k=k, v=v, km=key_mask)
-        return self._route_attention(self.tree, pay, core)
+        return self._route_attention(self.plan.root, pay, core)
 
     def _route_attention(self, node, pay: _AttnPayload, core) -> Tensor:
-        if not self._subtree_attn(node):
+        # Split and Fuse children never modify attention (the plan checked).
+        if not node.attn:
             return core(pay.q, pay.k, pay.v, pay.km)
-        if isinstance(node, Leaf):
-            pay, deferred = self._apply_attn_leaf(self._inst(node.adapter), pay)
+        kind = node.kind
+        if kind is Leaf:
+            pay, deferred = self._apply_attn_leaf(node.inst, pay)
             return self._run_attention(pay, deferred, core)
-        if isinstance(node, Stack):
-            return self._route_attention_stack_tail(list(node.children), pay, [], core)
-        if isinstance(node, (Parallel, BatchSplit)):
-            blocks = self._layout[id(node)]
-            outs = []
-            off = 0
-            for c, r in zip(node.children, blocks):
-                outs.append(self._route_attention(c, pay.slice_rows(off, r), core))
-                off += r
-            return T.concat(outs, axis=0)
-        if isinstance(node, Average):
-            weights = np.asarray(node.weights, dtype=np.float64)
-            weights = weights / weights.sum()
+        if kind is Stack:
+            # The plan admits attention members only before the first block
+            # that modifies attention, and gated prefixes only when no such
+            # block follows them, so that block takes the rows as they are.
+            deferred = []
+            for m in node.members:
+                if not m.attn:
+                    continue
+                if m.kind is not Leaf:
+                    return self._route_attention(m, pay, core)
+                pay, more = self._apply_attn_leaf(m.inst, pay)
+                deferred.extend(more)
+            return self._run_attention(pay, deferred, core)
+        if kind is Average:
             total = None
-            for c, w in zip(node.children, weights):
-                term = T.scale(self._route_attention(c, pay, core), float(w))
+            for c, w in zip(node.children, node.weights):
+                term = T.scale(self._route_attention(c, pay, core), w)
                 total = term if total is None else total + term
             return total
-        if isinstance(node, (Split, Fuse)):
-            return core(pay.q, pay.k, pay.v, pay.km)
-        raise CompositionError(f"unknown node kind {type(node).__name__}")
-
-    def _route_attention_stack_tail(self, children, pay, deferred, core):
-        for i, c in enumerate(children):
-            if not self._subtree_attn(c):
-                continue
-            if isinstance(c, Leaf):
-                pay, d2 = self._apply_attn_leaf(self._inst(c.adapter), pay)
-                deferred.extend(d2)
-            elif isinstance(c, Stack):
-                return self._route_attention_stack_tail(
-                    list(c.children) + list(children[i + 1:]), pay, deferred, core)
-            else:
-                if deferred:
-                    raise StateError(
-                        "gated key/value prefixes cannot precede a branching "
-                        "attention block within a Stack"
-                    )
-                return self._route_attention(c, pay, core)
-        return self._run_attention(pay, deferred, core)
+        # Parallel, BatchSplit
+        outs = []
+        off = 0
+        for c, r in zip(node.children, node.rows):
+            outs.append(self._route_attention(c, pay.slice_rows(off, r), core))
+            off += r
+        return T.concat(outs, axis=0)
 
     def _apply_attn_leaf(self, inst: AdapterInstance, pay: _AttnPayload):
-        if inst.merged:
-            raise StateError(
-                f"adapter {inst.name!r} is merged into the base weights; "
-                f"unmerge it before running it as an adapter"
-            )
         l = self._layer
         x, q, k, v, km = pay.x, pay.q, pay.k, pay.v, pay.km
         for m, gate in inst.at(HookPoint.ATTN_Q_PROJ, l):

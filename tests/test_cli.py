@@ -356,6 +356,29 @@ def test_compose_unknown_adapter_fails(capsys, workspace):
     assert "ghost" in err
 
 
+@pytest.mark.parametrize("setup", [
+    "Stack(a1",
+    "Stack(a1))",
+    "Average(a1, a1, weights=[nan, 1])",
+    "Average(a1, a1, weights=[inf, 1])",
+    "Average(a1, a1, weights=[1, 1], weights=[2, 1])",
+    "Split(a1, a1, splits=[1.5, 2])",
+    "Split(a1, a1, splits=[inf, 1])",
+    "BatchSplit(a1, a1, batch_sizes=[1, 1])",
+    "Fuse(Stack(a1))",
+    "Stack(" * 3000 + "a1" + ")" * 3000,
+    "Stack(" * 990 + "a1" + ")" * 990,
+], ids=lambda s: s if len(s) < 60 else f"nested-{s.count('(')}")
+def test_compose_rejects_malformed_setups_with_exit_one(capsys, workspace, setup):
+    code, out, err = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
+                             "--base", str(workspace["base"]),
+                             "--adapter", f"a1={workspace['bn']}",
+                             "--setup", setup)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_average_of_an_adapter_with_itself_is_byte_identical(capsys, workspace):
     out_dir = workspace["root"] / "avg"
     code, out, _ = run_cli(capsys, "average",

@@ -11,13 +11,16 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peftlab import AdapterModel, parse_config
 from peftlab.composition import (Average, BatchSplit, CompositionError, Fuse,
                                  Leaf, Parallel, Split, Stack, leaves,
-                                 parse_setup, rows_out)
-from peftlab.composition import validate_composition
+                                 parse_setup)
+from peftlab.composition import MAX_DEPTH, validate_composition
 from peftlab.methods import StateError
+from peftlab.model import HookPoint
 
 from conftest import SMALL_DIMS, random_tokens
 from test_model import reference_encode
@@ -114,6 +117,16 @@ def test_fuse_of_stack_is_a_nesting_error():
         model.validate_setup(Fuse(Stack("a", "b")))
 
 
+def test_nesting_depth_is_capped():
+    model = make_model(("a",))
+    node = "a"
+    for _ in range(MAX_DEPTH):
+        node = Stack(node)
+    model.validate_setup(node)
+    with pytest.raises(CompositionError, match=f"more than {MAX_DEPTH} deep"):
+        model.validate_setup(Stack(node))
+
+
 def test_deep_container_nesting_is_legal():
     model = make_model(("a", "b"))
     setup = Stack(Average(Parallel("a", "b"), Parallel("b", "a")), "a")
@@ -173,6 +186,47 @@ def test_average_weights_validate_and_mismatches_are_rejected():
         m.validate_setup(Average("m", "n", weights=[0.0, 0.0]), batch=2, seq=16)
 
 
+@pytest.mark.parametrize("weights", [[float("nan"), 1.0], [float("inf"), 1.0],
+                                     [1.0, float("-inf")], [1e308, 1e308]])
+def test_average_weights_must_be_finite_with_a_finite_sum(weights):
+    m = make_model(("m", "n"))
+    with pytest.raises(CompositionError, match="finite"):
+        m.validate_setup(Average("m", "n", weights=weights), batch=2, seq=16)
+
+
+@pytest.mark.parametrize("text", ["Average(m, n, weights=[nan, 1])",
+                                  "Average(m, n, weights=[inf, 1])"])
+def test_non_finite_average_weights_are_rejected_before_any_forward(text):
+    m = make_model(("m", "n"))
+    with pytest.raises(CompositionError, match="finite"):
+        m.set_active(text)
+    assert m.active is None
+
+
+@pytest.mark.parametrize("sizes", [[1.5, 2], [float("inf"), 1], [float("nan"), 1],
+                                   ["2", 2], [None, 2]])
+@pytest.mark.parametrize("block", ["split", "batchsplit"])
+def test_split_and_batchsplit_sizes_must_be_whole_numbers(block, sizes):
+    with pytest.raises(CompositionError, match="whole numbers"):
+        if block == "split":
+            Split("a", "b", splits=sizes)
+        else:
+            BatchSplit("a", "b", batch_sizes=sizes)
+
+
+@pytest.mark.parametrize("text", ["Split(a, b, splits=[1.5, 2])",
+                                  "Split(a, b, splits=[inf, 1])",
+                                  "BatchSplit(a, b, batch_sizes=[nan, 2])"])
+def test_parsed_sizes_must_be_whole_numbers(text):
+    with pytest.raises(CompositionError, match="whole numbers"):
+        parse_setup(text)
+
+
+def test_whole_float_sizes_are_kept_as_ints():
+    assert Split("a", "b", splits=[2.0, 3]).splits == (2, 3)
+    assert parse_setup("BatchSplit(a, b, batch_sizes=[2, 4.0])").batch_sizes == (2, 4)
+
+
 def test_average_children_must_agree_on_output_rows():
     m = make_model(("a", "b", "c"))
     with pytest.raises(CompositionError, match="disagree"):
@@ -189,6 +243,42 @@ def test_stack_tracks_row_growth_for_later_members():
         m.validate_setup(bad, batch=3, seq=8)
 
 
+def test_validation_without_a_batch_rejects_only_impossible_row_counts():
+    m = make_model(("a", "b", "c"))
+    with pytest.raises(CompositionError, match="disagree"):
+        m.validate_setup(Average(Parallel("a", "b"), "c"))
+    # with two rows in, both children give four rows out
+    both = Average(Parallel("a", "b"),
+                   BatchSplit(Parallel("a", "b"), Parallel("b", "c"), batch_sizes=[1, 1]))
+    m.validate_setup(both)
+    m.validate_setup(both, batch=2)
+    with pytest.raises(CompositionError, match="sum to 2"):
+        m.validate_setup(both, batch=3)
+    m.validate_setup(Average(BatchSplit("a", "b", batch_sizes=[2, 2]), "c"))
+    # Parallel doubles the rows, which never sum to 7
+    with pytest.raises(CompositionError, match="sum to 7"):
+        m.validate_setup(Stack(Parallel("a", "b"), BatchSplit("a", "b", batch_sizes=[3, 4])))
+
+
+def test_plan_holds_layout_weights_fusions_prompts_and_branches():
+    m = make_model(("a", "b"))
+    m.add_adapter("p", parse_config("prompt_tuning"))
+    fl = m.add_adapter_fusion(["a", "b"])
+    plan = m.validate_setup(
+        "Stack(p, Parallel(a, BatchSplit(a, Parallel(a, b), batch_sizes=[1, 2])), "
+        "Average(a, b, weights=[1, 3]))", batch=3, seq=8)
+    assert plan.leaf_names == ["p", "a", "a", "a", "b", "a", "b"]
+    assert plan.prompts == list(m.adapter_instance("p").bindings[HookPoint.INPUT_PREPEND])
+    assert plan.branches == [("a", 3), ("a", 1), ("a", 2), ("b", 2)]
+    par, avg = plan.root.children[1], plan.root.children[2]
+    assert par.rows == (3, 5)
+    assert (par.children[1].sizes, par.children[1].rows) == ((1, 2), (1, 4))
+    assert avg.weights == (0.25, 0.75)
+    fused = m.validate_setup(Fuse("a", "b"))
+    assert fused.fused == [(("a", "b"), fl)]
+    assert fused.root.fusion is fl
+
+
 def test_blocks_require_at_least_one_child():
     with pytest.raises(CompositionError, match="at least one child"):
         Stack()
@@ -197,7 +287,8 @@ def test_blocks_require_at_least_one_child():
 def test_leaves_and_rows_out_bookkeeping():
     node = Stack("a", Parallel("b", Stack("c", "d")), Average("e", "f"))
     assert leaves(node) == ["a", "b", "c", "d", "e", "f"]
-    assert rows_out(node, 2) == 4
+    plan = make_model(tuple("abcdef")).validate_setup(node, batch=2)
+    assert sum(rows for _, rows in plan.branches) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +322,42 @@ def test_parse_setup_reads_numeric_keyword_lists():
 def test_parse_setup_rejects_malformed_text(text):
     with pytest.raises(CompositionError):
         parse_setup(text)
+
+
+def test_parse_setup_turns_deep_nesting_into_a_composition_error():
+    with pytest.raises(CompositionError, match="nest too deeply"):
+        parse_setup("Stack(" * 5000 + "a" + ")" * 5000)
+
+
+@pytest.mark.parametrize("text", ["Average(a, b, weights=[1, 1], weights=[2, 1])",
+                                  "Split(a, splits=[2], splits=[3])"])
+def test_parse_setup_rejects_a_repeated_keyword_list(text):
+    with pytest.raises(CompositionError, match="repeats"):
+        parse_setup(text)
+
+
+@pytest.mark.parametrize("text", ["Stack(a, weights=[1])",
+                                  "Split(a, splits=[2], batch_sizes=[2])",
+                                  "Average(a, splits=[2])"])
+def test_parse_setup_rejects_a_keyword_list_the_block_does_not_take(text):
+    with pytest.raises(CompositionError, match="takes no"):
+        parse_setup(text)
+
+
+_SETUP_PIECES = ["Stack(", "Parallel(", "BatchSplit(", "Average(", "Split(", "Fuse(",
+                 "a", "b", "x.y-z", ",", ")", "(", "splits=", "batch_sizes=",
+                 "weights=", "=", "[", "]", "1", "2.5", "0", "inf", "nan", "-1", " "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(_SETUP_PIECES), max_size=30).map("".join)))
+def test_parse_setup_yields_a_node_or_a_composition_error(text):
+    try:
+        node = parse_setup(text)
+    except CompositionError:
+        return
+    assert isinstance(node, (Leaf, Stack, Parallel, BatchSplit, Average, Split, Fuse))
 
 
 def test_parsed_setup_drives_the_model_like_the_object_form(rng):
@@ -481,6 +608,35 @@ def test_attention_members_must_precede_branching_attention_blocks():
         m.validate_setup(Stack(Parallel("l1", "l2"), "l3"))
     m.validate_setup(Stack("l3", Parallel("l1", "l2")))
     m.validate_setup(Stack(Parallel("b1", "b2"), "l3"))
+
+
+def test_gated_prefixes_before_a_branching_attention_block_are_rejected():
+    m = AdapterModel(SMALL_DIMS, seed=1)
+    m.add_adapter("u", parse_config("unipelt"))
+    for n in ("l1", "l2"):
+        m.add_adapter(n, parse_config("lora"))
+    with pytest.raises(CompositionError, match="gated"):
+        m.validate_setup("Stack(u, Parallel(l1, l2))")
+    with pytest.raises(CompositionError, match="gated"):
+        m.set_active(Stack(Stack("u"), Parallel("l1", "l2")))
+    assert m.active is None
+    m.validate_setup("Stack(u, l1)")
+    m.validate_setup("Parallel(u, Stack(l1, l2))")
+
+
+def test_attention_members_after_any_attention_block_are_rejected(rng):
+    """The attention hook hands a Stack's rows to its first block that
+    modifies attention, so a later attention member would be dropped there
+    while still running at every other hook."""
+    m = AdapterModel(SMALL_DIMS, seed=1)
+    for n in ("l1", "l2", "l3"):
+        m.add_adapter(n, parse_config("lora"))
+    for bad in (Stack(Average("l1", "l2"), "l3"),
+                Stack(Stack(BatchSplit("l1", "l2", batch_sizes=[1, 1])), "l3"),
+                Stack(Average("l1", "l2"), Stack("l3"))):
+        with pytest.raises(CompositionError, match="before"):
+            m.validate_setup(bad, batch=2, seq=8)
+    m.validate_setup(Stack("l3", Average("l1", "l2")), batch=2, seq=8)
 
 
 def test_unknown_adapter_ids_are_rejected():
