@@ -7,8 +7,8 @@ Verbs::
                    (``--check-paper`` compares the published grid extremes,
                    exit 2 on mismatch)
     check-paper    shorthand for ``count-params --check-paper``
-    train          hyperparameter-grid training on a synthetic task; emits
-                   line-delimited JSON records (and optionally CSV)
+    train          hyperparameter-grid training on a synthetic task: JSON-line
+                   records (optionally CSV), then a per-method ranking on stderr
     eval           evaluate a saved adapter (or bare head) on a task split
     compose        execute a composition DSL string over saved adapters
     average        weighted parameter averaging of same-config adapters
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -32,14 +33,14 @@ from .checkpoint import (FORMAT_VERSION, CheckpointError, read_json_object,
                          read_weights, write_atomic, write_weights)
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
-                      count_params, expand_axes, parse_config, run_count_audit)
+                      count_params, parse_config, run_count_audit)
 from .methods import StateError
 from .model import (DESK_DIMS, DIM_PRESETS, ROBERTA_BASE_DIMS, CapacityError,
                     InputError, ModelDims)
 from .registry import AdapterModel, RegistryError
 from .tasks import TASK_KINDS, TaskSpec, make_task
 from .training import (CSV_FIELDS, DEFAULT_EPOCHS, DEFAULT_LRS, FULL_FT,
-                       GridSpec, best_metric, evaluate, prepare_base,
+                       GridSpec, best_metric, evaluate, grid_chains, prepare_base,
                        record_to_csv_row, run_cell, run_grid)
 
 BASE_CONFIG_FILE = "base_config.json"
@@ -242,13 +243,6 @@ def cmd_count_params(args) -> int:
 def cmd_train(args) -> int:
     task = _task_spec(args)
     methods = list(args.config or [])
-    for m in methods:
-        parse_config(m)                       # fail fast on unknown strings
-    if args.full_ft and FULL_FT not in methods:
-        methods = [FULL_FT] + methods
-    if not methods:
-        raise ValueError("nothing to train: pass --config and/or --full-ft")
-
     axes = {}
     for spec_text in args.axis or []:
         field_name, _, values = spec_text.partition("=")
@@ -257,8 +251,6 @@ def cmd_train(args) -> int:
         axes[field_name] = _parse_values(values)
     method_axes = {}
     for m in methods:
-        if m == FULL_FT:
-            continue
         cfg = parse_config(m)
         applicable = {k: v for k, v in axes.items() if hasattr(cfg, k)}
         if applicable:
@@ -273,7 +265,10 @@ def cmd_train(args) -> int:
                     epochs=tuple(args.epochs) if args.epochs else DEFAULT_EPOCHS,
                     batch_size=args.batch_size, seed=args.seed,
                     pretrain_epochs=args.pretrain_epochs,
-                    method_axes=method_axes)
+                    include_full_ft=args.full_ft, method_axes=method_axes)
+    cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in grid_chains(grid) for ep in eps]
+    if not cells:
+        raise ValueError("nothing to train: pass --config and/or --full-ft")
 
     if args.base:
         model0 = load_base(args.base)
@@ -308,21 +303,17 @@ def cmd_train(args) -> int:
 
     try:
         if args.save:
-            cells = [(m, cfg) for m in methods if m != FULL_FT
-                     for _, cfg in expand_axes(parse_config(m), method_axes.get(m, {}))]
-            n_cells = (len(cells) + (FULL_FT in methods)) * len(grid.lrs) * len(grid.epochs)
-            if n_cells != 1:
+            if len(cells) != 1:
                 raise ValueError(
                     "--save requires exactly one grid cell (one --config with "
-                    f"one --lr and one --epochs); this grid has {n_cells}")
-            if not cells:
+                    f"one --lr and one --epochs); this grid has {len(cells)}")
+            method, cfg, lr, epochs = cells[0]
+            if method == FULL_FT:
                 raise ValueError("full fine-tuning has no adapter to save; "
                                  "use --save-base for the encoder weights")
-            method, cfg = cells[0]
             capture = {}
-            rec = run_cell(dims, task, data, base_state, method, cfg,
-                           grid.lrs[0], grid.epochs[0], grid.batch_size,
-                           grid.seed, capture=capture)
+            rec = run_cell(dims, task, data, base_state, method, cfg, lr, epochs,
+                           grid.batch_size, grid.seed, capture=capture)
             sink(rec)
             records = [rec]
             model, head = capture["model"], capture["head"]
@@ -337,10 +328,22 @@ def cmd_train(args) -> int:
         if csv_f:
             csv_f.close()
 
-    for m in methods:
-        print(f"# best[{m}] {task.metric_name}={best_metric(records, m):.4f}",
-              file=sys.stderr)
+    _print_summary(records, task.metric_name)
     return 0
+
+
+def _print_summary(records, metric_name: str) -> None:
+    """Print ``# best[<method>] <metric>=<value>`` for each method of the
+    records to stderr, best first and NaN last.  When ``full-ft`` ran, each
+    adapter's line ends with its gap to the ``full-ft`` result."""
+    sign = 1.0 if metric_name == "mse" else -1.0      # rank best-first either way
+    best = {m: best_metric(records, m) for m in dict.fromkeys(r.method for r in records)}
+    baseline = best.get(FULL_FT)
+    for m in sorted(best, key=lambda m: sign * best[m] if math.isfinite(best[m]) else math.inf):
+        gap = ""
+        if baseline is not None and m != FULL_FT:
+            gap = f" ({FULL_FT} {best[m] - baseline:+.4f})"
+        print(f"# best[{m}] {metric_name}={best[m]:.4f}{gap}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,7 @@ class PlanNode:
     inst: object = None        # Leaf: its AdapterInstance
     gated_prefix: bool = False  # Leaf: binds a gated key/value prefix
     attn: bool = False         # some leaf below modifies attention
+    replicates: bool = False   # the embedding stage multiplies the rows here
     sizes: tuple = ()          # Split: token widths; BatchSplit: input rows per child
     rows: tuple = ()           # Parallel, BatchSplit: output rows per child
     weights: tuple = ()        # Average: the weights normalised to sum to one
@@ -223,10 +224,11 @@ class _Compiler:
         self.fusion_exists = fusion_exists
         self.plan = Plan()
 
-    def walk(self, node, rows: _Rows, ancestors: tuple):
+    def walk(self, node, rows: _Rows, ancestors: tuple, branches=None):
         """Check ``node`` entered by ``rows`` rows under ``ancestors`` (block
         kinds, outermost first).  Returns its plan node, its output rows and
-        its branch list."""
+        its branch list.  ``branches`` is the branch list a ``Stack``'s rows
+        enter with, so that a nested Stack folds it like a flat one."""
         if isinstance(node, Leaf):
             return self.leaf(node, rows, ancestors)
         kind = type(node)
@@ -243,20 +245,29 @@ class _Compiler:
         pn = PlanNode(kind)
 
         if kind is Stack:
-            children, members, branches = [], [], [(None, rows)]
+            children, members = [], []
+            branches = branches or [(None, rows)]
             for c in node.children:
-                sub, rows, sub_branches = self.walk(c, rows, within)
+                sub, rows, sub_branches = self.walk(c, rows, within, branches)
                 children.append(sub)
                 members.extend(sub.members if sub.kind is Stack else (sub,))
-                # a leaf labels the current rows; a branching block replaces
-                # them; any other block keeps a single label over its output
+                # a leaf labels the current rows; a branching block, or a
+                # nested Stack folding on from them, replaces them; any other
+                # block keeps a single label over its output
                 if isinstance(c, Leaf):
                     branches = [(c.adapter, r) for _, r in branches]
-                elif isinstance(c, (Parallel, BatchSplit)):
+                elif isinstance(c, (Parallel, BatchSplit, Stack)):
                     branches = sub_branches
                 elif len(branches) == 1:
                     branches = [(branches[0][0], rows)]
             _check_stack_attention(members)
+            if sum(m.replicates for m in members) > 1:
+                # the embedding stage replicates rows member by member, so a
+                # second replicating member's copies interleave the first's
+                # branches, which each later hook then slices as contiguous
+                raise CompositionError(
+                    "within a Stack, only one member may replicate rows (Parallel)"
+                )
             pn.members = tuple(members)
             out = rows
 
@@ -305,6 +316,8 @@ class _Compiler:
 
         pn.children = tuple(children)
         pn.attn = any(c.attn for c in children)
+        pn.replicates = (kind is Parallel and len(children) > 1) or any(
+            c.replicates for c in children)
         return pn, out, branches
 
     def leaf(self, node: Leaf, rows: _Rows, ancestors: tuple):

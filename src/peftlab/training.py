@@ -340,10 +340,32 @@ def _config_axes(config, method: str) -> dict:
     return out
 
 
+def grid_chains(grid: GridSpec) -> list:
+    """The grid's cells in grid order, as ``(method, config, lr, epochs)``
+    chains: the methods, with ``full-ft`` first when ``include_full_ft`` is
+    set, then each method's axis variants, then the lrs, then the epochs.
+    An adapter chain holds every epoch count of ``grid.epochs``; a
+    ``full-ft`` chain (config ``None``) holds one, since full-ft cells are
+    not chained (see :func:`run_grid`)."""
+    methods = list(grid.methods)
+    if grid.include_full_ft and FULL_FT not in methods:
+        methods = [FULL_FT] + methods
+    epochs = tuple(grid.epochs)
+    chains = []
+    for method in methods:
+        if method == FULL_FT:
+            chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in epochs]
+        else:
+            axes = grid.method_axes.get(method, {})
+            chains += [(method, cfg, lr, epochs)
+                       for _, cfg in expand_axes(parse_config(method), axes) for lr in grid.lrs]
+    return chains
+
+
 def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
              data: Optional[Dataset] = None, base_state: Optional[dict] = None) -> list:
-    """Cross methods (and their axes) with lrs and epochs; returns all cell
-    records in grid order, invoking ``sink(record)`` on each in that order.
+    """Run the cells of :func:`grid_chains`; returns all cell records in
+    grid order, invoking ``sink(record)`` on each in that order.
 
     Each adapter (method, config, lr) is one chain: its model is trained
     once, to ``max(grid.epochs)``, and evaluated at every requested epoch
@@ -375,18 +397,7 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     snapshot; otherwise the base is pretrained here."""
     if data is None or base_state is None:
         data, base_state = prepare_base(dims, spec, grid)
-    methods = list(grid.methods)
-    if grid.include_full_ft and FULL_FT not in methods:
-        methods = [FULL_FT] + methods
-    epochs = tuple(grid.epochs)
-    chains = []                       # (method, config, lr, epochs) in grid order
-    for method in methods:
-        if method == FULL_FT:
-            chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in epochs]
-        else:
-            axes = grid.method_axes.get(method, {})
-            chains += [(method, cfg, lr, epochs)
-                       for _, cfg in expand_axes(parse_config(method), axes) for lr in grid.lrs]
+    chains = grid_chains(grid)
 
     def run_one(chain):
         method, config, lr, chain_epochs = chain

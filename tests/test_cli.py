@@ -182,6 +182,33 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
         (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (2, 1)]
 
 
+def _summary(err):
+    """The ``# best[...]`` lines as (method, best metric, gap text or None)."""
+    lines = re.findall(r"^# best\[(.+)\] accuracy=(\S+)(?: \(full-ft (\S+)\))?$", err, re.M)
+    return [(m, float(v), gap or None) for m, v, gap in lines]
+
+
+def test_train_summary_ranks_methods_with_their_gap_to_full_ft(capsys, tmp_path):
+    grid = ("--config", "seq_bn", "--config", "lora", "--lr", "1e-3", "--epochs", "1")
+    code, out, err = _train(capsys, tmp_path, "--full-ft", *grid)
+    assert code == 0
+    best = {r["method"]: r["metric"] for r in map(json.loads, out.splitlines())}
+    summary = _summary(err)
+    assert len(summary) == len(err.splitlines())
+    assert sorted(m for m, _, _ in summary) == sorted(best) == ["full-ft", "lora", "seq_bn"]
+    values = [v for _, v, _ in summary]
+    assert values == sorted(values, reverse=True)
+    for m, v, gap in summary:
+        assert f"{v:.4f}" == f"{best[m]:.4f}"
+        assert gap == (None if m == "full-ft" else f"{best[m] - best['full-ft']:+.4f}")
+
+    code, _, err = _train(capsys, tmp_path, *grid)
+    assert code == 0
+    summary = _summary(err)
+    assert len(summary) == len(err.splitlines()) == 2
+    assert all(gap is None for _, _, gap in summary)
+
+
 def test_train_axis_expansion(capsys, tmp_path):
     code, out, _ = _train(capsys, tmp_path,
                           "--config", "seq_bn", "--lr", "1e-3", "--epochs", "1",

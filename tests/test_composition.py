@@ -243,6 +243,37 @@ def test_stack_tracks_row_growth_for_later_members():
         m.validate_setup(bad, batch=3, seq=8)
 
 
+@pytest.mark.parametrize("text", [
+    "Stack(Parallel(a, b), Parallel(c, d))",
+    "Stack(Parallel(a, b), Average(Parallel(c, d), Parallel(e, f)))",
+    "Stack(Parallel(a, b), Stack(c, Parallel(d, e)))",
+])
+def test_stack_rejects_a_second_row_replicating_member(text):
+    # these used to validate and then fail the first forward with a ShapeError
+    m = make_model(tuple("abcdef"))
+    with pytest.raises(CompositionError, match="only one member may replicate rows"):
+        m.validate_setup(text, batch=2, seq=8)
+    with pytest.raises(CompositionError, match="only one member may replicate rows"):
+        m.set_active(parse_setup(text))
+
+
+def test_nested_stack_branches_fold_like_a_flat_stack(rng):
+    m = make_model(("a", "b", "c"))
+    for n in "abc":
+        m.add_prediction_head(n, "classification", 2)
+    tokens = random_tokens(rng, 2, 8, SMALL_DIMS.vocab)
+    for nested, flat, branches in (
+            ("Stack(a, Stack(b, c))", "Stack(a, b, c)", [("c", 2)]),
+            ("Stack(Parallel(a, b), Stack(c))", "Stack(Parallel(a, b), c)", [("c", 2), ("c", 2)]),
+            ("Stack(a, Stack(Average(b, c)))", "Stack(a, Average(b, c))", [("a", 2)])):
+        states = []
+        for text in (nested, flat):
+            m.set_active(parse_setup(text))
+            states.append(m.encode(tokens))
+        assert states[0].branches == states[1].branches == branches
+        assert m.branch_logits(states[0]).keys() == m.branch_logits(states[1]).keys()
+
+
 def test_validation_without_a_batch_rejects_only_impossible_row_counts():
     m = make_model(("a", "b", "c"))
     with pytest.raises(CompositionError, match="disagree"):
