@@ -1,18 +1,22 @@
-"""Adapter checkpoint serialization.
+"""Checkpoint file formats, and every rule a saved file must meet.
 
-A checkpoint directory holds exactly two files:
+* An adapter directory holds ``adapter_config.json`` (format version, name,
+  config, and the model dims it was built for) and ``weights.bin``.
+* A base directory holds ``base_config.json`` (format version, dims) and
+  ``base_weights.bin``.
+* ``head.json`` is one prediction head on one line: kind, label count, and
+  ``w`` and ``b`` as nested lists, with no format version.
 
-* ``adapter_config.json`` — format version, adapter name, config, and the
-  model dims the adapter was built for (sorted keys, 2-space indent);
-* ``weights.bin`` — magic ``ADPT``, little-endian u32 format version,
-  u64 tensor count, then per tensor: u32 name length, utf-8 name bytes,
-  u32 rank, u64 extents, float32 payload in row-major order.
+Manifests have sorted keys and a 2-space indent.  A weights file is magic
+``ADPT``, little-endian u32 format version, u64 tensor count, then per
+tensor: u32 name length, utf-8 name bytes, u32 rank, u64 extents, float32
+payload in row-major order, tensors in sorted-name order, so save -> load ->
+save is byte-identical.  Compute stays float64.  Each file is written to a
+temporary name beside it and renamed over the target.
 
-Tensors are written in sorted-name order, so save -> load -> save is
-byte-identical.  Compute stays float64; only persisted payloads are float32.
-Each file is written to a temporary name in its directory and renamed over
-the target, so a reader sees either the old file or the whole new one.  A
-payload holding NaN or an infinity is rejected on read.
+Every manifest and head file is read by :func:`read_manifest`, every tensor
+set checked by :func:`check_tensors`; a file that breaks a rule, or holds
+NaN or an infinity, raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -22,14 +26,26 @@ import math
 import os
 import struct
 import threading
+from dataclasses import fields
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
+
+from .model import HEAD_KINDS, ModelDims
 
 MAGIC = b"ADPT"
 FORMAT_VERSION = 1
 CONFIG_FILE = "adapter_config.json"
 WEIGHTS_FILE = "weights.bin"
+BASE_CONFIG_FILE = "base_config.json"
+BASE_WEIGHTS_FILE = "base_weights.bin"
+HEAD_FILE = "head.json"
+
+# each manifest's required keys and the JSON type of each value
+ADAPTER_KEYS = {"name": str, "config": dict, "dims": dict}
+BASE_KEYS = {"dims": dict}
+HEAD_KEYS = {"kind": str, "num_labels": int, "w": list, "b": list}
 
 
 class CheckpointError(ValueError):
@@ -85,8 +101,9 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
-def read_weights(path) -> dict:
-    """Read the binary layout back into float32 arrays keyed by name."""
+def read_weights(path, shapes: Optional[dict] = None) -> dict:
+    """Read the binary layout back into finite float32 arrays keyed by name;
+    with ``shapes``, the file must hold exactly those tensors."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -107,34 +124,73 @@ def read_weights(path) -> dict:
             name = r.take(r.u32()).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path} has a tensor name that is not valid UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"{path} holds tensor {name!r} twice")
         rank = r.u32()
         shape = tuple(r.u64() for _ in range(rank))
         n = math.prod(shape)              # Python ints: a hostile extent cannot wrap
-        arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
-        out[name] = arr
+        payload = r.take(4 * n)
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        except ValueError as e:           # more axes, or a larger extent, than numpy allows
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}: {e}") from None
     if r.pos != len(blob):
         raise CheckpointError(f"{path} has {len(blob) - r.pos} trailing bytes after its last tensor")
-    return out
+    return check_tensors(path, out, shapes)
+
+
+def check_tensors(path, tensors: dict, shapes: Optional[dict] = None) -> dict:
+    """Return ``tensors`` if every array is finite and, given ``shapes``, the
+    names and shapes are exactly those; else raise :class:`CheckpointError`."""
+    if shapes is not None and set(shapes) != set(tensors):
+        missing, extra = sorted(set(shapes) - set(tensors))[:3], sorted(set(tensors) - set(shapes))[:3]
+        raise CheckpointError(f"{path}: tensor set mismatch (missing {missing}, unexpected {extra})")
+    for name, arr in tensors.items():
+        if shapes is not None and arr.shape != tuple(shapes[name]):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, expected {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
+    return tensors
+
+
+def _write_json(path, doc: dict, **style) -> None:
+    write_atomic(path, (json.dumps(doc, **style) + "\n").encode("utf-8"))
 
 
 def write_manifest(path, name: str, config_dict: dict, dims_dict: dict) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "name": name,
-        "config": config_dict,
-        "dims": dims_dict,
-    }
-    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    """Write an adapter manifest."""
+    doc = {"format_version": FORMAT_VERSION, "name": name, "config": config_dict,
+           "dims": dims_dict}
+    _write_json(path, doc, sort_keys=True, indent=2)
+
+
+def write_base_manifest(path, dims_dict: dict) -> None:
+    _write_json(path, {"format_version": FORMAT_VERSION, "dims": dims_dict},
+                sort_keys=True, indent=2)
+
+
+def write_head(path, kind: str, num_labels: int, w, b) -> None:
+    _write_json(path, {"kind": kind, "num_labels": num_labels, "w": w.tolist(), "b": b.tolist()})
+
+
+def _finite(text: str) -> float:
+    """``json`` hook for float literals and ``NaN``/``Infinity``: only finite
+    numbers parse."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def read_json_object(path, what: str) -> dict:
-    """Parse ``path`` as one JSON object; any other content, or a file that
-    cannot be read, raises :class:`CheckpointError` naming ``what``."""
+    """Parse ``path`` as one JSON object of finite numbers; any other
+    content, or a file that cannot be read, raises :class:`CheckpointError`
+    naming ``what``."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite,
+                         parse_constant=_finite)
     except OSError as e:
         raise CheckpointError(f"cannot read {what} {path}: {e}") from None
     except (ValueError, RecursionError) as e:   # syntax, non-UTF-8 bytes, deep nesting
@@ -144,16 +200,53 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def read_manifest(path) -> dict:
-    doc = read_json_object(path, "manifest")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported manifest version {doc.get('format_version')!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    for key in ("name", "config", "dims"):
+def _is(value, kind: type) -> bool:
+    """JSON type test in which neither a bool nor a float is an int."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def read_manifest(path, keys: dict = ADAPTER_KEYS, what: str = "manifest",
+                  version: Optional[int] = FORMAT_VERSION) -> dict:
+    """Read a JSON object whose ``format_version`` is ``version`` (unless
+    that is None) and which holds each key of ``keys`` with a value of its
+    type; anything else raises :class:`CheckpointError`."""
+    doc = read_json_object(path, what)
+    found = doc.get("format_version")
+    if version is not None and not (_is(found, int) and found == version):
+        raise CheckpointError(f"unsupported {what} version {found!r} (expected {version})")
+    for key, kind in keys.items():
         if key not in doc:
-            raise CheckpointError(f"manifest {path} is missing {key!r}")
-    if not isinstance(doc["name"], str):
-        raise CheckpointError(f"manifest {path} has a name that is not a string")
+            raise CheckpointError(f"{what} {path} is missing {key!r}")
+        if not _is(doc[key], kind):
+            raise CheckpointError(f"{what} {path} has a {key!r} that is not a {kind.__name__}")
     return doc
+
+
+def manifest_dims(doc: dict, path) -> ModelDims:
+    """A manifest's ``dims``: exactly the :class:`ModelDims` fields, each an
+    int, and a consistent set."""
+    d, names = doc["dims"], sorted(f.name for f in fields(ModelDims))
+    if sorted(d) != names or not all(_is(v, int) for v in d.values()):
+        raise CheckpointError(f"{path} has dims {d}; expected an int for each of {names}")
+    try:
+        return ModelDims.from_dict(d)
+    except ValueError as e:
+        raise CheckpointError(f"bad dims in {path}: {e}") from None
+
+
+def read_head(path, hidden: int) -> tuple:
+    """``(kind, num_labels, {"w": ..., "b": ...})`` of a head file for an
+    encoder of width ``hidden``."""
+    doc = read_manifest(path, HEAD_KEYS, "head file", version=None)
+    kind, n = doc["kind"], doc["num_labels"]
+    if kind not in HEAD_KINDS or n < 1:
+        raise CheckpointError(f"head file {path} has kind {kind!r} and {n} labels; "
+                              f"expected one of {HEAD_KINDS} and at least 1 label")
+    try:
+        arrays = {k: np.asarray(doc[k]) for k in ("w", "b")}
+    except ValueError as e:                                   # ragged nesting
+        raise CheckpointError(f"malformed head file {path}: {e}") from None
+    if any(a.dtype.kind not in "iuf" for a in arrays.values()):   # strings, nulls, ...
+        raise CheckpointError(f"head file {path} has a w or b that is not a grid of numbers")
+    arrays = {k: a.astype(np.float64) for k, a in arrays.items()}
+    return kind, n, check_tensors(path, arrays, {"w": (hidden, n), "b": (n,)})

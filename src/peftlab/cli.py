@@ -23,29 +23,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (FORMAT_VERSION, CheckpointError, read_json_object,
-                         read_weights, write_atomic, write_weights)
+from .checkpoint import HEAD_FILE, CheckpointError
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
-                      count_params, parse_config, run_count_audit)
+                      count_params, parse_config, run_count_audit, validate_config)
 from .methods import StateError
-from .model import (DESK_DIMS, DIM_PRESETS, ROBERTA_BASE_DIMS, CapacityError,
-                    InputError, ModelDims)
+from .model import DIM_PRESETS, CapacityError, InputError
 from .registry import AdapterModel, RegistryError
 from .tasks import TASK_KINDS, TaskSpec, make_task
 from .training import (CSV_FIELDS, DEFAULT_EPOCHS, DEFAULT_LRS, FULL_FT,
                        GridSpec, best_metric, evaluate, grid_chains, prepare_base,
                        record_to_csv_row, run_cell, run_grid)
-
-BASE_CONFIG_FILE = "base_config.json"
-BASE_WEIGHTS_FILE = "base_weights.bin"
-HEAD_FILE = "head.json"
 
 # every anticipated failure maps to exit code 1; mismatched --check-paper
 # audits are the only exit-2 path
@@ -60,80 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-# ---------------------------------------------------------------------------
-# persistence helpers (base weights and prediction heads; the adapter
-# checkpoint itself is owned by the registry)
-
-
-def save_base(model: AdapterModel, directory) -> Path:
-    """Write ``base_weights.bin`` and then ``base_config.json`` for the
-    encoder, each atomically, so a failed save leaves the directory's
-    manifest as it was."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_weights(directory / BASE_WEIGHTS_FILE,
-                  {k: t.data for k, t in model.encoder.params.items()})
-    doc = {"format_version": FORMAT_VERSION, "dims": model.dims.to_dict()}
-    write_atomic(directory / BASE_CONFIG_FILE,
-                 (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
-    return directory
-
-
-def load_base(directory) -> AdapterModel:
-    directory = Path(directory)
-    path = directory / BASE_CONFIG_FILE
-    doc = read_json_object(path, "base manifest")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported base format version {doc.get('format_version')!r}")
-    if not isinstance(doc.get("dims"), dict):
-        raise CheckpointError(f"base manifest {path} has no dims object")
-    try:
-        dims = ModelDims.from_dict(doc["dims"])
-    except (TypeError, ValueError) as e:      # unknown, missing or bad extents
-        raise CheckpointError(f"bad dims in base manifest {path}: {e}") from None
-    model = AdapterModel(dims)
-    model.encoder.load_state_array(read_weights(directory / BASE_WEIGHTS_FILE))
-    return model
-
-
-def save_head(model: AdapterModel, name: str, directory) -> Path:
-    h = model.head(name)
-    doc = {"kind": h.kind, "num_labels": h.num_labels,
-           "w": h.w.data.tolist(), "b": h.b.data.tolist()}
-    path = Path(directory) / HEAD_FILE
-    write_atomic(path, (json.dumps(doc) + "\n").encode("utf-8"))
-    return path
-
-
-def load_head_file(model: AdapterModel, name: str, path) -> None:
-    doc = read_json_object(path, "head file")
-    missing = [k for k in ("kind", "num_labels", "w", "b") if k not in doc]
-    if missing:
-        raise CheckpointError(f"head file {path} is missing {', '.join(missing)}")
-    try:
-        w = np.asarray(doc["w"], dtype=np.float64)
-        b = np.asarray(doc["b"], dtype=np.float64)
-        num_labels = int(doc["num_labels"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"malformed head file {path}: {e}") from None
-    model.add_prediction_head(name, doc["kind"], num_labels)
-    h = model.head(name)
-    if w.shape != h.w.data.shape or b.shape != h.b.data.shape:
-        raise CheckpointError(
-            f"head in {path} has shape {w.shape}, expected {h.w.data.shape}")
-    h.w.data = w
-    h.b.data = b
-
-
-def maybe_load_head(model: AdapterModel, name: str, directory) -> bool:
-    path = Path(directory) / HEAD_FILE
-    if not path.exists():
-        return False
-    load_head_file(model, name, path)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +78,6 @@ def _task_spec(args) -> TaskSpec:
                     n_train=args.samples, n_eval=args.eval_samples,
                     n_pretrain=args.pretrain_samples,
                     num_labels=args.num_labels, seed=args.seed)
-
-
-def _resolve_dims(name) -> ModelDims:
-    if name is None:
-        return DESK_DIMS
-    return DIM_PRESETS[name]
 
 
 def _split_pair(text: str):
@@ -198,7 +111,7 @@ def _parse_values(text: str) -> tuple:
 def cmd_count_params(args) -> int:
     check = getattr(args, "check_paper", False) or args.verb == "check-paper"
     if check:
-        dims = ROBERTA_BASE_DIMS if args.dims is None else _resolve_dims(args.dims)
+        dims = DIM_PRESETS[args.dims or "roberta-base"]
         rows = run_count_audit(dims)
         payload = []
         for name, exp_min, got_min, exp_max, got_max, ok in rows:
@@ -215,7 +128,7 @@ def cmd_count_params(args) -> int:
             return 2
         return 0
 
-    dims = _resolve_dims(args.dims)
+    dims = DIM_PRESETS[args.dims or "desk"]
     if args.config:
         payload = []
         for s in args.config:
@@ -266,26 +179,28 @@ def cmd_train(args) -> int:
                     batch_size=args.batch_size, seed=args.seed,
                     pretrain_epochs=args.pretrain_epochs,
                     include_full_ft=args.full_ft, method_axes=method_axes)
-    cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in grid_chains(grid) for ep in eps]
+    chains = grid_chains(grid)
+    cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
     if not cells:
         raise ValueError("nothing to train: pass --config and/or --full-ft")
 
-    if args.base:
-        model0 = load_base(args.base)
-        if args.dims is not None and _resolve_dims(args.dims) != model0.dims:
-            raise ValueError(f"--dims {args.dims} disagrees with the base "
-                             f"checkpoint at {args.base}")
-        dims = model0.dims
-        data = make_task(task)
-        base_state = model0.encoder.state_array()
+    base = AdapterModel.load_base(args.base) if args.base else None
+    dims = DIM_PRESETS[args.dims or "desk"] if base is None else base.dims
+    if base is not None and args.dims is not None and DIM_PRESETS[args.dims] != dims:
+        raise ValueError(f"--dims {args.dims} disagrees with the base "
+                         f"checkpoint at {args.base}")
+    for _, cfg, _, _ in chains:           # every config fits before any training
+        if cfg is not None:
+            validate_config(cfg, dims)
+    if base is not None:
+        data, base_state = make_task(task), base.encoder.state_array()
     else:
-        dims = _resolve_dims(args.dims)
         data, base_state = prepare_base(dims, task, grid)
 
     if args.save_base:
         snapshot = AdapterModel(dims, seed=args.seed)
         snapshot.encoder.load_state_array(base_state)
-        save_base(snapshot, args.save_base)
+        snapshot.save_base(args.save_base)
 
     out_f = open(args.out, "a") if args.out else None
     csv_f = open(args.csv, "w") if args.csv else None
@@ -318,7 +233,7 @@ def cmd_train(args) -> int:
             records = [rec]
             model, head = capture["model"], capture["head"]
             model.save_adapter(head, args.save)
-            save_head(model, head, args.save)
+            model.save_head(head, Path(args.save) / HEAD_FILE)
         else:
             records = run_grid(dims, task, grid, sink=sink, data=data,
                                base_state=base_state)
@@ -351,22 +266,18 @@ def _print_summary(records, metric_name: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    model = load_base(args.base)
+    model = AdapterModel.load_base(args.base)
     task = _task_spec(args)
     data = make_task(task)
+    if not (args.adapter or args.head_file):
+        raise ValueError("pass --adapter and/or --head-file")
+    head = model.load_adapter(args.adapter) if args.adapter else "head"
+    head_file = Path(args.head_file or Path(args.adapter) / HEAD_FILE)
+    if not (args.head_file or head_file.exists()):
+        raise ValueError(f"no {HEAD_FILE} in {args.adapter}; pass --head-file")
+    model.load_head(head, head_file)
     if args.adapter:
-        name = model.load_adapter(args.adapter)
-        if args.head_file:
-            load_head_file(model, name, args.head_file)
-        elif not maybe_load_head(model, name, args.adapter):
-            raise ValueError(f"no {HEAD_FILE} in {args.adapter}; pass --head-file")
-        model.set_active(name)
-        head = name
-    else:
-        if not args.head_file:
-            raise ValueError("pass --adapter and/or --head-file")
-        head = "head"
-        load_head_file(model, head, args.head_file)
+        model.set_active(head)
     metric = evaluate(model, head, data.eval_x, data.eval_y)
     print(json.dumps({"task": task.kind, "metric": metric,
                       "metric_name": task.metric_name,
@@ -380,11 +291,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    model = load_base(args.base)
+    model = AdapterModel.load_base(args.base)
     for pair in args.adapter or []:
         name, directory = _split_pair(pair)
         loaded = model.load_adapter(directory, name=name)
-        maybe_load_head(model, loaded, directory)
+        if (Path(directory) / HEAD_FILE).exists():
+            model.load_head(loaded, Path(directory) / HEAD_FILE)
     if args.fuse:
         names = [s.strip() for s in args.fuse.split(",")]
         model.add_adapter_fusion(names)
@@ -420,39 +332,35 @@ def cmd_compose(args) -> int:
 
 
 def cmd_average(args) -> int:
-    model = load_base(args.base)
-    names = []
-    first_dir = None
-    for i, pair in enumerate(args.adapter):
-        name, directory = _split_pair(pair)
-        # sources get private registry names so --name may reuse a stored one
-        names.append(model.load_adapter(directory, name=name or f"source{i}"))
-        if first_dir is None:
-            first_dir = directory
-    weights = None
-    if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
+    model = AdapterModel.load_base(args.base)
+    pairs = [_split_pair(pair) for pair in args.adapter]
+    # sources get private registry names so --name may reuse a stored one
+    names = [model.load_adapter(directory, name=name or f"source{i}")
+             for i, (name, directory) in enumerate(pairs)]
+    weights = [float(w) for w in args.weights.split(",")] if args.weights else None
     new_name = args.name or "averaged"
     model.average_adapters(new_name, names, weights)
+    first_head = Path(pairs[0][1]) / HEAD_FILE        # the first source's head travels
+    if first_head.exists():
+        model.load_head(new_name, first_head)
     model.save_adapter(new_name, args.out)
-    head_src = Path(first_dir) / HEAD_FILE
-    if head_src.exists():
-        shutil.copyfile(head_src, Path(args.out) / HEAD_FILE)
+    if model.has_head(new_name):
+        model.save_head(new_name, Path(args.out) / HEAD_FILE)
     print(json.dumps({"name": new_name, "sources": names,
                       "out": str(args.out)}, sort_keys=True))
     return 0
 
 
 def cmd_merge(args) -> int:
-    model = load_base(args.base)
+    model = AdapterModel.load_base(args.base)
     name = model.load_adapter(args.adapter)
+    if (Path(args.adapter) / HEAD_FILE).exists():
+        model.load_head(name, Path(args.adapter) / HEAD_FILE)
     model.merge_adapter(name)
-    out = Path(args.out)
-    save_base(model, out)
-    head_src = Path(args.adapter) / HEAD_FILE
-    if head_src.exists():
-        shutil.copyfile(head_src, out / HEAD_FILE)
-    print(json.dumps({"merged": name, "out": str(out)}, sort_keys=True))
+    model.save_base(args.out)
+    if model.has_head(name):
+        model.save_head(name, Path(args.out) / HEAD_FILE)
+    print(json.dumps({"merged": name, "out": str(args.out)}, sort_keys=True))
     return 0
 
 

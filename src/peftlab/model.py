@@ -8,7 +8,7 @@ intervene is routed through an optional context object (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -53,14 +53,7 @@ class ModelDims:
         return self.hidden // self.heads
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "intermediate": self.intermediate,
-            "vocab": self.vocab,
-            "max_seq": self.max_seq,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelDims":
@@ -157,6 +150,23 @@ class PredictionHead:
         return T.linear(pooled, self.w, self.b)
 
 
+def encoder_shapes(dims: ModelDims) -> dict:
+    """Name -> shape of every encoder parameter, in allocation order, from
+    ``dims`` alone."""
+    d, dff = dims.hidden, dims.intermediate
+    shapes = {"embed.token": (dims.vocab, d), "embed.position": (dims.max_seq, d)}
+    for l in range(dims.num_layers):
+        pre = f"layer{l}."
+        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
+        for proj in "qkvo":
+            shapes.update({pre + f"attn.w{proj}": (d, d), pre + f"attn.b{proj}": (d,)})
+        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
+                       pre + "ffn.w1": (d, dff), pre + "ffn.b1": (dff,),
+                       pre + "ffn.w2": (dff, d), pre + "ffn.b2": (d,)})
+    shapes.update({"final_ln.g": (d,), "final_ln.b": (d,)})
+    return shapes
+
+
 class TransformerEncoder:
     """Pre-norm encoder: ``x + Attn(LN(x))`` then ``x + FFN(LN(x))`` per
     layer, with a final layer norm.  Weights are seeded and deterministic."""
@@ -164,36 +174,12 @@ class TransformerEncoder:
     def __init__(self, dims: ModelDims, seed: int = 0):
         self.dims = dims
         rng = np.random.default_rng(seed)
-        d, dff = dims.hidden, dims.intermediate
-        p: dict[str, Tensor] = {}
-
-        def w(name, shape):
-            p[name] = Tensor(rng.normal(0.0, 0.02, size=shape), name=name)
-
-        def zeros(name, shape):
-            p[name] = Tensor(np.zeros(shape), name=name)
-
-        def ones(name, shape):
-            p[name] = Tensor(np.ones(shape), name=name)
-
-        w("embed.token", (dims.vocab, d))
-        w("embed.position", (dims.max_seq, d))
-        for l in range(dims.num_layers):
-            pre = f"layer{l}."
-            ones(pre + "ln1.g", (d,))
-            zeros(pre + "ln1.b", (d,))
-            for proj in ("q", "k", "v", "o"):
-                w(pre + f"attn.w{proj}", (d, d))
-                zeros(pre + f"attn.b{proj}", (d,))
-            ones(pre + "ln2.g", (d,))
-            zeros(pre + "ln2.b", (d,))
-            w(pre + "ffn.w1", (d, dff))
-            zeros(pre + "ffn.b1", (dff,))
-            w(pre + "ffn.w2", (dff, d))
-            zeros(pre + "ffn.b2", (d,))
-        ones("final_ln.g", (d,))
-        zeros("final_ln.b", (d,))
-        self.params = p
+        self.params: dict[str, Tensor] = {}
+        for name, shape in encoder_shapes(dims).items():
+            leaf = name.rsplit(".", 1)[1]          # gains start at 1, biases at 0
+            data = (np.ones(shape) if leaf == "g" else np.zeros(shape) if leaf[0] == "b"
+                    else rng.normal(0.0, 0.02, size=shape))
+            self.params[name] = Tensor(data, name=name)
 
     # -- parameter bookkeeping -------------------------------------------
 

@@ -5,40 +5,30 @@ prediction heads, and fusion layers.
 base weights, tracks which composition tree is active, splits parameters
 into frozen/trainable partitions for training, merges low-rank adapters
 into the base weights and back out, averages compatible adapters, and
-persists single adapters to checkpoint directories.
+saves and loads adapters, base weights and prediction heads (the file
+formats and their checks live in :mod:`peftlab.checkpoint`).
 """
 
 from __future__ import annotations
 
 import re
 import zlib
+from hashlib import sha256
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .checkpoint import (
-    CONFIG_FILE,
-    WEIGHTS_FILE,
-    CheckpointError,
-    read_manifest,
-    read_weights,
-    write_manifest,
-    write_weights,
-)
+from .checkpoint import (BASE_CONFIG_FILE, BASE_KEYS, BASE_WEIGHTS_FILE, CONFIG_FILE,
+                         WEIGHTS_FILE, CheckpointError, manifest_dims, read_head,
+                         read_manifest, read_weights, write_base_manifest, write_head,
+                         write_manifest, write_weights)
 from .composition import Leaf, Plan, leaves, parse_setup, validate_composition
 from .configs import (LoraConfig, config_from_dict, config_to_dict, parse_config,
                       tensor_shapes)
 from .methods import AdapterInstance, FusionLayer, StateError, instantiate_adapter
-from .model import (
-    CLASSIFICATION,
-    DESK_DIMS,
-    EncoderState,
-    HookPoint,
-    ModelDims,
-    PredictionHead,
-    TransformerEncoder,
-)
+from .model import (CLASSIFICATION, DESK_DIMS, EncoderState, HookPoint, ModelDims,
+                    PredictionHead, TransformerEncoder, encoder_shapes)
 from .routing import RoutingContext
 from .tensor import Tensor
 
@@ -132,16 +122,6 @@ class AdapterModel:
             t.requires_grad = False
         self._fusions[key] = fl
         return fl
-
-    def fusion_layer(self, names) -> FusionLayer:
-        key = tuple(names)
-        try:
-            return self._fusions[key]
-        except KeyError:
-            raise KeyError(f"no fusion layer for {key}; have {sorted(self._fusions)}") from None
-
-    def has_fusion(self, names) -> bool:
-        return tuple(names) in self._fusions
 
     # -- heads ------------------------------------------------------------------
 
@@ -354,49 +334,70 @@ class AdapterModel:
     def load_adapter(self, directory, name: Optional[str] = None) -> str:
         """Load a checkpoint directory into the registry (frozen, inactive).
         Returns the registered name (the stored one unless overridden)."""
-        directory = Path(directory)
-        doc = read_manifest(directory / CONFIG_FILE)
-        if doc["dims"] != self.dims.to_dict():
-            raise CheckpointError(
-                f"checkpoint dims {doc['dims']} do not match model dims {self.dims.to_dict()}"
-            )
-        config = config_from_dict(doc["config"])
+        path = Path(directory) / CONFIG_FILE
+        doc = read_manifest(path)
+        if manifest_dims(doc, path) != self.dims:
+            raise CheckpointError(f"checkpoint dims {doc['dims']} do not match "
+                                  f"model dims {self.dims.to_dict()}")
+        if not _NAME_RE.match(doc["name"]):
+            raise CheckpointError(f"{path} stores an invalid adapter name {doc['name']!r}")
         reg_name = name if name is not None else doc["name"]
-        blobs = read_weights(directory / WEIGHTS_FILE)
-        # Check the file against a dry build first, so a manifest never
-        # allocates more than its weights file holds.
-        shapes = tensor_shapes(config, self.dims)
-        if set(shapes) != set(blobs):
-            missing = sorted(set(shapes) - set(blobs))[:3]
-            extra = sorted(set(blobs) - set(shapes))[:3]
-            raise CheckpointError(
-                f"checkpoint tensor set mismatch (missing {missing}, unexpected {extra})"
-            )
-        for key, shape in shapes.items():
-            if blobs[key].shape != shape:
-                raise CheckpointError(
-                    f"tensor {key!r} has shape {blobs[key].shape}, expected {shape}"
-                )
+        config = config_from_dict(doc["config"])
+        # Check the file against a dry build, so a manifest never allocates
+        # more than its weights file holds.
+        blobs = read_weights(Path(directory) / WEIGHTS_FILE, tensor_shapes(config, self.dims))
         inst = self.add_adapter(reg_name, config)
         for key, t in inst.tensors.items():
             t.data = blobs[key].astype(np.float64)
         return reg_name
 
+    def save_base(self, directory) -> Path:
+        """Write ``base_weights.bin`` and then ``base_config.json`` for the
+        encoder, each atomically, so a failed save leaves the directory's
+        manifest as it was."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        write_weights(directory / BASE_WEIGHTS_FILE,
+                      {k: t.data for k, t in self.encoder.params.items()})
+        write_base_manifest(directory / BASE_CONFIG_FILE, self.dims.to_dict())
+        return directory
+
+    @classmethod
+    def load_base(cls, directory) -> "AdapterModel":
+        """A model (seed 0) whose encoder holds the base saved in
+        ``directory``; its weights file is checked against the dims before
+        anything is allocated."""
+        path = Path(directory) / BASE_CONFIG_FILE
+        dims = manifest_dims(read_manifest(path, BASE_KEYS, "base manifest"), path)
+        blobs = read_weights(Path(directory) / BASE_WEIGHTS_FILE, encoder_shapes(dims))
+        model = cls(dims)
+        model.encoder.load_state_array(blobs)
+        return model
+
+    def save_head(self, name: str, path) -> None:
+        """Write prediction head ``name`` to the head file ``path``, atomically."""
+        h = self.head(name)
+        write_head(path, h.kind, h.num_labels, h.w.data, h.b.data)
+
+    def load_head(self, name: str, path) -> None:
+        """Register the head stored in the head file ``path`` under ``name``."""
+        kind, num_labels, arrays = read_head(path, self.dims.hidden)
+        head = self.add_prediction_head(name, kind, num_labels)
+        head.w.data, head.b.data = arrays["w"], arrays["b"]
+
     # -- integrity helpers ------------------------------------------------------------------------
 
     def base_fingerprint(self) -> bytes:
-        from hashlib import sha256
-        h = sha256()
-        for k in sorted(self.encoder.params):
-            h.update(k.encode())
-            h.update(self.encoder.params[k].data.tobytes())
-        return h.digest()
+        return _fingerprint(self.encoder.params)
 
     def adapter_fingerprint(self, name: str) -> bytes:
-        from hashlib import sha256
-        inst = self.adapter_instance(name)
-        h = sha256()
-        for k in sorted(inst.tensors):
-            h.update(k.encode())
-            h.update(inst.tensors[k].data.tobytes())
-        return h.digest()
+        return _fingerprint(self.adapter_instance(name).tensors)
+
+
+def _fingerprint(tensors: dict) -> bytes:
+    """sha256 over each tensor's name and float64 bytes, in name order."""
+    h = sha256()
+    for k in sorted(tensors):
+        h.update(k.encode())
+        h.update(tensors[k].data.tobytes())
+    return h.digest()

@@ -1,13 +1,21 @@
 """Binary weight-blob and manifest format tests."""
 
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peftlab.checkpoint import (FORMAT_VERSION, CheckpointError, read_manifest,
-                                read_weights, write_manifest, write_weights)
+from peftlab.checkpoint import (BASE_CONFIG_FILE, CONFIG_FILE, FORMAT_VERSION, HEAD_FILE,
+                                MAGIC, CheckpointError, read_manifest, read_weights,
+                                write_manifest, write_weights)
+from peftlab.configs import ConfigError
+from peftlab.registry import AdapterModel
+
+from conftest import TINY_DIMS
 
 
 @pytest.fixture
@@ -179,3 +187,146 @@ def test_manifest_that_is_not_utf8(tmp_path):
     path.write_bytes(b'{"name": "\xff"}')
     with pytest.raises(CheckpointError, match="malformed"):
         read_manifest(path)
+
+
+def _header(*tensors) -> bytes:
+    """A weights file holding ``(name, extents, payload)`` tensors as given."""
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(tensors))]
+    for name, extents, payload in tensors:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", len(extents))]
+        parts += [struct.pack("<Q", e) for e in extents]
+        parts.append(payload)
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("extents", [(0,) * 70, (0, 2 ** 63)],
+                         ids=["rank-70", "extent-2**63"])
+def test_empty_tensor_numpy_cannot_shape_is_rejected(tmp_path, extents):
+    path = tmp_path / "weights.bin"
+    path.write_bytes(_header((b"a", extents, b"")))
+    with pytest.raises(CheckpointError, match="shape"):
+        read_weights(path)
+
+
+def test_repeated_tensor_name_is_rejected(tmp_path):
+    path = tmp_path / "weights.bin"
+    one = (b"a", (1,), struct.pack("<f", 1.0))
+    path.write_bytes(_header(one, one))
+    with pytest.raises(CheckpointError, match="twice"):
+        read_weights(path)
+
+
+def test_expected_shapes_are_checked(tmp_path, tensors):
+    path = tmp_path / "weights.bin"
+    write_weights(path, tensors)
+    shapes = {k: v.shape for k, v in tensors.items()}
+    assert set(read_weights(path, shapes)) == set(tensors)
+    with pytest.raises(CheckpointError, match=r"unexpected \['b.up.w'\]"):
+        read_weights(path, {k: s for k, s in shapes.items() if k != "b.up.w"})
+    with pytest.raises(CheckpointError, match=r"missing \['c'\]"):
+        read_weights(path, {**shapes, "c": (1,)})
+    with pytest.raises(CheckpointError, match="expected"):
+        read_weights(path, {**shapes, "a.down.b": (4,)})
+
+
+_extent = st.one_of(st.integers(0, 3), st.sampled_from([2 ** 31, 2 ** 32, 2 ** 63]),
+                    st.integers(0, 2 ** 64 - 1))
+_tensor = st.tuples(st.binary(max_size=4),
+                    st.one_of(st.lists(_extent, max_size=4),
+                              st.lists(st.just(0), min_size=60, max_size=70)),
+                    st.binary(max_size=24))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=64),
+                      st.binary(max_size=64).map(lambda b: MAGIC + b),
+                      st.lists(_tensor, max_size=3).map(lambda ts: _header(*ts)),
+                      st.tuples(st.lists(_tensor, max_size=3), st.integers(0, 80))
+                      .map(lambda p: _header(*p[0])[:-p[1] or None])))
+def test_any_bytes_read_as_finite_arrays_or_a_checkpoint_error(fuzz_dir, blob):
+    path = fuzz_dir / "weights.bin"
+    path.write_bytes(blob)
+    try:
+        out = read_weights(path)
+    except CheckpointError:
+        return
+    for arr in out.values():
+        assert arr.dtype == np.float32 and np.isfinite(arr).all()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_numbers_are_rejected(tmp_path, literal):
+    path = tmp_path / "adapter_config.json"
+    write_manifest(path, "x", {"type": "lora", "alpha": 8.0}, {"hidden": 8})
+    path.write_text(path.read_text().replace("8.0", literal))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        read_manifest(path)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _damaged(draw, doc):
+    """Any JSON value, or ``doc`` with one key (or one key of an object it
+    holds) dropped or set to any JSON value."""
+    if draw(st.booleans()):
+        return draw(_json)
+    doc = copy.deepcopy(doc)
+    target = doc
+    key = draw(st.sampled_from(sorted(target)))
+    if isinstance(target[key], dict) and target[key] and draw(st.booleans()):
+        target = target[key]
+        key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(_json)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A TINY_DIMS base, and a lora adapter with its head."""
+    root = tmp_path_factory.mktemp("saved")
+    m = AdapterModel(TINY_DIMS)
+    m.add_adapter("a", "lora")
+    m.add_prediction_head("a", "classification", 3)
+    m.save_adapter("a", root / "adapter")
+    m.save_head("a", root / "adapter" / HEAD_FILE)
+    m.save_base(root / "base")
+    return root
+
+
+MANIFESTS = {
+    "adapter": (f"adapter/{CONFIG_FILE}",
+                lambda root: AdapterModel(TINY_DIMS).load_adapter(root / "adapter")),
+    "base": (f"base/{BASE_CONFIG_FILE}", lambda root: AdapterModel.load_base(root / "base")),
+    "head": (f"adapter/{HEAD_FILE}",
+             lambda root: AdapterModel(TINY_DIMS).load_head("h", root / "adapter" / HEAD_FILE)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MANIFESTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_manifest_loads_or_raises_a_documented_error(saved, kind, data):
+    name, load = MANIFESTS[kind]
+    path = saved / name
+    pristine = saved / (name + ".orig")
+    if not pristine.exists():
+        pristine.write_bytes(path.read_bytes())
+    path.write_text(json.dumps(data.draw(_damaged(json.loads(pristine.read_text())))))
+    try:
+        load(saved)
+    except (CheckpointError, ConfigError):
+        pass

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from peftlab import cli
+from peftlab.checkpoint import (BASE_CONFIG_FILE, BASE_WEIGHTS_FILE, CheckpointError,
+                                read_weights, write_weights)
 from peftlab.cli import main
 from peftlab.registry import AdapterModel
 from peftlab.training import CSV_FIELDS
@@ -247,16 +249,27 @@ def test_train_save_rejects_full_ft(capsys, tmp_path):
     assert "--save-base" in err
 
 
+def test_train_checks_every_config_against_the_dims_before_pretraining(capsys, tmp_path):
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = _train(capsys, tmp_path, "--full-ft", "--config", "seq_bn",
+                               "--config", "compacter", "--axis", "reduction_factor=4,64",
+                               "--lr", "1e-3", "--epochs", "1", "--out", str(out))
+    assert code == 1
+    assert "phm_dim" in err
+    assert stdout == ""
+    assert not out.exists() or out.read_text() == ""
+
+
 def test_failed_save_base_leaves_the_previous_manifest(tmp_path):
-    cli.save_base(AdapterModel(SMALL_DIMS), tmp_path)
-    manifest = (tmp_path / cli.BASE_CONFIG_FILE).read_bytes()
-    (tmp_path / cli.BASE_WEIGHTS_FILE).unlink()
-    (tmp_path / cli.BASE_WEIGHTS_FILE).mkdir()
+    AdapterModel(SMALL_DIMS).save_base(tmp_path)
+    manifest = (tmp_path / BASE_CONFIG_FILE).read_bytes()
+    (tmp_path / BASE_WEIGHTS_FILE).unlink()
+    (tmp_path / BASE_WEIGHTS_FILE).mkdir()
     with pytest.raises(OSError):
-        cli.save_base(AdapterModel(TINY_DIMS), tmp_path)
-    assert (tmp_path / cli.BASE_CONFIG_FILE).read_bytes() == manifest
+        AdapterModel(TINY_DIMS).save_base(tmp_path)
+    assert (tmp_path / BASE_CONFIG_FILE).read_bytes() == manifest
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [cli.BASE_CONFIG_FILE, cli.BASE_WEIGHTS_FILE])
+        [BASE_CONFIG_FILE, BASE_WEIGHTS_FILE])
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +506,31 @@ def _extra_dims_key(doc):
     return doc
 
 
+def _dims_edit(**changes):
+    def edit(doc):
+        doc["dims"].update(changes)
+        return doc
+    return edit
+
+
 BASE_MANIFEST_EDITS = {
     "no-dims": _without_dims,
     "extra-dims-key": _extra_dims_key,
     "not-an-object": lambda doc: [doc],
+    "fractional-hidden": _dims_edit(hidden=64.7),
+    "float-hidden": _dims_edit(hidden=64.0),
+    "string-hidden": _dims_edit(hidden="64"),
+    "bool-layers": _dims_edit(num_layers=True),
+    "bool-version": lambda doc: {**doc, "format_version": True},
+    "nan-hidden": _dims_edit(hidden=float("nan")),
 }
 
 
 @pytest.mark.parametrize("tag", sorted(BASE_MANIFEST_EDITS))
 def test_malformed_base_manifest_exits_one(capsys, workspace, tag):
     base = _edited_base(workspace, tag, BASE_MANIFEST_EDITS[tag])
-    with pytest.raises(cli.CheckpointError):
-        cli.load_base(base)
+    with pytest.raises(CheckpointError):
+        AdapterModel.load_base(base)
     code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(base),
                            "--head-file", str(workspace["bn"] / "head.json"))
     assert code == 1
@@ -515,11 +541,11 @@ def test_non_finite_base_weights_exit_one(capsys, workspace):
     base = workspace["root"] / "inf-base"
     shutil.copytree(workspace["base"], base)
     path = base / "base_weights.bin"
-    blobs = {k: v.copy() for k, v in cli.read_weights(path).items()}
+    blobs = {k: v.copy() for k, v in read_weights(path).items()}
     blobs["layer0.ffn.w1"][0, 0] = np.inf
-    cli.write_weights(path, blobs)
-    with pytest.raises(cli.CheckpointError, match="layer0.ffn.w1"):
-        cli.load_base(base)
+    write_weights(path, blobs)
+    with pytest.raises(CheckpointError, match="layer0.ffn.w1"):
+        AdapterModel.load_base(base)
     code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(base),
                            "--head-file", str(workspace["bn"] / "head.json"))
     assert code == 1
@@ -532,12 +558,118 @@ def test_head_file_missing_a_key_exits_one(capsys, workspace, key):
     del doc[key]
     bad = workspace["root"] / f"head-without-{key}.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(cli.CheckpointError, match=key):
-        cli.load_head_file(cli.load_base(workspace["base"]), "h", bad)
+    with pytest.raises(CheckpointError, match=key):
+        AdapterModel.load_base(workspace["base"]).load_head("h", bad)
     code, _, err = run_cli(capsys, "eval", *TASK_ARGS,
                            "--base", str(workspace["base"]), "--head-file", str(bad))
     assert code == 1
     assert key in err
+
+
+BASE_WEIGHT_EDITS = {
+    "extra-tensor": lambda blobs: {**blobs, "layer9.extra": np.zeros(3)},
+    "missing-tensor": lambda blobs: {k: v for k, v in blobs.items() if k != "final_ln.b"},
+    "wrong-shape": lambda blobs: {**blobs, "final_ln.b": np.zeros(5)},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BASE_WEIGHT_EDITS))
+def test_base_weights_must_hold_exactly_the_encoder_tensors(capsys, workspace, tag):
+    base = workspace["root"] / f"weights-{tag}"
+    shutil.copytree(workspace["base"], base)
+    path = base / BASE_WEIGHTS_FILE
+    write_weights(path, BASE_WEIGHT_EDITS[tag](read_weights(path)))
+    with pytest.raises(CheckpointError, match="final_ln.b|layer9.extra"):
+        AdapterModel.load_base(base)
+    code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(base),
+                           "--head-file", str(workspace["bn"] / "head.json"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def _set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def _set_first(key, value):
+    def edit(doc):
+        row = doc[key][0] if key == "w" else doc[key]
+        row[0] = value
+    return edit
+
+
+HEAD_EDITS = {
+    "nan-bias": _set_first("b", float("nan")),
+    "infinite-weight": _set_first("w", float("inf")),
+    "negative-infinite-weight": _set_first("w", float("-inf")),
+    "null-bias": _set_first("b", None),
+    "string-weight": _set_first("w", "0.5"),
+    "ragged-weights": lambda doc: doc["w"][0].pop(),
+    "list-kind": lambda doc: doc.update(kind=[doc["kind"]]),
+    "unknown-kind": _set("kind", "ranking"),
+    "bool-labels": _set("num_labels", True),
+    "float-labels": lambda doc: doc.update(num_labels=float(doc["num_labels"])),
+    "zero-labels": _set("num_labels", 0),
+    "more-labels": lambda doc: doc.update(num_labels=doc["num_labels"] + 1),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(HEAD_EDITS))
+def test_damaged_head_file_exits_one(capsys, workspace, tag):
+    doc = json.loads((workspace["bn"] / "head.json").read_text())
+    HEAD_EDITS[tag](doc)
+    bad = workspace["root"] / f"head-{tag}.json"
+    bad.write_text(json.dumps(doc))
+    model = AdapterModel.load_base(workspace["base"])
+    with pytest.raises(CheckpointError):
+        model.load_head("h", bad)
+    assert not model.has_head("h")
+    code, out, err = run_cli(capsys, "eval", *TASK_ARGS,
+                             "--base", str(workspace["base"]), "--head-file", str(bad))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["adapter", "base", "head"])
+def test_malformed_file_of_each_kind_exits_one_without_a_traceback(capsys, workspace, kind):
+    root = workspace["root"] / f"malformed-{kind}"
+    shutil.copytree(workspace["base"], root / "base")
+    shutil.copytree(workspace["bn"], root / "bn")
+    target = {"adapter": root / "bn" / "adapter_config.json",
+              "base": root / "base" / "base_config.json",
+              "head": root / "bn" / "head.json"}[kind]
+    target.write_text('{"format_version": 1, "name": [], "dims": 8.5, "kind": {}}\n')
+    code, out, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(root / "base"),
+                             "--adapter", str(root / "bn"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_average_and_merge_rewrite_the_source_head_byte_for_byte(capsys, workspace):
+    avg, merged = workspace["root"] / "avg-head", workspace["root"] / "merged-head"
+    assert main(["average", "--base", str(workspace["base"]),
+                 "--adapter", str(workspace["bn"]), "--out", str(avg)]) == 0
+    assert main(["merge", "--base", str(workspace["base"]),
+                 "--adapter", str(workspace["lora"]), "--out", str(merged)]) == 0
+    capsys.readouterr()
+    assert (avg / "head.json").read_bytes() == (workspace["bn"] / "head.json").read_bytes()
+    assert ((merged / "head.json").read_bytes()
+            == (workspace["lora"] / "head.json").read_bytes())
+
+
+def test_average_with_a_damaged_source_head_writes_nothing(capsys, workspace):
+    source = workspace["root"] / "bn-nan-head"
+    shutil.copytree(workspace["bn"], source)
+    doc = json.loads((source / "head.json").read_text())
+    doc["b"][0] = float("nan")
+    (source / "head.json").write_text(json.dumps(doc))
+    out_dir = workspace["root"] / "avg-nan-head"
+    code, _, err = run_cli(capsys, "average", "--base", str(workspace["base"]),
+                           "--adapter", str(source), "--out", str(out_dir))
+    assert code == 1
+    assert "non-finite" in err
+    assert not out_dir.exists()
 
 
 def test_console_script_is_installed():

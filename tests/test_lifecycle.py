@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from peftlab import AdapterModel, parse_config
-from peftlab.checkpoint import CheckpointError, read_weights, write_weights
+from peftlab.checkpoint import BASE_CONFIG_FILE, CheckpointError, read_weights, write_weights
 from peftlab.configs import ConfigError
 from peftlab.composition import Fuse, Parallel, Stack, leaves
 from peftlab import methods
+from peftlab import model as model_module
 from peftlab.methods import StateError
 from peftlab.model import DESK_DIMS, ModelDims
 from peftlab.registry import RegistryError
@@ -307,6 +308,24 @@ def test_manifest_config_field_of_the_wrong_type_fails_cleanly(tmp_path):
     assert m2.adapter_names() == []
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(name=""),
+    lambda doc: doc.update(name="9 lives"),
+    lambda doc: doc["dims"].update(hidden=float(doc["dims"]["hidden"])),
+    lambda doc: doc["dims"].update(num_layers=True),
+    lambda doc: doc.update(format_version=1.0),
+], ids=["empty-name", "invalid-name", "float-dims", "bool-dims", "float-version"])
+def test_manifest_names_dims_and_version_are_checked_strictly(tmp_path, edit):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "seq_bn")
+    m.save_adapter("a", tmp_path)
+    _edit_manifest(tmp_path, edit)
+    m2 = AdapterModel(SMALL_DIMS)
+    with pytest.raises(CheckpointError):
+        m2.load_adapter(tmp_path)
+    assert m2.adapter_names() == []
+
+
 def test_load_checks_the_weights_file_before_allocating(tmp_path, monkeypatch):
     """A manifest whose config does not match its weights file is rejected
     before any tensor is allocated, however large the config claims to be."""
@@ -324,6 +343,21 @@ def test_load_checks_the_weights_file_before_allocating(tmp_path, monkeypatch):
     with pytest.raises(CheckpointError, match="tensor set mismatch"):
         m2.load_adapter(tmp_path)
     assert m2.adapter_names() == []
+
+
+def test_load_base_checks_the_weights_file_before_allocating(tmp_path, monkeypatch):
+    AdapterModel(SMALL_DIMS).save_base(tmp_path)
+    path = tmp_path / BASE_CONFIG_FILE
+    doc = json.loads(path.read_text())
+    doc["dims"]["vocab"] = 10 ** 6
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_base allocated an encoder")
+
+    monkeypatch.setattr(model_module.TransformerEncoder, "__init__", refuse)
+    with pytest.raises(CheckpointError, match="embed.token"):
+        AdapterModel.load_base(tmp_path)
 
 
 def test_compacter_manifest_with_retired_keys_still_loads(tmp_path):
