@@ -16,7 +16,8 @@ temporary name beside it and renamed over the target.
 
 Every manifest and head file is read by :func:`read_manifest`, every tensor
 set checked by :func:`check_tensors`; a file that breaks a rule, or holds
-NaN or an infinity, raises :class:`CheckpointError`.
+NaN or an infinity, raises :class:`CheckpointError`.  Saves put what they
+are about to write through the same check (:func:`storable`).
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ def write_weights(path, tensors: dict) -> None:
     """Write named float arrays to the pinned binary layout."""
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(tensors))]
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
         nb = name.encode("utf-8")
         parts += [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
         parts += [struct.pack("<Q", e) for e in arr.shape]
-        parts.append(arr.astype("<f4").tobytes(order="C"))
+        parts.append(arr.tobytes(order="C"))
     write_atomic(path, b"".join(parts))
 
 
@@ -152,6 +153,15 @@ def check_tensors(path, tensors: dict, shapes: Optional[dict] = None) -> dict:
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
     return tensors
+
+
+def storable(path, tensors: dict) -> dict:
+    """``tensors`` as the float32 arrays a weights file stores, checked by
+    :func:`check_tensors` (errors name ``path``), so a save refuses what a
+    load refuses: NaN, infinities, and finite values beyond float32's
+    range, which would be stored as infinities."""
+    with np.errstate(over="ignore"):
+        return check_tensors(path, {k: np.asarray(a, dtype="<f4") for k, a in tensors.items()})
 
 
 def _write_json(path, doc: dict, **style) -> None:

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .checkpoint import HEAD_FILE, CheckpointError
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
-                      count_params, parse_config, run_count_audit, validate_config)
+                      count_params, parse_config, run_count_audit)
 from .methods import StateError
 from .model import DIM_PRESETS, CapacityError, InputError
 from .registry import AdapterModel, RegistryError
@@ -91,6 +92,8 @@ def _split_pair(text: str):
 
 
 def _parse_values(text: str) -> tuple:
+    """``--axis`` values, each read as an int, a float, ``true``/``false`` or
+    else a string; the types of the config's fields then judge them."""
     vals = []
     for part in text.split(","):
         part = part.strip()
@@ -100,7 +103,7 @@ def _parse_values(text: str) -> tuple:
             try:
                 vals.append(float(part))
             except ValueError:
-                vals.append(part)
+                vals.append({"true": True, "false": False}.get(part, part))
     return tuple(vals)
 
 
@@ -164,8 +167,8 @@ def cmd_train(args) -> int:
         axes[field_name] = _parse_values(values)
     method_axes = {}
     for m in methods:
-        cfg = parse_config(m)
-        applicable = {k: v for k, v in axes.items() if hasattr(cfg, k)}
+        names = {f.name for f in fields(parse_config(m))}
+        applicable = {k: v for k, v in axes.items() if k in names}
         if applicable:
             method_axes[m] = applicable
     for field_name in axes:
@@ -179,19 +182,16 @@ def cmd_train(args) -> int:
                     batch_size=args.batch_size, seed=args.seed,
                     pretrain_epochs=args.pretrain_epochs,
                     include_full_ft=args.full_ft, method_axes=method_axes)
-    chains = grid_chains(grid)
-    cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
-    if not cells:
-        raise ValueError("nothing to train: pass --config and/or --full-ft")
 
     base = AdapterModel.load_base(args.base) if args.base else None
     dims = DIM_PRESETS[args.dims or "desk"] if base is None else base.dims
     if base is not None and args.dims is not None and DIM_PRESETS[args.dims] != dims:
         raise ValueError(f"--dims {args.dims} disagrees with the base "
                          f"checkpoint at {args.base}")
-    for _, cfg, _, _ in chains:           # every config fits before any training
-        if cfg is not None:
-            validate_config(cfg, dims)
+    chains = grid_chains(grid, dims)      # every config fits before any training
+    cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
+    if not cells:
+        raise ValueError("nothing to train: pass --config and/or --full-ft")
     if base is not None:
         data, base_state = make_task(task), base.encoder.state_array()
     else:

@@ -234,9 +234,6 @@ class ConfigUnion:
     members: tuple = ()
     gated: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-
     def validate(self, dims: ModelDims) -> None:
         if not self.members:
             raise ConfigError("a union needs at least one member")
@@ -269,59 +266,50 @@ AdapterConfig = Union[
 ]
 
 
-def _mam() -> ConfigUnion:
-    return ConfigUnion(
+_CONFIG_STRINGS = {
+    "seq_bn": BottleneckConfig(),
+    "double_seq_bn": BottleneckConfig(placement=DOUBLE),
+    "par_bn": BottleneckConfig(placement=PARALLEL, reduction_factor=2, scaling=4.0),
+    "seq_bn_inv": BottleneckConfig(with_invertible=True),
+    "prompt_tuning": PromptTuningConfig(),
+    "prefix_tuning": PrefixTuningConfig(),
+    "compacter": CompacterConfig(),
+    "lora": LoraConfig(),
+    "ia3": IA3Config(),
+    "mam": ConfigUnion(
         members=(
             PrefixTuningConfig(bottleneck_size=800),
             BottleneckConfig(placement=PARALLEL, reduction_factor=2, scaling=4.0),
         )
-    )
-
-
-def _unipelt() -> ConfigUnion:
-    return ConfigUnion(
+    ),
+    "unipelt": ConfigUnion(
         members=(
             LoraConfig(r=8, alpha=8.0),
             PrefixTuningConfig(prefix_length=10),
             BottleneckConfig(reduction_factor=16),
         ),
         gated=True,
-    )
-
-
-_CONFIG_STRINGS = {
-    "seq_bn": lambda: BottleneckConfig(),
-    "double_seq_bn": lambda: BottleneckConfig(placement=DOUBLE),
-    "par_bn": lambda: BottleneckConfig(placement=PARALLEL, reduction_factor=2, scaling=4.0),
-    "seq_bn_inv": lambda: BottleneckConfig(with_invertible=True),
-    "prompt_tuning": lambda: PromptTuningConfig(),
-    "prefix_tuning": lambda: PrefixTuningConfig(),
-    "compacter": lambda: CompacterConfig(),
-    "lora": lambda: LoraConfig(),
-    "ia3": lambda: IA3Config(),
-    "mam": _mam,
-    "unipelt": _unipelt,
+    ),
 }
 
 CONFIG_NAMES = tuple(sorted(_CONFIG_STRINGS))
 
 
 def parse_config(spec: str) -> AdapterConfig:
-    """Map a short config string to its configuration object."""
+    """Map a short config string to its (frozen, shared) preset."""
     try:
-        make = _CONFIG_STRINGS[spec]
+        return _CONFIG_STRINGS[spec]
     except KeyError:
         raise ConfigError(
             f"unknown config string {spec!r}; valid names: {', '.join(CONFIG_NAMES)}"
         ) from None
-    return make()
 
 
 def config_label(config: AdapterConfig) -> str:
     """Short config string when the object matches a preset, else the
     dataclass name."""
-    for name, make in _CONFIG_STRINGS.items():
-        if make() == config:
+    for name, preset in _CONFIG_STRINGS.items():
+        if preset == config:
             return name
     return type(config).__name__
 
@@ -335,6 +323,7 @@ def validate_config(config: AdapterConfig, dims: ModelDims) -> None:
     ``dims``."""
     if type(config) not in _TYPE_NAMES:
         raise ConfigError(f"unknown config type {type(config).__name__}")
+    _check_fields(config)
     config.validate(dims)
 
 
@@ -375,16 +364,12 @@ def config_to_dict(config: AdapterConfig) -> dict:
     kind = _TYPE_NAMES.get(type(config))
     if kind is None:
         raise ConfigError(f"unknown config type {type(config).__name__}")
-    if isinstance(config, ConfigUnion):
-        return {
-            "type": kind,
-            "members": [config_to_dict(m) for m in config.members],
-            "gated": config.gated,
-        }
     out = {"type": kind}
     for f in fields(config):
         v = getattr(config, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
+        if isinstance(v, tuple):            # strings, or a union's members
+            v = [x if isinstance(x, str) else config_to_dict(x) for x in v]
+        out[f.name] = v
     return out
 
 
@@ -398,27 +383,32 @@ def config_from_dict(d: dict) -> AdapterConfig:
     cls = _CONFIG_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown config type tag {kind!r}")
-    kwargs = {f.name: _field_value(cls, f, d[f.name]) for f in fields(cls) if f.name in d}
-    if "members" in kwargs:
-        kwargs["members"] = tuple(config_from_dict(m) for m in kwargs["members"])
-    return cls(**kwargs)
+    kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+    for k, v in kwargs.items():
+        if isinstance(v, list):
+            kwargs[k] = tuple(config_from_dict(m) if k == "members" else m for m in v)
+    config = cls(**kwargs)
+    _check_fields(config)
+    return config
 
 
-def _field_value(cls, f, v):
-    """``v`` for field ``f`` of ``cls`` if it has the type of the field's
-    default (a list for tuple fields, whose items must be strings outside
-    unions), else :class:`ConfigError`."""
-    want = type(f.default)
-    if want is tuple and isinstance(v, list):
-        v = tuple(v)
-        ok = cls is ConfigUnion or all(isinstance(x, str) for x in v)
-    elif want in (int, float):
-        ok = isinstance(v, (int, float) if want is float else int) and not isinstance(v, bool)
-    else:
-        ok = isinstance(v, want)
-    if not ok:
-        raise ConfigError(f"{cls.__name__}.{f.name} must be of type {want.__name__}, got {v!r}")
-    return v
+def _check_fields(config: AdapterConfig) -> None:
+    """Raise :class:`ConfigError` unless every field of ``config`` holds a
+    value of its default's type: an int field an int that is not a bool, a
+    float field an int or a float, a tuple field a tuple of strings (of
+    configs, for a union's members)."""
+    for f in fields(config):
+        v, want = getattr(config, f.name), type(f.default)
+        if want is tuple:
+            ok = isinstance(v, tuple) and all(
+                type(x) in _TYPE_NAMES if f.name == "members" else isinstance(x, str) for x in v)
+        elif want in (int, float):
+            ok = isinstance(v, (int, float) if want is float else int) and not isinstance(v, bool)
+        else:
+            ok = isinstance(v, want)
+        if not ok:
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be of type "
+                              f"{want.__name__}, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +462,9 @@ def expand_axes(config: AdapterConfig, axes: dict) -> list:
     product of ``axes`` (field -> values), with fields in sorted order.  No
     axes gives the one variant ``({}, config)``."""
     keys = sorted(axes)
+    unknown = set(keys) - {f.name for f in fields(config)}
+    if unknown:
+        raise ConfigError(f"{type(config).__name__} has no field {sorted(unknown)[0]!r}")
     out = []
     for combo in itertools.product(*(axes[k] for k in keys)):
         assignment = dict(zip(keys, combo))

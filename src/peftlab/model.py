@@ -104,7 +104,6 @@ class EncoderState:
     """Result of one encode call."""
 
     hidden: Tensor                      # (rows, seq', hidden) final hidden states
-    mask: np.ndarray                    # (rows, seq') validity mask incl. prepended rows
     prompt_len: int                     # number of prepended rows at the front
     seq_len: int                        # original token count per row
     branches: list = field(default_factory=list)   # [(label or None, row_count)]
@@ -248,7 +247,7 @@ class TransformerEncoder:
         pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
         h = tok + pos
 
-        state = EncoderState(hidden=h, mask=mask, prompt_len=0, seq_len=S,
+        state = EncoderState(hidden=h, prompt_len=0, seq_len=S,
                              branches=[(None, B)])
         if ctx is not None:
             h, mask = ctx.embedding_stage(h, mask, state)
@@ -288,5 +287,4 @@ class TransformerEncoder:
             h = ctx.exit_stage(h)
 
         state.hidden = h
-        state.mask = mask
         return state

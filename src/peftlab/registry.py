@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import (BASE_CONFIG_FILE, BASE_KEYS, BASE_WEIGHTS_FILE, CONFIG_FILE,
-                         WEIGHTS_FILE, CheckpointError, manifest_dims, read_head,
-                         read_manifest, read_weights, write_base_manifest, write_head,
-                         write_manifest, write_weights)
+                         WEIGHTS_FILE, CheckpointError, check_tensors, manifest_dims,
+                         read_head, read_manifest, read_weights, storable,
+                         write_base_manifest, write_head, write_manifest, write_weights)
 from .composition import Leaf, Plan, leaves, parse_setup, validate_composition
 from .configs import (LoraConfig, config_from_dict, config_to_dict, parse_config,
                       tensor_shapes)
@@ -55,7 +55,6 @@ class AdapterModel:
         self.dims = dims
         self.seed = seed
         self.encoder = TransformerEncoder(dims, seed)
-        self.encoder.set_requires_grad(False)
         self._adapters: dict[str, AdapterInstance] = {}
         self._fusions: dict[tuple, FusionLayer] = {}
         self._heads: dict[str, PredictionHead] = {}
@@ -78,7 +77,6 @@ class AdapterModel:
         if isinstance(config, str):
             config = parse_config(config)
         inst = instantiate_adapter(name, config, self.dims, self._rng_for("adapter:" + name))
-        inst.set_requires_grad(False)
         self._adapters[name] = inst
         return inst
 
@@ -118,8 +116,6 @@ class AdapterModel:
         if key in self._fusions:
             raise RegistryError(f"fusion layer for {key} already exists")
         fl = FusionLayer(key, self.dims.hidden, self._rng_for("fusion:" + "+".join(key)))
-        for t in fl.tensors().values():
-            t.requires_grad = False
         self._fusions[key] = fl
         return fl
 
@@ -131,8 +127,6 @@ class AdapterModel:
             raise RegistryError(f"prediction head {name!r} already exists")
         head = PredictionHead(name, kind, num_labels, self.dims.hidden,
                               self._rng_for("head:" + name))
-        for t in head.tensors().values():
-            t.requires_grad = False
         self._heads[name] = head
         return head
 
@@ -305,9 +299,14 @@ class AdapterModel:
             raise RegistryError(
                 f"{len(sources)} sources but {weights.shape[0]} weights"
             )
-        if np.any(weights < 0) or weights.sum() <= 0:
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if np.any(weights < 0) or total <= 0:
             raise RegistryError("average weights must be non-negative and sum to > 0")
-        weights = weights / weights.sum()
+        if not np.isfinite(total):          # a NaN or inf weight, or a sum that overflows
+            raise RegistryError(f"average weights must be finite with a finite sum, "
+                                f"got {weights.tolist()}")
+        weights = weights / total
         new = self.add_adapter(new_name, cfg)
         for key, t in new.tensors.items():
             acc = np.zeros_like(t.data)
@@ -321,12 +320,13 @@ class AdapterModel:
     def save_adapter(self, name: str, directory) -> Path:
         """Write ``weights.bin`` and then ``adapter_config.json`` for one
         adapter, each atomically, so a failed save leaves the directory's
-        manifest as it was."""
+        manifest as it was; tensors a load would refuse are refused before
+        anything is written."""
         inst = self.adapter_instance(name)
         directory = Path(directory)
+        tensors = storable(directory / WEIGHTS_FILE, {k: t.data for k, t in inst.tensors.items()})
         directory.mkdir(parents=True, exist_ok=True)
-        write_weights(directory / WEIGHTS_FILE,
-                      {k: t.data for k, t in inst.tensors.items()})
+        write_weights(directory / WEIGHTS_FILE, tensors)
         write_manifest(directory / CONFIG_FILE, name, config_to_dict(inst.config),
                        self.dims.to_dict())
         return directory
@@ -354,11 +354,13 @@ class AdapterModel:
     def save_base(self, directory) -> Path:
         """Write ``base_weights.bin`` and then ``base_config.json`` for the
         encoder, each atomically, so a failed save leaves the directory's
-        manifest as it was."""
+        manifest as it was; weights a load would refuse are refused before
+        anything is written."""
         directory = Path(directory)
+        tensors = storable(directory / BASE_WEIGHTS_FILE,
+                           {k: t.data for k, t in self.encoder.params.items()})
         directory.mkdir(parents=True, exist_ok=True)
-        write_weights(directory / BASE_WEIGHTS_FILE,
-                      {k: t.data for k, t in self.encoder.params.items()})
+        write_weights(directory / BASE_WEIGHTS_FILE, tensors)
         write_base_manifest(directory / BASE_CONFIG_FILE, self.dims.to_dict())
         return directory
 
@@ -375,8 +377,10 @@ class AdapterModel:
         return model
 
     def save_head(self, name: str, path) -> None:
-        """Write prediction head ``name`` to the head file ``path``, atomically."""
+        """Write prediction head ``name`` to the head file ``path``, atomically,
+        unless its weights hold NaN or an infinity."""
         h = self.head(name)
+        check_tensors(path, {"w": h.w.data, "b": h.b.data})
         write_head(path, h.kind, h.num_labels, h.w.data, h.b.data)
 
     def load_head(self, name: str, path) -> None:

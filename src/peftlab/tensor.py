@@ -87,10 +87,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """A defensive copy of the underlying buffer."""
-        return self.data.copy()
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .configs import expand_axes, parse_config
+from .configs import config_to_dict, expand_axes, parse_config, validate_config
 from .model import REGRESSION, ModelDims
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
@@ -308,7 +308,6 @@ def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
         if result.diverged:
             metric = float("nan")
         else:
-            model.set_active(None if method == FULL_FT else head)
             metric = evaluate(model, head, data.eval_x, data.eval_y)
         spent = time.perf_counter() - start
         yield CellRecord(
@@ -329,24 +328,18 @@ def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
 
 def _config_axes(config, method: str) -> dict:
     """Record only the axes that distinguish this cell from the preset."""
-    base = parse_config(method)
-    if config == base:
-        return {}
-    out = {}
-    for f in dataclasses.fields(config):
-        v = getattr(config, f.name)
-        if getattr(base, f.name) != v:
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
+    base = config_to_dict(parse_config(method))
+    return {k: v for k, v in config_to_dict(config).items() if v != base[k]}
 
 
-def grid_chains(grid: GridSpec) -> list:
+def grid_chains(grid: GridSpec, dims: ModelDims) -> list:
     """The grid's cells in grid order, as ``(method, config, lr, epochs)``
     chains: the methods, with ``full-ft`` first when ``include_full_ft`` is
     set, then each method's axis variants, then the lrs, then the epochs.
     An adapter chain holds every epoch count of ``grid.epochs``; a
     ``full-ft`` chain (config ``None``) holds one, since full-ft cells are
-    not chained (see :func:`run_grid`)."""
+    not chained (see :func:`run_grid`).  Every adapter config is checked
+    against ``dims`` (:func:`validate_config`) before anything is returned."""
     methods = list(grid.methods)
     if grid.include_full_ft and FULL_FT not in methods:
         methods = [FULL_FT] + methods
@@ -356,9 +349,9 @@ def grid_chains(grid: GridSpec) -> list:
         if method == FULL_FT:
             chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in epochs]
         else:
-            axes = grid.method_axes.get(method, {})
-            chains += [(method, cfg, lr, epochs)
-                       for _, cfg in expand_axes(parse_config(method), axes) for lr in grid.lrs]
+            for _, cfg in expand_axes(parse_config(method), grid.method_axes.get(method, {})):
+                validate_config(cfg, dims)
+                chains += [(method, cfg, lr, epochs) for lr in grid.lrs]
     return chains
 
 
@@ -394,10 +387,11 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     serial run gives it.
 
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
-    snapshot; otherwise the base is pretrained here."""
+    snapshot; otherwise the base is pretrained here, once every config of
+    the grid has passed :func:`validate_config`."""
+    chains = grid_chains(grid, dims)
     if data is None or base_state is None:
         data, base_state = prepare_base(dims, spec, grid)
-    chains = grid_chains(grid)
 
     def run_one(chain):
         method, config, lr, chain_epochs = chain

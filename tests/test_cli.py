@@ -18,6 +18,8 @@ from peftlab import cli
 from peftlab.checkpoint import (BASE_CONFIG_FILE, BASE_WEIGHTS_FILE, CheckpointError,
                                 read_weights, write_weights)
 from peftlab.cli import main
+from peftlab.configs import BottleneckConfig, PrefixTuningConfig, count_params
+from peftlab.model import DESK_DIMS
 from peftlab.registry import AdapterModel
 from peftlab.training import CSV_FIELDS
 
@@ -258,6 +260,36 @@ def test_train_checks_every_config_against_the_dims_before_pretraining(capsys, t
     assert "phm_dim" in err
     assert stdout == ""
     assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("r=8.0", "must be of type int"),               # used to escape as a TypeError
+    ("validate=1", "does not apply"),               # a method, not a field
+    ("targets=query", "must be of type tuple"),     # a tuple field cannot be an axis
+])
+def test_train_rejects_a_mistyped_axis_before_pretraining(capsys, tmp_path, monkeypatch,
+                                                          axis, message):
+    monkeypatch.setattr(cli, "prepare_base", lambda *a: pytest.fail("pretrained"))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = _train(capsys, tmp_path, "--config", "lora", "--axis", axis,
+                               "--lr", "1e-3", "--epochs", "1", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_train_reads_bool_axes_as_bools(capsys, tmp_path):
+    code, out, _ = _train(capsys, tmp_path, "--config", "seq_bn", "--config", "prefix_tuning",
+                          "--axis", "with_invertible=false,true", "--axis", "flat=false,true",
+                          "--lr", "1e-3", "--epochs", "1")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    variants = [BottleneckConfig(), BottleneckConfig(with_invertible=True),
+                PrefixTuningConfig(), PrefixTuningConfig(flat=True)]
+    assert [r["config"] for r in recs] == [{}, {"with_invertible": True}, {}, {"flat": True}]
+    assert [r["n_params"] for r in recs] == [count_params(c, DESK_DIMS) for c in variants]
+    assert recs[0]["n_params"] == 1160 and recs[1]["n_params"] == 3304
 
 
 def test_failed_save_base_leaves_the_previous_manifest(tmp_path):
@@ -669,6 +701,17 @@ def test_average_with_a_damaged_source_head_writes_nothing(capsys, workspace):
                            "--adapter", str(source), "--out", str(out_dir))
     assert code == 1
     assert "non-finite" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1e308,1e308"])
+def test_average_with_non_finite_weights_writes_nothing(capsys, workspace, weights):
+    out_dir = workspace["root"] / "avg-bad-weights"
+    code, _, err = run_cli(capsys, "average", "--base", str(workspace["base"]),
+                           "--adapter", f"a={workspace['bn']}", "--adapter",
+                           f"b={workspace['bn']}", "--weights", weights, "--out", str(out_dir))
+    assert code == 1
+    assert "finite" in err
     assert not out_dir.exists()
 
 

@@ -17,12 +17,14 @@ from peftlab.configs import (AUDIT_GRID, BottleneckConfig, CompacterConfig,
                              PrefixTuningConfig, PromptTuningConfig,
                              audit_counts, config_from_dict, config_label,
                              config_to_dict, count_params, parse_config,
-                             run_count_audit, validate_config)
+                             run_count_audit, tensor_shapes, validate_config)
 from peftlab import methods
 from peftlab.cli import main
 from peftlab.methods import instantiate_adapter
 from peftlab.model import DESK_DIMS, ROBERTA_BASE_DIMS, HookPoint, ModelDims
 from peftlab.registry import AdapterModel
+
+from conftest import SMALL_DIMS
 
 ALL_STRINGS = ("seq_bn", "double_seq_bn", "par_bn", "seq_bn_inv",
                "prompt_tuning", "prefix_tuning", "compacter", "lora", "ia3",
@@ -422,3 +424,93 @@ def test_configs_are_frozen():
     cfg = parse_config("lora")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.r = 4
+
+
+# ---------------------------------------------------------------------------
+# field types: one rule for configs built in code, from manifests or by --axis
+
+MISTYPED = [
+    BottleneckConfig(with_invertible="false"),      # a truthy string
+    BottleneckConfig(scaling=True),                 # a bool is not a float
+    PrefixTuningConfig(flat=0),                     # an int is not a bool
+    LoraConfig(r=8.0),                              # a float is not an int
+    LoraConfig(targets="query"),                    # a string is not a tuple
+    IA3Config(targets=["keys"]),                    # nor is a list
+    CompacterConfig(phm_dim=None),
+    ConfigUnion(members=[LoraConfig()]),
+    ConfigUnion(members=(LoraConfig(), "seq_bn")),
+    ConfigUnion(members=(LoraConfig(r="8"),)),      # a member's own fields count too
+]
+
+
+@pytest.mark.parametrize("cfg", MISTYPED, ids=repr)
+def test_a_mistyped_field_is_a_config_error_everywhere(cfg):
+    with pytest.raises(ConfigError, match="must be of type"):
+        validate_config(cfg, DESK_DIMS)
+    with pytest.raises(ConfigError, match="must be of type"):
+        count_params(cfg, DESK_DIMS)
+    model = AdapterModel(DESK_DIMS)
+    with pytest.raises(ConfigError, match="must be of type"):
+        model.add_adapter("a", cfg)
+    assert model.adapter_names() == []
+
+
+def test_field_types_follow_the_defaults():
+    validate_config(BottleneckConfig(scaling=2), DESK_DIMS)      # an int is a float
+    validate_config(LoraConfig(alpha=16), DESK_DIMS)
+    validate_config(PrefixTuningConfig(flat=True), DESK_DIMS)
+    validate_config(parse_config("mam"), DESK_DIMS)
+
+
+def test_presets_are_shared_frozen_instances():
+    assert all(parse_config(name) is parse_config(name) for name in ALL_STRINGS)
+    assert config_label(dataclasses.replace(parse_config("unipelt"))) == "unipelt"
+
+
+# Any JSON value, or a JSON value of the field's own type; a list may also
+# arrive as the tuple a manifest list becomes.
+WORDS = st.sampled_from(["parallel", "double", "gelu", "identity", "query", "value", "keys",
+                         "values", "ffn_intermediate"]) | st.text(max_size=6)
+OF_TYPE = {int: st.integers(-2, 80) | st.integers(), bool: st.booleans(), str: WORDS,
+           float: st.floats() | st.integers(-2, 80), tuple: st.lists(WORDS, max_size=3)}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def preset_with_one_field_replaced(draw):
+    """A preset with one field, or one field of one union member, set to a
+    JSON value."""
+    cfg = parse_config(draw(st.sampled_from(ALL_STRINGS)))
+    member = None
+    if isinstance(cfg, ConfigUnion) and draw(st.booleans()):
+        member = draw(st.integers(0, len(cfg.members) - 1))
+    target = cfg if member is None else cfg.members[member]
+    field = draw(st.sampled_from(dataclasses.fields(target)))
+    value = draw(JSON_VALUES | OF_TYPE[type(field.default)])
+    if isinstance(value, list) and draw(st.booleans()):
+        value = tuple(value)
+    target = dataclasses.replace(target, **{field.name: value})
+    if member is None:
+        return target
+    members = cfg.members[:member] + (target,) + cfg.members[member + 1:]
+    return dataclasses.replace(cfg, members=members)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=preset_with_one_field_replaced())
+def test_any_field_value_passes_or_is_a_config_error(cfg):
+    """Validation is the only gate: a config it passes has a dry run with
+    positive int extents and builds; anything else raises ConfigError."""
+    try:
+        validate_config(cfg, SMALL_DIMS)
+    except ConfigError:
+        return
+    shapes = tensor_shapes(cfg, SMALL_DIMS)
+    assert all(type(e) is int and e >= 1 for shape in shapes.values() for e in shape)
+    if count_params(cfg, SMALL_DIMS) <= 1_000_000:      # allocate no more than a test needs
+        inst = instantiate_adapter("a", cfg, SMALL_DIMS, np.random.default_rng(0))
+        assert {k: t.shape for k, t in inst.tensors.items()} == shapes

@@ -278,6 +278,28 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adapter_config.json", "weights.bin"]
 
 
+@pytest.mark.parametrize("what, bad", [
+    *[(what, bad) for what in ("adapter", "base", "head") for bad in (np.nan, -np.inf)],
+    ("adapter", 1e39), ("base", 1e39),      # finite, but stored in float32 as inf
+])
+def test_a_save_refuses_what_a_load_refuses(tmp_path, what, bad):
+    m = AdapterModel(SMALL_DIMS)
+    m.add_adapter("a", "seq_bn")
+    m.add_prediction_head("a", num_labels=2)
+    saves = {"adapter": lambda: m.save_adapter("a", tmp_path),
+             "base": lambda: m.save_base(tmp_path),
+             "head": lambda: m.save_head("a", tmp_path / "head.json")}
+    for save in saves.values():
+        save()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    tensor = {"adapter": m.adapter_instance("a").tensors["layer1.post_ffn.up.w"],
+              "base": m.encoder.params["layer0.attn.wq"], "head": m.head("a").w}[what]
+    tensor.data[0, 0] = bad
+    with pytest.raises(CheckpointError, match="NaN or infinite"):
+        saves[what]()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def _edit_manifest(directory, edit):
     path = directory / "adapter_config.json"
     doc = json.loads(path.read_text())
@@ -479,6 +501,9 @@ def test_average_argument_validation():
         m.average_adapters("avg", ["a", "b"], weights=[1, 1, 1])
     with pytest.raises(RegistryError, match="non-negative"):
         m.average_adapters("avg", ["a", "b"], weights=[-1.0, 2.0])
+    for weights in ([float("nan"), 1.0], [1.0, float("inf")], [1e308, 1e308]):
+        with pytest.raises(RegistryError, match="finite"):
+            m.average_adapters("avg", ["a", "b"], weights=weights)
     with pytest.raises(RegistryError, match="already exists"):
         m.average_adapters("a", ["a", "b"])
     with pytest.raises(KeyError):

@@ -18,7 +18,7 @@ import scipy.special
 
 from peftlab import tensor as T
 from peftlab import training
-from peftlab.configs import parse_config
+from peftlab.configs import ConfigError, parse_config
 from peftlab.model import InputError, ModelDims
 from peftlab.registry import AdapterModel
 from peftlab.tasks import TaskSpec, make_task
@@ -295,6 +295,17 @@ def test_run_grid_expands_method_axes():
     assert [r.config for r in records] == [{"reduction_factor": 2},
                                            {"reduction_factor": 4}]
     assert records[0].n_params > records[1].n_params
+
+
+@pytest.mark.parametrize("axes", [{"r": (8.0,)}, {"targets": ("query",)}, {"alpha": (True,)},
+                                  {"validate": (1,)}], ids=repr)
+def test_run_grid_rejects_a_mistyped_or_unknown_axis_before_pretraining(monkeypatch, axes):
+    monkeypatch.setattr(training, "prepare_base", lambda *a: pytest.fail("pretrained"))
+    seen = []
+    with pytest.raises(ConfigError):
+        run_grid(SMALL_DIMS, TINY_TASK, _mini_grid(methods=("lora",), method_axes={"lora": axes}),
+                 sink=seen.append)
+    assert seen == []
 
 
 REGRESSION_TASK = TaskSpec(kind="masked-sum", vocab=SMALL_DIMS.vocab, seq_len=6,
