@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -158,30 +157,17 @@ def cmd_count_params(args) -> int:
 
 def cmd_train(args) -> int:
     task = _task_spec(args)
-    methods = list(args.config or [])
     axes = {}
     for spec_text in args.axis or []:
         field_name, _, values = spec_text.partition("=")
         if not field_name or not values:
             raise ValueError(f"expected --axis FIELD=V1,V2,..., got {spec_text!r}")
-        axes[field_name] = _parse_values(values)
-    method_axes = {}
-    for m in methods:
-        names = {f.name for f in fields(parse_config(m))}
-        applicable = {k: v for k, v in axes.items() if k in names}
-        if applicable:
-            method_axes[m] = applicable
-    for field_name in axes:
-        if not any(field_name in a for a in method_axes.values()):
-            raise ValueError(f"axis {field_name!r} does not apply to any "
-                             f"selected config")
-
-    grid = GridSpec(methods=tuple(methods),
-                    lrs=tuple(args.lr) if args.lr else DEFAULT_LRS,
-                    epochs=tuple(args.epochs) if args.epochs else DEFAULT_EPOCHS,
+        axes[field_name] = axes.get(field_name, ()) + _parse_values(values)
+    grid = GridSpec(methods=args.config or (), lrs=args.lr or DEFAULT_LRS,
+                    epochs=args.epochs or DEFAULT_EPOCHS,
                     batch_size=args.batch_size, seed=args.seed,
                     pretrain_epochs=args.pretrain_epochs,
-                    include_full_ft=args.full_ft, method_axes=method_axes)
+                    include_full_ft=args.full_ft, axes=axes)
 
     base = AdapterModel.load_base(args.base) if args.base else None
     dims = DIM_PRESETS[args.dims or "desk"] if base is None else base.dims
@@ -190,8 +176,6 @@ def cmd_train(args) -> int:
                          f"checkpoint at {args.base}")
     chains = grid_chains(grid, dims)      # every config fits before any training
     cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
-    if not cells:
-        raise ValueError("nothing to train: pass --config and/or --full-ft")
     if base is not None:
         data, base_state = make_task(task), base.encoder.state_array()
     else:

@@ -13,6 +13,7 @@ any extents without instantiating weights.  The short config strings
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -134,10 +135,11 @@ class PrefixTuningConfig:
     flat: bool = False
 
     def validate(self, dims: ModelDims) -> None:
-        if self.prefix_length < 1:
-            raise ConfigError(f"prefix_length must be >= 1, got {self.prefix_length}")
-        if not self.flat and self.bottleneck_size < 1:
-            raise ConfigError(f"bottleneck_size must be >= 1, got {self.bottleneck_size}")
+        if not 1 <= self.prefix_length <= dims.max_seq:
+            raise ConfigError(f"prefix_length {self.prefix_length} not in 1..max_seq")
+        # admits mam's 800 at desk dims (hidden 64) and the 512 preset down to hidden 8
+        if not self.flat and not 1 <= self.bottleneck_size <= 64 * dims.hidden:
+            raise ConfigError(f"bottleneck_size {self.bottleneck_size} not in 1..64*hidden")
 
     def build(self, b: AdapterBuild) -> None:
         prefix = PrefixModule(b, "prefix.", self, b.dims)
@@ -182,8 +184,8 @@ class LoraConfig:
     targets: tuple = ("query", "value")
 
     def validate(self, dims: ModelDims) -> None:
-        if self.r < 1:
-            raise ConfigError(f"r must be >= 1, got {self.r}")
+        if not 1 <= self.r <= dims.hidden:
+            raise ConfigError(f"r {self.r} not in 1..hidden={dims.hidden}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
         bad = [t for t in self.targets if t not in LORA_TARGETS]
@@ -473,12 +475,14 @@ def expand_axes(config: AdapterConfig, axes: dict) -> list:
 
 
 def audit_counts(name: str, dims: ModelDims) -> list:
-    """Enumerate the audit grid for one config string; returns
+    """The audit grid points of one config string that fit ``dims``, as
     ``[(axis_assignment, count), ...]`` sorted by count."""
     if name not in AUDIT_GRID:
         raise ConfigError(f"no audit grid for {name!r}; have {', '.join(sorted(AUDIT_GRID))}")
-    rows = [(assignment, count_params(cfg, dims))
-            for assignment, cfg in expand_axes(parse_config(name), AUDIT_GRID[name]["axes"])]
+    rows = []
+    for assignment, cfg in expand_axes(parse_config(name), AUDIT_GRID[name]["axes"]):
+        with contextlib.suppress(ConfigError):
+            rows.append((assignment, count_params(cfg, dims)))
     rows.sort(key=lambda r: r[1])
     return rows
 

@@ -50,6 +50,19 @@ class _AttnPayload:
         )
 
 
+def _add_delta(target: Tensor, m, gate, source: Tensor) -> Tensor:
+    """``target`` plus ``m``'s delta of ``source``, gated on ``source``."""
+    delta = m.delta(source)
+    return target + (delta if gate is None else T.mul(gate.value(source), delta))
+
+
+def _rescale(target: Tensor, m, gate, source: Tensor) -> Tensor:
+    """``target`` rescaled by ``m``, only as far as the gate on ``source`` opens."""
+    if gate is None:
+        return m.apply(target)
+    return target + T.mul(gate.value(source), m.apply(target) - target)
+
+
 class RoutingContext:
     """Per-encode adapter router for one compiled setup."""
 
@@ -181,28 +194,18 @@ class RoutingContext:
 
     def _leaf_post_attn(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
         for m, gate in inst.at(HookPoint.POST_ATTN_RESIDUAL, self._layer):
-            delta = m.delta(main)
-            if gate is not None:
-                delta = T.mul(gate.value(main), delta)
-            main = main + delta
+            main = _add_delta(main, m, gate, main)
         return main
 
     def _leaf_ffn_block(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
         for m, gate, hook in inst.at(HookPoint.POST_FFN_RESIDUAL, self._layer):
             base = aux["block_input"] if hook is HookPoint.PARALLEL_TO_LAYER else main
-            delta = m.delta(base)
-            if gate is not None:
-                delta = T.mul(gate.value(base), delta)
-            main = main + delta
+            main = _add_delta(main, m, gate, base)
         return main
 
     def _leaf_ffn_intermediate(self, inst: AdapterInstance, main: Tensor, aux: dict) -> Tensor:
         for m, gate in inst.at(HookPoint.FFN_INTERMEDIATE_SCALE, self._layer):
-            if gate is not None:
-                g = gate.value(main)
-                main = main + T.mul(g, m.apply(main) - main)
-            else:
-                main = m.apply(main)
+            main = _rescale(main, m, gate, main)
         return main
 
     # -- hook entry points ----------------------------------------------------
@@ -270,25 +273,13 @@ class RoutingContext:
         l = self._layer
         x, q, k, v, km = pay.x, pay.q, pay.k, pay.v, pay.km
         for m, gate in inst.at(HookPoint.ATTN_Q_PROJ, l):
-            delta = m.delta(x)
-            if gate is not None:
-                delta = T.mul(gate.value(x), delta)
-            q = q + delta
+            q = _add_delta(q, m, gate, x)
         for m, gate in inst.at(HookPoint.ATTN_V_PROJ, l):
-            delta = m.delta(x)
-            if gate is not None:
-                delta = T.mul(gate.value(x), delta)
-            v = v + delta
+            v = _add_delta(v, m, gate, x)
         for m, gate in inst.at(HookPoint.ATTN_KEYS_SCALE, l):
-            if gate is not None:
-                k = k + T.mul(gate.value(x), m.apply(k) - k)
-            else:
-                k = m.apply(k)
+            k = _rescale(k, m, gate, x)
         for m, gate in inst.at(HookPoint.ATTN_VALUES_SCALE, l):
-            if gate is not None:
-                v = v + T.mul(gate.value(x), m.apply(v) - v)
-            else:
-                v = m.apply(v)
+            v = _rescale(v, m, gate, x)
         deferred = []
         for pm, gate in inst.at(HookPoint.ATTN_KV, l):
             if gate is None:

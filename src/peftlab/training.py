@@ -14,7 +14,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 from multiprocessing.connection import wait
 from typing import Optional
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .configs import config_to_dict, expand_axes, parse_config, validate_config
+from .configs import ConfigError, config_to_dict, expand_axes, parse_config, validate_config
 from .model import REGRESSION, ModelDims
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
@@ -213,15 +213,45 @@ FULL_FT = "full-ft"
 
 @dataclass(frozen=True)
 class GridSpec:
+    """A grid's cells.  Every list is a set: methods, lrs and axis values
+    keep their first-seen order and epochs ascend, the order a chain
+    reaches them in.  Each axis (config field -> values) applies to every
+    selected config with that field.  Values no grid can run, and a grid
+    with no cells, raise :class:`ValueError`; a bool is never a number."""
+
     methods: tuple = ("seq_bn",)
     lrs: tuple = DEFAULT_LRS
     epochs: tuple = DEFAULT_EPOCHS
     batch_size: int = 16
     seed: int = 0
     pretrain_epochs: int = 4
-    pretrain_lr: float = 1e-3
     include_full_ft: bool = False
-    method_axes: dict = field(default_factory=dict)   # method -> {axis: values}
+    axes: dict = field(default_factory=dict)   # config field -> values
+
+    def __post_init__(self):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < np.inf
+                   for v in self.lrs):
+            raise ValueError(f"every lr must be a finite number > 0, got {list(self.lrs)}")
+        if not all(_is_int(v, 1) for v in self.epochs):
+            raise ValueError(f"every epoch count must be an int >= 1, got {list(self.epochs)}")
+        if not _is_int(self.batch_size, 1):
+            raise ValueError(f"batch_size must be an int >= 1, got {self.batch_size!r}")
+        if not _is_int(self.pretrain_epochs, 0):
+            raise ValueError(f"pretrain_epochs must be an int >= 0, got {self.pretrain_epochs!r}")
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
+        object.__setattr__(self, "lrs", tuple(dict.fromkeys(self.lrs)))
+        object.__setattr__(self, "epochs", tuple(sorted(set(self.epochs))))
+        # keyed by type as well, so that 8 and 8.0 each meet the field's type check
+        object.__setattr__(self, "axes", {k: tuple({(type(v), v): v for v in vs}.values())
+                                          for k, vs in self.axes.items()})
+        if (not (self.methods or self.include_full_ft) or not self.lrs or not self.epochs
+                or not all(self.axes.values())):
+            raise ValueError("nothing to train: a grid needs a method or full-ft, an lr, "
+                             "an epoch count and a value for each axis")
+
+
+def _is_int(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 @dataclass
@@ -265,8 +295,7 @@ def prepare_base(dims: ModelDims, spec: TaskSpec, grid: GridSpec):
     """Build the task data and a pretrained-base snapshot shared by cells."""
     data = make_task(spec)
     model = AdapterModel(dims, seed=grid.seed)
-    pretrain_base(model, spec, data, epochs=grid.pretrain_epochs,
-                  lr=grid.pretrain_lr, seed=grid.seed)
+    pretrain_base(model, spec, data, epochs=grid.pretrain_epochs, seed=grid.seed)
     return data, model.encoder.state_array()
 
 
@@ -312,7 +341,7 @@ def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
         spent = time.perf_counter() - start
         yield CellRecord(
             method=method,
-            config=axes,
+            config=dict(axes),
             lr=lr,
             epochs=epochs,
             seed=seed,
@@ -339,19 +368,26 @@ def grid_chains(grid: GridSpec, dims: ModelDims) -> list:
     An adapter chain holds every epoch count of ``grid.epochs``; a
     ``full-ft`` chain (config ``None``) holds one, since full-ft cells are
     not chained (see :func:`run_grid`).  Every adapter config is checked
-    against ``dims`` (:func:`validate_config`) before anything is returned."""
+    against ``dims`` (:func:`validate_config`), and every axis must apply
+    to one, before anything is returned."""
     methods = list(grid.methods)
     if grid.include_full_ft and FULL_FT not in methods:
         methods = [FULL_FT] + methods
-    epochs = tuple(grid.epochs)
-    chains = []
+    chains, applied = [], set()
     for method in methods:
         if method == FULL_FT:
-            chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in epochs]
-        else:
-            for _, cfg in expand_axes(parse_config(method), grid.method_axes.get(method, {})):
-                validate_config(cfg, dims)
-                chains += [(method, cfg, lr, epochs) for lr in grid.lrs]
+            chains += [(method, None, lr, (ep,)) for lr in grid.lrs for ep in grid.epochs]
+            continue
+        preset = parse_config(method)
+        names = {f.name for f in dataclasses.fields(preset)}
+        axes = {k: v for k, v in grid.axes.items() if k in names}
+        applied.update(axes)
+        for _, cfg in expand_axes(preset, axes):
+            validate_config(cfg, dims)
+            chains += [(method, cfg, lr, grid.epochs) for lr in grid.lrs]
+    for name in grid.axes:
+        if name not in applied:
+            raise ConfigError(f"axis {name!r} does not apply to any selected config")
     return chains
 
 
@@ -372,8 +408,7 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     Workers take chains in grid order and send each record as its
     milestone is reached.  Only this process calls ``sink``: the earliest
     unfinished chain's records pass through as they arrive, and later
-    chains' records wait for their turn, as do a chain's records when
-    ``grid.epochs`` is unsorted or repeats a value.  An exception raised in
+    chains' records wait for their turn.  An exception raised in
     a chain is raised here, with its own type, once every earlier record
     has reached ``sink``; a worker that exits without finishing its chain
     raises :class:`RuntimeError`.  No worker outlives the call.
@@ -393,10 +428,8 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     if data is None or base_state is None:
         data, base_state = prepare_base(dims, spec, grid)
 
-    def run_one(chain):
-        method, config, lr, chain_epochs = chain
-        return _in_order(_run_chain(dims, spec, data, base_state, method, config, lr,
-                                    chain_epochs, grid.batch_size, grid.seed), chain_epochs)
+    def run_one(chain):       # (method, config, lr, milestones)
+        return _run_chain(dims, spec, data, base_state, *chain, grid.batch_size, grid.seed)
 
     records = []
 
@@ -503,19 +536,6 @@ def _chain_worker(conn, parent_ends: list, chains: list, run_one) -> None:
             conn.send((i, (e, traceback.format_exc())))
             return
         conn.send((i, None))
-
-
-def _in_order(chain, epochs: tuple):
-    """The chain's records in the order of ``epochs`` (one per entry, so a
-    repeated value gets its own copy), each as soon as it and every record
-    before it are ready."""
-    ready, i = {}, 0
-    for rec in chain:
-        ready[rec.epochs] = rec
-        while i < len(epochs) and epochs[i] in ready:
-            due = ready[epochs[i]]
-            yield replace(due, config=dict(due.config))
-            i += 1
 
 
 def best_metric(records, method: str) -> float:

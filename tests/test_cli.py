@@ -4,6 +4,8 @@ One subprocess test at the end checks the installed console script; everything
 else avoids process spawns to keep the suite fast.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,8 +15,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peftlab import cli
+from peftlab import cli, training
 from peftlab.checkpoint import (BASE_CONFIG_FILE, BASE_WEIGHTS_FILE, CheckpointError,
                                 read_weights, write_weights)
 from peftlab.cli import main
@@ -168,6 +172,7 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         out_f, csv_f = tmp_path / f"{len(cpus)}.jsonl", tmp_path / f"{len(cpus)}.csv"
+        # epochs given out of order: the records still come in ascending order
         code, _, _ = _train(capsys, tmp_path, "--config", "seq_bn", "--config", "lora",
                             "--lr", "1e-3", "--lr", "5e-3", "--epochs", "2", "--epochs", "1",
                             "--out", str(out_f), "--csv", str(csv_f), "--quiet")
@@ -183,7 +188,7 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
     jsonl, csv = files[2]
     assert len(jsonl) == len(set(jsonl)) == 8 and len(csv) == len(set(csv)) == 9
     assert [(r["method"], r["lr"], r["epochs"]) for r in map(json.loads, jsonl)] == [
-        (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (2, 1)]
+        (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (1, 2)]
 
 
 def _summary(err):
@@ -290,6 +295,131 @@ def test_train_reads_bool_axes_as_bools(capsys, tmp_path):
     assert [r["config"] for r in recs] == [{}, {"with_invertible": True}, {}, {"flat": True}]
     assert [r["n_params"] for r in recs] == [count_params(c, DESK_DIMS) for c in variants]
     assert recs[0]["n_params"] == 1160 and recs[1]["n_params"] == 3304
+
+
+@pytest.fixture
+def no_pretraining(monkeypatch):
+    """Fail the test if anything is pretrained."""
+    for module in (cli, training):
+        monkeypatch.setattr(module, "prepare_base", lambda *a: pytest.fail("pretrained"))
+
+
+UNRUNNABLE = [
+    (("--lr", "nan", "--epochs", "0", "--epochs", "-2"), "every lr"),
+    (("--lr", "inf"), "every lr"),
+    (("--lr=-inf",), "every lr"),
+    (("--lr", "0"), "every lr"),
+    (("--lr=-1e-3",), "every lr"),
+    (("--epochs", "0"), "every epoch count"),
+    (("--epochs", "2", "--epochs", "-2"), "every epoch count"),
+    (("--batch-size", "-3"), "batch_size"),
+    (("--batch-size", "0"), "batch_size"),           # was range()'s own error
+    (("--pretrain-epochs", "-1"), "pretrain_epochs"),
+    (("--config", "lora", "--axis", "r=1000000000"), "not in 1..hidden"),
+]
+
+
+@pytest.mark.parametrize("flags, message", UNRUNNABLE, ids=[" ".join(f) for f, _ in UNRUNNABLE])
+def test_train_rejects_values_no_grid_can_run_before_pretraining(capsys, tmp_path,
+                                                                   no_pretraining,
+                                                                   flags, message):
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, "--config", "seq_bn",
+                                *flags, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_train_merges_a_repeated_axis(capsys, tmp_path):
+    code, out, _ = _train(capsys, tmp_path, "--config", "lora", "--lr", "1e-3",
+                          "--epochs", "1", "--axis", "r=2", "--axis", "r=4,2")
+    assert code == 0
+    assert [json.loads(line)["config"] for line in out.splitlines()] == [{"r": 2}, {"r": 4}]
+
+
+def test_train_runs_each_distinct_cell_once(capsys, tmp_path):
+    code, out, _ = _train(capsys, tmp_path, "--config", "seq_bn", "--config", "seq_bn",
+                          "--lr", "1e-3", "--lr", "1e-3",
+                          "--epochs", "2", "--epochs", "1", "--epochs", "2")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [(r["method"], r["lr"], r["epochs"]) for r in recs] == [
+        ("seq_bn", 1e-3, 1), ("seq_bn", 1e-3, 2)]
+
+
+def test_train_saves_a_single_distinct_cell(capsys, tmp_path):
+    ckpt = tmp_path / "ck"
+    code, out, _ = _train(capsys, tmp_path, "--config", "seq_bn", "--config", "seq_bn",
+                          "--lr", "1e-3", "--lr", "1e-3", "--epochs", "1", "--save", str(ckpt))
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert (ckpt / "head.json").exists()
+
+
+# tiny enough that an example trains in well under a second on desk dims
+FUZZ_TASK = ["--task", "parity", "--seq-len", "4", "--vocab", "60", "--samples", "8",
+             "--eval-samples", "4", "--pretrain-samples", "4", "--seed", "1"]
+# axes that apply to each config, and values no grid can run, per flag
+FUZZ_AXES = {"seq_bn": ["reduction_factor=32,16"], "lora": ["r=2", "r=1,2"],
+             "prompt_tuning": ["prompt_length=2,3"], "ia3": []}
+FUZZ_FLAWS = {
+    "lr": st.sampled_from(["nan", "inf", "-inf", "0", "-0.001", "1e400", "true"]),
+    "epochs": st.integers(-2, 0),
+    "batch-size": st.integers(-3, 0),
+    "pretrain-epochs": st.just(-1),
+    "axis": st.sampled_from(["r=0", "r=65", "r=2.0", "alpha=nan", "reduction_factor=3",
+                             "prompt_length=128", "validate=1"]),
+}
+
+
+@st.composite
+def train_argv(draw):
+    """A runnable ``train`` grid, repeats included, with up to two flaws
+    added as one more flag each."""
+    configs = draw(st.lists(st.sampled_from(sorted(FUZZ_AXES)), min_size=1, max_size=3))
+    argv = [*FUZZ_TASK, f"--pretrain-epochs={draw(st.integers(0, 1))}",
+            f"--batch-size={draw(st.integers(1, 9))}"]
+    for name in configs:
+        argv += ["--config", name]
+    if draw(st.booleans()):
+        argv.append("--full-ft")
+    argv += [f"--lr={v!r}" for v in draw(st.lists(st.floats(1e-4, 1e-1), min_size=1,
+                                                   max_size=2))]
+    argv += [f"--epochs={v}" for v in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    axes = sorted({axis for name in configs for axis in FUZZ_AXES[name]})
+    if axes:
+        argv += [f"--axis={v}" for v in draw(st.lists(st.sampled_from(axes), max_size=2))]
+    for flag in draw(st.sets(st.sampled_from(sorted(FUZZ_FLAWS)), max_size=2)):
+        argv.append(f"--{flag}={draw(FUZZ_FLAWS[flag])}")
+    return argv
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=train_argv())
+def test_any_train_grid_exits_zero_with_valid_records_or_one_with_an_error(argv):
+    """Every ``train`` input either trains each distinct cell once, with a
+    finite lr > 0 and epochs >= 1, or exits 1 with ``error:``."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["train", *argv])
+            except SystemExit as e:          # argparse's own errors, e.g. --lr=true
+                code = e.code
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "error: " in err.getvalue()
+        assert out.getvalue() == ""
+        return
+    assert code == 0
+    recs = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert recs
+    assert all(0 < r["lr"] < np.inf and r["epochs"] >= 1 for r in recs)
+    cells = [(r["method"], json.dumps(r["config"]), r["lr"], r["epochs"]) for r in recs]
+    assert len(set(cells)) == len(cells)
 
 
 def test_failed_save_base_leaves_the_previous_manifest(tmp_path):

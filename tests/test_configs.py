@@ -16,7 +16,7 @@ from peftlab.configs import (AUDIT_GRID, BottleneckConfig, CompacterConfig,
                              ConfigError, ConfigUnion, IA3Config, LoraConfig,
                              PrefixTuningConfig, PromptTuningConfig,
                              audit_counts, config_from_dict, config_label,
-                             config_to_dict, count_params, parse_config,
+                             config_to_dict, count_params, expand_axes, parse_config,
                              run_count_audit, tensor_shapes, validate_config)
 from peftlab import methods
 from peftlab.cli import main
@@ -140,6 +140,50 @@ def test_validate_union_rules():
 @pytest.mark.parametrize("name", ALL_STRINGS)
 def test_all_presets_validate_on_desk(name):
     validate_config(parse_config(name), DESK_DIMS)
+
+
+def test_every_preset_and_audit_grid_point_fits_roberta_base():
+    for name in ALL_STRINGS:
+        validate_config(parse_config(name), ROBERTA_BASE_DIMS)
+    for name, grid in AUDIT_GRID.items():
+        points = expand_axes(parse_config(name), grid["axes"])
+        for _, cfg in points:
+            validate_config(cfg, ROBERTA_BASE_DIMS)
+        assert len(audit_counts(name, ROBERTA_BASE_DIMS)) == len(points)
+
+
+# sizes past the dims, up to ones no host could allocate: each is refused by
+# validation and by the dry-run counters, and none is ever built here
+OVERSIZED = [
+    LoraConfig(r=DESK_DIMS.hidden + 1),
+    LoraConfig(r=10**9),
+    PrefixTuningConfig(prefix_length=DESK_DIMS.max_seq + 1),
+    PrefixTuningConfig(prefix_length=10**9, flat=True),
+    PrefixTuningConfig(bottleneck_size=64 * DESK_DIMS.hidden + 1),
+    PrefixTuningConfig(bottleneck_size=10**15),
+    ConfigUnion(members=(LoraConfig(r=10**9), PrefixTuningConfig())),
+    ConfigUnion(members=(PrefixTuningConfig(bottleneck_size=10**15), BottleneckConfig())),
+]
+
+
+@pytest.mark.parametrize("cfg", OVERSIZED, ids=repr)
+def test_sizes_past_the_dims_are_config_errors(cfg):
+    for check in (validate_config, tensor_shapes, count_params):
+        with pytest.raises(ConfigError, match="not in 1.."):
+            check(cfg, DESK_DIMS)
+
+
+def test_the_largest_sizes_within_the_bounds_validate():
+    for cfg in (LoraConfig(r=DESK_DIMS.hidden),
+                PrefixTuningConfig(prefix_length=DESK_DIMS.max_seq),
+                PrefixTuningConfig(bottleneck_size=64 * DESK_DIMS.hidden),
+                PrefixTuningConfig(bottleneck_size=10**15, flat=True)):    # a flat prefix has none
+        validate_config(cfg, DESK_DIMS)
+
+
+def test_audit_counts_leave_out_the_points_that_do_not_fit():
+    assert [a for a, _ in audit_counts("lora", DESK_DIMS)] == [{"r": r} for r in (4, 8, 16, 64)]
+    assert all(a["prefix_length"] != 200 for a, _ in audit_counts("prefix_tuning", DESK_DIMS))
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +548,14 @@ def preset_with_one_field_replaced(draw):
 @given(cfg=preset_with_one_field_replaced())
 def test_any_field_value_passes_or_is_a_config_error(cfg):
     """Validation is the only gate: a config it passes has a dry run with
-    positive int extents and builds; anything else raises ConfigError."""
+    positive int extents, is small (the size bounds), and builds; anything
+    else raises ConfigError."""
     try:
         validate_config(cfg, SMALL_DIMS)
     except ConfigError:
         return
     shapes = tensor_shapes(cfg, SMALL_DIMS)
     assert all(type(e) is int and e >= 1 for shape in shapes.values() for e in shape)
-    if count_params(cfg, SMALL_DIMS) <= 1_000_000:      # allocate no more than a test needs
-        inst = instantiate_adapter("a", cfg, SMALL_DIMS, np.random.default_rng(0))
-        assert {k: t.shape for k, t in inst.tensors.items()} == shapes
+    assert count_params(cfg, SMALL_DIMS) <= 1_000_000
+    inst = instantiate_adapter("a", cfg, SMALL_DIMS, np.random.default_rng(0))
+    assert {k: t.shape for k, t in inst.tensors.items()} == shapes

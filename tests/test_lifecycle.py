@@ -355,7 +355,7 @@ def test_load_checks_the_weights_file_before_allocating(tmp_path, monkeypatch):
     m.add_adapter("a", "seq_bn")
     m.save_adapter("a", tmp_path)
     _edit_manifest(tmp_path, lambda doc: doc.update(
-        config={"type": "prefix_tuning", "prefix_length": 1000, "flat": True}))
+        config={"type": "prefix_tuning", "prefix_length": SMALL_DIMS.max_seq, "flat": True}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_adapter allocated a tensor")

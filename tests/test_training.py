@@ -199,7 +199,7 @@ def test_evaluate_agrees_with_direct_metric():
 
 
 def test_prepare_base_pretrains_the_backbone():
-    grid = GridSpec(methods=("seq_bn",), pretrain_epochs=2, pretrain_lr=5e-3)
+    grid = GridSpec(methods=("seq_bn",), pretrain_epochs=2)
     data, state = prepare_base(SMALL_DIMS, TINY_TASK, grid)
     fresh = AdapterModel(SMALL_DIMS, seed=grid.seed).encoder.state_array()
     assert set(state) == set(fresh)
@@ -288,8 +288,7 @@ def test_run_grid_crosses_all_axes_and_streams_records():
 
 
 def test_run_grid_expands_method_axes():
-    grid = _mini_grid(methods=("seq_bn",),
-                      method_axes={"seq_bn": {"reduction_factor": (2, 4)}})
+    grid = _mini_grid(methods=("seq_bn",), axes={"reduction_factor": (2, 4)})
     records = run_grid(SMALL_DIMS, TINY_TASK, grid)
     assert len(records) == 2
     assert [r.config for r in records] == [{"reduction_factor": 2},
@@ -303,9 +302,69 @@ def test_run_grid_rejects_a_mistyped_or_unknown_axis_before_pretraining(monkeypa
     monkeypatch.setattr(training, "prepare_base", lambda *a: pytest.fail("pretrained"))
     seen = []
     with pytest.raises(ConfigError):
-        run_grid(SMALL_DIMS, TINY_TASK, _mini_grid(methods=("lora",), method_axes={"lora": axes}),
+        run_grid(SMALL_DIMS, TINY_TASK, _mini_grid(methods=("lora",), axes=axes),
                  sink=seen.append)
     assert seen == []
+
+
+def test_grid_lists_are_sets_in_canonical_order():
+    grid = GridSpec(methods=("lora", "seq_bn", "lora"), lrs=(1e-3, 5e-4, 1e-3),
+                    epochs=(3, 1, 2, 3), axes={"r": (4, 2, 4), "alpha": (8, 8.0, 8)})
+    assert grid.methods == ("lora", "seq_bn")
+    assert grid.lrs == (1e-3, 5e-4)
+    assert grid.epochs == (1, 2, 3)
+    # 8 and 8.0 stay apart, so each meets the field's type check
+    assert grid.axes == {"r": (4, 2), "alpha": (8, 8.0)}
+    assert [type(v) for v in grid.axes["alpha"]] == [int, float]
+
+
+@pytest.mark.parametrize("changes", [
+    dict(lrs=(float("nan"),)), dict(lrs=(float("inf"),)), dict(lrs=(-float("inf"),)),
+    dict(lrs=(0.0,)), dict(lrs=(-1e-3,)), dict(lrs=(1e-3, 0)), dict(lrs=(True,)),
+    dict(lrs=("1e-3",)), dict(lrs=(None,)),
+    dict(epochs=(0,)), dict(epochs=(-2,)), dict(epochs=(1, 0)), dict(epochs=(1.0,)),
+    dict(epochs=(True,)), dict(epochs=("1",)),
+    dict(batch_size=0), dict(batch_size=-3), dict(batch_size=2.0), dict(batch_size=True),
+    dict(pretrain_epochs=-1), dict(pretrain_epochs=1.5), dict(pretrain_epochs=False),
+    dict(methods=()), dict(lrs=()), dict(epochs=()), dict(axes={"r": ()}),
+], ids=repr)
+def test_a_grid_no_run_can_train_is_a_value_error(changes):
+    with pytest.raises(ValueError):
+        _mini_grid(**changes)
+
+
+def test_an_empty_method_list_is_fine_with_full_ft():
+    assert _mini_grid(methods=(), include_full_ft=True).methods == ()
+
+
+def test_each_axis_applies_to_every_config_with_the_field():
+    grid = _mini_grid(methods=("seq_bn", "lora", "par_bn"), lrs=(1e-3, 5e-3),
+                      axes={"reduction_factor": (2, 4), "r": (2,)})
+    got = [(m, cfg, lr) for m, cfg, lr, _ in training.grid_chains(grid, SMALL_DIMS)]
+    seq_bn, lora, par_bn = (parse_config(m) for m in ("seq_bn", "lora", "par_bn"))
+    assert got == [
+        ("seq_bn", dataclasses.replace(seq_bn, reduction_factor=2), 1e-3),
+        ("seq_bn", dataclasses.replace(seq_bn, reduction_factor=2), 5e-3),
+        ("seq_bn", dataclasses.replace(seq_bn, reduction_factor=4), 1e-3),
+        ("seq_bn", dataclasses.replace(seq_bn, reduction_factor=4), 5e-3),
+        ("lora", dataclasses.replace(lora, r=2), 1e-3),
+        ("lora", dataclasses.replace(lora, r=2), 5e-3),
+        ("par_bn", dataclasses.replace(par_bn, reduction_factor=2), 1e-3),
+        ("par_bn", dataclasses.replace(par_bn, reduction_factor=2), 5e-3),
+        ("par_bn", dataclasses.replace(par_bn, reduction_factor=4), 1e-3),
+        ("par_bn", dataclasses.replace(par_bn, reduction_factor=4), 5e-3),
+    ]
+    with pytest.raises(ConfigError, match="'r' does not apply"):
+        training.grid_chains(_mini_grid(methods=("seq_bn",), include_full_ft=True,
+                                        axes={"r": (2,)}), SMALL_DIMS)
+
+
+def test_run_grid_trains_each_distinct_cell_once():
+    grid = _mini_grid(methods=("seq_bn", "seq_bn"), lrs=(5e-3, 5e-3), epochs=(2, 1, 2),
+                      axes={"reduction_factor": (4, 4)})
+    got = run_grid(SMALL_DIMS, TINY_TASK, grid)
+    assert [(r.method, r.config, r.lr, r.epochs) for r in got] == [
+        ("seq_bn", {"reduction_factor": 4}, 5e-3, 1), ("seq_bn", {"reduction_factor": 4}, 5e-3, 2)]
 
 
 REGRESSION_TASK = TaskSpec(kind="masked-sum", vocab=SMALL_DIMS.vocab, seq_len=6,
@@ -325,8 +384,9 @@ def _independent_cells(spec, grid, data, state):
     out = []
     for method in methods:
         configs = [None] if method == FULL_FT else [parse_config(method)]
-        for axis, values in grid.method_axes.get(method, {}).items():
-            configs = [dataclasses.replace(c, **{axis: v}) for c in configs for v in values]
+        for axis, values in grid.axes.items():
+            if method != FULL_FT and hasattr(configs[0], axis):
+                configs = [dataclasses.replace(c, **{axis: v}) for c in configs for v in values]
         for cfg in configs:
             for lr in grid.lrs:
                 for epochs in grid.epochs:
@@ -349,14 +409,15 @@ def _check_against_independent_cells(spec, grid):
 
 def test_run_grid_chains_equal_independent_cells_with_unsorted_epochs():
     grid = _mini_grid(methods=("seq_bn", "lora"), lrs=(5e-3,), epochs=(3, 1, 2, 3),
-                      method_axes={"seq_bn": {"reduction_factor": (2, 4)}})
+                      axes={"reduction_factor": (2, 4)})
+    assert grid.epochs == (1, 2, 3)
     got = _check_against_independent_cells(REGRESSION_TASK, grid)
-    assert [(r.method, r.config, r.epochs) for r in got[:4]] == [
-        ("seq_bn", {"reduction_factor": 2}, ep) for ep in (3, 1, 2, 3)]
-    assert len(got) == 3 * 4
-    assert got[0] is not got[3] and got[0].config is not got[3].config
+    assert [(r.method, r.config, r.epochs) for r in got[:3]] == [
+        ("seq_bn", {"reduction_factor": 2}, ep) for ep in (1, 2, 3)]
+    assert len(got) == 3 * 3
+    assert got[0].config is not got[1].config
     # a chain's last milestone carries its whole cost
-    assert got[0].seconds >= got[2].seconds >= got[1].seconds
+    assert got[2].seconds >= got[1].seconds >= got[0].seconds
 
 
 def test_run_grid_chain_keeps_reporting_a_divergence():
@@ -386,9 +447,10 @@ def two_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("grid", [
-    # four full-ft cells in this process, then three chains in workers
+    # six full-ft cells (2 lrs x 3 epoch counts) in this process, then six
+    # chains (3 configs x 2 lrs) in workers
     _mini_grid(methods=("seq_bn", "lora"), lrs=(5e-3, 1e-3), epochs=(3, 1, 2, 3),
-               include_full_ft=True, method_axes={"seq_bn": {"reduction_factor": (2, 4)}}),
+               include_full_ft=True, axes={"reduction_factor": (2, 4)}),
     # a run of chains on each side of the full-ft cells, each with its own
     # workers; one step per epoch, so lr 1e200 diverges at epoch 2
     _mini_grid(methods=("seq_bn", FULL_FT, "lora"), lrs=(5e-3, 1e200), epochs=(1, 2, 3),
