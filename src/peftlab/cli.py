@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
     if base is not None and args.dims is not None and DIM_PRESETS[args.dims] != dims:
         raise ValueError(f"--dims {args.dims} disagrees with the base "
                          f"checkpoint at {args.base}")
-    chains = grid_chains(grid, dims)      # every config fits before any training
+    chains = grid_chains(grid, dims, task.seq_len)   # every config fits before any training
     cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
     if base is not None:
         data, base_state = make_task(task), base.encoder.state_array()
@@ -182,9 +182,7 @@ def cmd_train(args) -> int:
         data, base_state = prepare_base(dims, task, grid)
 
     if args.save_base:
-        snapshot = AdapterModel(dims, seed=args.seed)
-        snapshot.encoder.load_state_array(base_state)
-        snapshot.save_base(args.save_base)
+        AdapterModel(dims, base_state=base_state).save_base(args.save_base)
 
     out_f = open(args.out, "a") if args.out else None
     csv_f = open(args.csv, "w") if args.csv else None

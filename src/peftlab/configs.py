@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
-from .methods import (AdapterBuild, BottleneckModule, CompacterModule,
+from .methods import (AdapterBuild, AdapterInstance, BottleneckModule, CompacterModule,
                       IA3Module, InvertibleModule, LoraModule, PrefixModule,
                       PromptModule)
 from .model import HookPoint, ModelDims
@@ -329,13 +329,23 @@ def validate_config(config: AdapterConfig, dims: ModelDims) -> None:
     config.validate(dims)
 
 
-def tensor_shapes(config: AdapterConfig, dims: ModelDims) -> dict:
-    """Name -> shape of every tensor the adapter's build declares on
-    ``dims``, in allocation order, from a dry run that allocates nothing."""
+def _dry_build(config: AdapterConfig, dims: ModelDims) -> AdapterBuild:
     validate_config(config, dims)
     build = AdapterBuild(dims)
     config.build(build)
-    return build.shapes
+    return build
+
+
+def tensor_shapes(config: AdapterConfig, dims: ModelDims) -> dict:
+    """Name -> shape of every tensor the adapter's build declares on
+    ``dims``, in allocation order, from a dry run that allocates nothing."""
+    return _dry_build(config, dims).shapes
+
+
+def prepended_rows(config: AdapterConfig, dims: ModelDims) -> int:
+    """How many rows the adapter prepends to every input sequence on
+    ``dims`` (its prompt length), from a dry run of its build."""
+    return AdapterInstance("", config, dims, _dry_build(config, dims)).prompt_length()
 
 
 def count_params(config: AdapterConfig, dims: ModelDims) -> int:

@@ -14,13 +14,13 @@ coupling layers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import ATTENTION_HOOKS, HookPoint, ModelDims
+from .model import ATTENTION_HOOKS, HookPoint, ModelDims, given_array
 
 if TYPE_CHECKING:
     from .configs import AdapterConfig, PrefixTuningConfig
@@ -43,38 +43,49 @@ class _Alloc:
     """Named tensor allocator for one adapter instance.
 
     Every name gets :attr:`prefix` prepended and its shape recorded in
-    :attr:`shapes`.  With ``rng=None`` nothing is drawn or allocated: each
-    call returns ``None`` in place of the tensor.
+    :attr:`shapes`.  What each call returns depends on ``source``:
+
+    * an rng: a new tensor, drawn (or zeros or ones) as the call declares;
+    * a mapping of arrays: a tensor over the array stored under the name,
+      checked against the declared shape by :func:`given_array`; nothing
+      is drawn;
+    * ``None``: a dry run; nothing is drawn or allocated, and each call
+      returns ``None`` in place of the tensor.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator]):
-        self.rng = rng
+    def __init__(self, source):
+        self.source = source
         self.prefix = ""
         self.shapes: dict[str, tuple] = {}
         self.tensors: dict[str, Tensor] = {}
 
-    def _register(self, name: str, shape: tuple, draw: Callable[[], np.ndarray]):
+    def _register(self, name: str, shape: tuple,
+                  draw: Callable[[np.random.Generator], np.ndarray]):
         name = self.prefix + name
         if name in self.shapes:
             raise ValueError(f"duplicate tensor name {name!r}")
         self.shapes[name] = shape
-        if self.rng is None:
+        if self.source is None:
             return None
-        t = Tensor(draw(), name=name)
+        if isinstance(self.source, np.random.Generator):
+            data = draw(self.source)
+        else:
+            data = given_array(self.source, name, shape)
+        t = Tensor(data, name=name)
         self.tensors[name] = t
         return t
 
     def uniform(self, name, shape, scale=0.05):
-        return self._register(name, shape, lambda: self.rng.uniform(-scale, scale, size=shape))
+        return self._register(name, shape, lambda rng: rng.uniform(-scale, scale, size=shape))
 
     def normal(self, name, shape, std=0.02):
-        return self._register(name, shape, lambda: self.rng.normal(0.0, std, size=shape))
+        return self._register(name, shape, lambda rng: rng.normal(0.0, std, size=shape))
 
     def zeros(self, name, shape):
-        return self._register(name, shape, lambda: np.zeros(shape))
+        return self._register(name, shape, lambda rng: np.zeros(shape))
 
     def ones(self, name, shape):
-        return self._register(name, shape, lambda: np.ones(shape))
+        return self._register(name, shape, lambda rng: np.ones(shape))
 
 
 class BottleneckModule:
@@ -304,11 +315,13 @@ class AdapterBuild(_Alloc):
     ``EMBEDDING_BOUNDARY`` and ``INPUT_PREPEND``.  A layer entry is
     ``(module, gate)``, with ``gate`` ``None`` unless the adapter is a gated
     union; entries of the feed-forward block list are ``(module, gate,
-    hook)``.  Without an rng this is a dry run: shapes only.
+    hook)``.  ``source`` fills the tensors as in :class:`_Alloc`: an rng
+    draws them, a mapping of arrays supplies them, and ``None`` is a dry
+    run: shapes only.
     """
 
-    def __init__(self, dims: ModelDims, rng: Optional[np.random.Generator] = None):
-        super().__init__(rng)
+    def __init__(self, dims: ModelDims, source=None):
+        super().__init__(source)
         self.dims = dims
         self.gated = False
         self.footprint: set = set()
@@ -384,11 +397,18 @@ class AdapterInstance:
 
 
 def instantiate_adapter(name: str, config: AdapterConfig, dims: ModelDims,
-                        rng: np.random.Generator) -> AdapterInstance:
-    """Validate ``config`` on ``dims``, then run its build: allocate and
-    initialize every tensor of one adapter and bind its modules."""
+                        source) -> AdapterInstance:
+    """Validate ``config`` on ``dims``, then run its build and bind its
+    modules.  ``source`` is an rng, which initializes every tensor, or a
+    mapping of name -> array, which must hold exactly the tensors the
+    build declares, each with its declared shape; then nothing is drawn."""
     from .configs import validate_config      # configs imports this module
     validate_config(config, dims)
-    build = AdapterBuild(dims, rng)
+    build = AdapterBuild(dims, source)
     config.build(build)
+    if source is not None and not isinstance(source, np.random.Generator):
+        extra = sorted(set(source) - set(build.shapes))
+        if extra:
+            raise ValueError(f"arrays given for tensors the build does not declare: "
+                             f"{extra[:3]}")
     return AdapterInstance(name, config, dims, build)

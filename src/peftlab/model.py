@@ -122,8 +122,10 @@ class PredictionHead:
     position; tagging heads read every real token position.
     """
 
-    def __init__(self, name: str, kind: str, num_labels: int, hidden: int,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, kind: str, num_labels: int, hidden: int, source):
+        """``source`` is an rng, which draws ``w`` (``b`` starts at zero),
+        or a mapping that holds ``w`` and ``b``, checked by
+        :func:`given_array`."""
         if kind not in HEAD_KINDS:
             raise InputError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
         if num_labels < 1:
@@ -131,8 +133,13 @@ class PredictionHead:
         self.name = name
         self.kind = kind
         self.num_labels = num_labels
-        self.w = Tensor(rng.normal(0.0, 0.02, size=(hidden, num_labels)))
-        self.b = Tensor(np.zeros(num_labels))
+        if isinstance(source, np.random.Generator):
+            w, b = source.normal(0.0, 0.02, size=(hidden, num_labels)), np.zeros(num_labels)
+        else:
+            w = given_array(source, "w", (hidden, num_labels))
+            b = given_array(source, "b", (num_labels,))
+        self.w = Tensor(w)
+        self.b = Tensor(b)
 
     def tensors(self) -> dict:
         return {"w": self.w, "b": self.b}
@@ -147,6 +154,18 @@ class PredictionHead:
         pooled = T.narrow(h, 1, state.prompt_len, 1)
         pooled = T.reshape(pooled, (h.shape[0], h.shape[2]))
         return T.linear(pooled, self.w, self.b)
+
+
+def given_array(arrays, name: str, shape: tuple) -> np.ndarray:
+    """``arrays[name]`` as the float64 array a tensor holds, which is the
+    given array itself when it is C-contiguous float64; :class:`InputError`
+    when there is none or its shape is not ``shape``."""
+    if name not in arrays:
+        raise InputError(f"no array given for {name!r}")
+    if arrays[name].shape != tuple(shape):
+        raise InputError(f"{name!r} is given with shape {arrays[name].shape}, "
+                         f"expected {tuple(shape)}")
+    return np.ascontiguousarray(arrays[name], dtype=np.float64)
 
 
 def encoder_shapes(dims: ModelDims) -> dict:
@@ -168,17 +187,23 @@ def encoder_shapes(dims: ModelDims) -> dict:
 
 class TransformerEncoder:
     """Pre-norm encoder: ``x + Attn(LN(x))`` then ``x + FFN(LN(x))`` per
-    layer, with a final layer norm.  Weights are seeded and deterministic."""
+    layer, with a final layer norm.  Weights are seeded and deterministic,
+    or, given ``state``, the arrays it holds: checked as
+    :meth:`load_state_array` checks them, and nothing is drawn."""
 
-    def __init__(self, dims: ModelDims, seed: int = 0):
+    def __init__(self, dims: ModelDims, seed: int = 0, state: Optional[dict] = None):
         self.dims = dims
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-        for name, shape in encoder_shapes(dims).items():
-            leaf = name.rsplit(".", 1)[1]          # gains start at 1, biases at 0
-            data = (np.ones(shape) if leaf == "g" else np.zeros(shape) if leaf[0] == "b"
-                    else rng.normal(0.0, 0.02, size=shape))
-            self.params[name] = Tensor(data, name=name)
+        shapes = encoder_shapes(dims)
+        if state is None:
+            rng = np.random.default_rng(seed)
+            state = {}
+            for name, shape in shapes.items():
+                leaf = name.rsplit(".", 1)[1]          # gains start at 1, biases at 0
+                state[name] = (np.ones(shape) if leaf == "g" else np.zeros(shape)
+                               if leaf[0] == "b" else rng.normal(0.0, 0.02, size=shape))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(given_array(state, name, shape), name=name)
+            for name, shape in shapes.items()}
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -196,14 +221,11 @@ class TransformerEncoder:
         return {k: t.data.copy() for k, t in self.params.items()}
 
     def load_state_array(self, state: dict) -> None:
+        """Point every parameter at the array ``state`` holds under its
+        name, checked by :func:`given_array`; the arrays are kept, not
+        copied, when they are C-contiguous float64."""
         for k, t in self.params.items():
-            if k not in state:
-                raise InputError(f"missing base parameter {k!r}")
-            if state[k].shape != t.data.shape:
-                raise InputError(
-                    f"base parameter {k!r} shape {state[k].shape} != expected {t.data.shape}"
-                )
-            t.data = np.ascontiguousarray(state[k], dtype=np.float64)
+            t.data = given_array(state, k, t.data.shape)
 
     # -- forward ----------------------------------------------------------
 

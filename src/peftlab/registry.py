@@ -51,10 +51,14 @@ def _as_setup(setup):
 class AdapterModel:
     """Frozen-backbone encoder with a full adapter registry."""
 
-    def __init__(self, dims: ModelDims = DESK_DIMS, seed: int = 0):
+    def __init__(self, dims: ModelDims = DESK_DIMS, seed: int = 0,
+                 base_state: Optional[dict] = None):
+        """A seeded encoder, or with ``base_state`` one over those arrays,
+        kept as :class:`TransformerEncoder` keeps them; ``seed`` still
+        seeds every adapter, head and fusion layer added later."""
         self.dims = dims
         self.seed = seed
-        self.encoder = TransformerEncoder(dims, seed)
+        self.encoder = TransformerEncoder(dims, seed, base_state)
         self._adapters: dict[str, AdapterInstance] = {}
         self._fusions: dict[tuple, FusionLayer] = {}
         self._heads: dict[str, PredictionHead] = {}
@@ -70,13 +74,20 @@ class AdapterModel:
     def add_adapter(self, name: str, config) -> AdapterInstance:
         """Register a new adapter under ``name``; its tensors start frozen
         and it is NOT activated."""
+        if isinstance(config, str):
+            config = parse_config(config)
+        return self._register_adapter(name, config, None)
+
+    def _register_adapter(self, name: str, config, arrays: Optional[dict]) -> AdapterInstance:
+        """Register an adapter whose tensors are ``arrays`` (see
+        :func:`instantiate_adapter`), or drawn from its own rng when that
+        is ``None``."""
         if not _NAME_RE.match(name or ""):
             raise RegistryError(f"invalid adapter name {name!r}")
         if name in self._adapters:
             raise RegistryError(f"adapter {name!r} already exists")
-        if isinstance(config, str):
-            config = parse_config(config)
-        inst = instantiate_adapter(name, config, self.dims, self._rng_for("adapter:" + name))
+        source = self._rng_for("adapter:" + name) if arrays is None else arrays
+        inst = instantiate_adapter(name, config, self.dims, source)
         self._adapters[name] = inst
         return inst
 
@@ -123,10 +134,16 @@ class AdapterModel:
 
     def add_prediction_head(self, name: str, kind: str = CLASSIFICATION,
                             num_labels: int = 2) -> PredictionHead:
+        return self._register_head(name, kind, num_labels, None)
+
+    def _register_head(self, name: str, kind: str, num_labels: int,
+                       arrays: Optional[dict]) -> PredictionHead:
+        """Register a head whose ``w`` and ``b`` are ``arrays``, or drawn
+        from its own rng when that is ``None``."""
         if name in self._heads:
             raise RegistryError(f"prediction head {name!r} already exists")
-        head = PredictionHead(name, kind, num_labels, self.dims.hidden,
-                              self._rng_for("head:" + name))
+        source = self._rng_for("head:" + name) if arrays is None else arrays
+        head = PredictionHead(name, kind, num_labels, self.dims.hidden, source)
         self._heads[name] = head
         return head
 
@@ -307,13 +324,13 @@ class AdapterModel:
             raise RegistryError(f"average weights must be finite with a finite sum, "
                                 f"got {weights.tolist()}")
         weights = weights / total
-        new = self.add_adapter(new_name, cfg)
-        for key, t in new.tensors.items():
+        averaged = {}
+        for key, t in insts[0].tensors.items():
             acc = np.zeros_like(t.data)
             for w, inst in zip(weights, insts):
                 acc += w * inst.tensors[key].data
-            t.data = acc
-        return new
+            averaged[key] = acc
+        return self._register_adapter(new_name, cfg, averaged)
 
     # -- persistence -------------------------------------------------------------------------
 
@@ -343,12 +360,9 @@ class AdapterModel:
             raise CheckpointError(f"{path} stores an invalid adapter name {doc['name']!r}")
         reg_name = name if name is not None else doc["name"]
         config = config_from_dict(doc["config"])
-        # Check the file against a dry build, so a manifest never allocates
-        # more than its weights file holds.
+        # Check the file against a dry build, then build from its arrays.
         blobs = read_weights(Path(directory) / WEIGHTS_FILE, tensor_shapes(config, self.dims))
-        inst = self.add_adapter(reg_name, config)
-        for key, t in inst.tensors.items():
-            t.data = blobs[key].astype(np.float64)
+        self._register_adapter(reg_name, config, blobs)
         return reg_name
 
     def save_base(self, directory) -> Path:
@@ -367,14 +381,12 @@ class AdapterModel:
     @classmethod
     def load_base(cls, directory) -> "AdapterModel":
         """A model (seed 0) whose encoder holds the base saved in
-        ``directory``; its weights file is checked against the dims before
-        anything is allocated."""
+        ``directory``; its weights file is checked against the dims, and
+        the encoder built from its arrays without drawing."""
         path = Path(directory) / BASE_CONFIG_FILE
         dims = manifest_dims(read_manifest(path, BASE_KEYS, "base manifest"), path)
         blobs = read_weights(Path(directory) / BASE_WEIGHTS_FILE, encoder_shapes(dims))
-        model = cls(dims)
-        model.encoder.load_state_array(blobs)
-        return model
+        return cls(dims, base_state=blobs)
 
     def save_head(self, name: str, path) -> None:
         """Write prediction head ``name`` to the head file ``path``, atomically,
@@ -386,8 +398,7 @@ class AdapterModel:
     def load_head(self, name: str, path) -> None:
         """Register the head stored in the head file ``path`` under ``name``."""
         kind, num_labels, arrays = read_head(path, self.dims.hidden)
-        head = self.add_prediction_head(name, kind, num_labels)
-        head.w.data, head.b.data = arrays["w"], arrays["b"]
+        self._register_head(name, kind, num_labels, arrays)
 
     # -- integrity helpers ------------------------------------------------------------------------
 

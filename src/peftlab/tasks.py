@@ -46,6 +46,10 @@ class TaskSpec:
             raise ValueError("vocab must leave room for content tokens")
         if self.seq_len < 2 or min(self.n_train, self.n_eval) < 1:
             raise ValueError("degenerate task extents")
+        if self.n_pretrain < 0:
+            raise ValueError(f"n_pretrain must be >= 0, got {self.n_pretrain}")
+        if self.num_labels < 1:
+            raise ValueError(f"num_labels must be >= 1, got {self.num_labels}")
 
     @property
     def head_kind(self) -> str:

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .configs import ConfigError, config_to_dict, expand_axes, parse_config, validate_config
-from .model import REGRESSION, ModelDims
+from .configs import ConfigError, config_to_dict, expand_axes, parse_config, prepended_rows
+from .model import REGRESSION, CapacityError, ModelDims
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
 from .tensor import Tape, Tensor
@@ -292,7 +292,12 @@ def record_to_csv_row(rec: CellRecord) -> str:
 
 
 def prepare_base(dims: ModelDims, spec: TaskSpec, grid: GridSpec):
-    """Build the task data and a pretrained-base snapshot shared by cells."""
+    """Build the task data and a pretrained-base snapshot shared by cells.
+    Pretraining for an epoch or more needs a pretraining split, so
+    ``spec.n_pretrain`` 0 then raises :class:`ValueError` before any of it."""
+    if grid.pretrain_epochs > 0 and spec.n_pretrain < 1:
+        raise ValueError(f"pretrain_epochs {grid.pretrain_epochs} needs n_pretrain >= 1, "
+                         f"got {spec.n_pretrain}")
     data = make_task(spec)
     model = AdapterModel(dims, seed=grid.seed)
     pretrain_base(model, spec, data, epochs=grid.pretrain_epochs, seed=grid.seed)
@@ -317,8 +322,7 @@ def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
     once through ``milestones`` and yield the record of each, in ascending
     epoch order."""
     start = time.perf_counter()
-    model = AdapterModel(dims, seed=seed)
-    model.encoder.load_state_array(base_state)
+    model = AdapterModel(dims, seed=seed, base_state=base_state)
     head = method if method != FULL_FT else "baseline"
     model.add_prediction_head(head, spec.head_kind, spec.head_labels)
     if method == FULL_FT:
@@ -361,15 +365,19 @@ def _config_axes(config, method: str) -> dict:
     return {k: v for k, v in config_to_dict(config).items() if v != base[k]}
 
 
-def grid_chains(grid: GridSpec, dims: ModelDims) -> list:
+def grid_chains(grid: GridSpec, dims: ModelDims, seq_len: int) -> list:
     """The grid's cells in grid order, as ``(method, config, lr, epochs)``
     chains: the methods, with ``full-ft`` first when ``include_full_ft`` is
     set, then each method's axis variants, then the lrs, then the epochs.
     An adapter chain holds every epoch count of ``grid.epochs``; a
     ``full-ft`` chain (config ``None``) holds one, since full-ft cells are
-    not chained (see :func:`run_grid`).  Every adapter config is checked
-    against ``dims`` (:func:`validate_config`), and every axis must apply
-    to one, before anything is returned."""
+    not chained (see :func:`run_grid`).  Before anything is returned, every
+    adapter config is checked against ``dims`` (:func:`validate_config`),
+    every axis must apply to one, and sequences of ``seq_len`` tokens, plus
+    the rows each config prepends, must fit ``dims.max_seq``
+    (:class:`CapacityError`)."""
+    if seq_len > dims.max_seq:
+        raise CapacityError(f"sequence length {seq_len} exceeds max_seq {dims.max_seq}")
     methods = list(grid.methods)
     if grid.include_full_ft and FULL_FT not in methods:
         methods = [FULL_FT] + methods
@@ -383,7 +391,10 @@ def grid_chains(grid: GridSpec, dims: ModelDims) -> list:
         axes = {k: v for k, v in grid.axes.items() if k in names}
         applied.update(axes)
         for _, cfg in expand_axes(preset, axes):
-            validate_config(cfg, dims)
+            rows = prepended_rows(cfg, dims)
+            if seq_len + rows > dims.max_seq:
+                raise CapacityError(f"sequence {seq_len} + prepended rows {rows} exceeds "
+                                    f"max_seq {dims.max_seq} for {method}")
             chains += [(method, cfg, lr, grid.epochs) for lr in grid.lrs]
     for name in grid.axes:
         if name not in applied:
@@ -414,17 +425,17 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     raises :class:`RuntimeError`.  No worker outlives the call.
 
     ``full-ft`` cells are not chained, and they run in this process:
-    full fine-tuning trains in the ``base_state`` arrays themselves
-    (``load_state_array`` keeps them), so each full-ft cell, and every cell
-    after it, starts from the base the previous full-ft cell left, and a
-    chain would change those records.  Each run of adapter chains between
+    full fine-tuning trains in the ``base_state`` arrays themselves (a
+    chain's encoder is built over them, not over a copy), so each full-ft
+    cell, and every cell after it, starts from the base the previous
+    full-ft cell left, and a chain would change those records.  Each run of adapter chains between
     full-ft cells forks its own workers, so every chain sees the base a
     serial run gives it.
 
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
     snapshot; otherwise the base is pretrained here, once every config of
     the grid has passed :func:`validate_config`."""
-    chains = grid_chains(grid, dims)
+    chains = grid_chains(grid, dims, spec.seq_len)
     if data is None or base_state is None:
         data, base_state = prepare_base(dims, spec, grid)
 

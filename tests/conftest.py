@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,18 @@ def rng():
 
 def random_tokens(rng, batch, seq, vocab, low: int = 0):
     return rng.integers(low, vocab, size=(batch, seq))
+
+
+@pytest.fixture
+def rng_callers(monkeypatch):
+    """The module of each caller of ``np.random.default_rng`` while the test
+    runs, in call order; every call still returns its generator."""
+    callers = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return callers

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,11 @@ UNRUNNABLE = [
     (("--batch-size", "0"), "batch_size"),           # was range()'s own error
     (("--pretrain-epochs", "-1"), "pretrain_epochs"),
     (("--config", "lora", "--axis", "r=1000000000"), "not in 1..hidden"),
+    (("--seq-len", "129"), "sequence length 129 exceeds max_seq 128"),
+    (("--config", "prompt_tuning", "--seq-len", "119"),
+     "sequence 119 + prepended rows 10 exceeds max_seq 128"),
+    (("--pretrain-samples", "-1"), "n_pretrain must be >= 0"),
+    (("--task", "position-tag", "--num-labels", "0"), "num_labels must be >= 1"),
 ]
 
 
@@ -330,6 +336,44 @@ def test_train_rejects_values_no_grid_can_run_before_pretraining(capsys, tmp_pat
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert stdout == ""
     assert not out.exists()
+
+
+def test_train_checks_the_sequence_fits_before_writing_the_base(capsys, tmp_path):
+    base = tmp_path / "base"
+    code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, "--seq-len", "126",
+                                "--config", "seq_bn", "--config", "prompt_tuning",
+                                "--lr", "1e-3", "--epochs", "1", "--save-base", str(base))
+    assert code == 1
+    assert err == "error: sequence 126 + prepended rows 10 exceeds max_seq 128 " \
+                  "for prompt_tuning\n"
+    assert stdout == ""
+    assert not base.exists()
+
+
+def test_train_needs_pretraining_samples_to_pretrain(capsys, tmp_path, monkeypatch):
+    for module in (cli, training):
+        monkeypatch.setattr(module, "make_task", lambda *a: pytest.fail("made the task"))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, "--pretrain-samples", "0",
+                                "--pretrain-epochs", "1", "--config", "seq_bn",
+                                "--lr", "1e-3", "--epochs", "1", "--out", str(out))
+    assert code == 1
+    assert err == "error: pretrain_epochs 1 needs n_pretrain >= 1, got 0\n"
+    assert stdout == "" and not out.exists()
+    monkeypatch.undo()
+    code, stdout, _ = _train(capsys, tmp_path, "--pretrain-samples", "0", "--config", "seq_bn",
+                             "--lr", "1e-3", "--epochs", "1")
+    assert code == 0 and len(stdout.splitlines()) == 1
+
+
+def test_train_rejects_zero_labels_without_a_warning(capsys, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, "--task", "position-tag",
+                                    "--num-labels", "0", "--config", "seq_bn")
+    assert code == 1
+    assert err == "error: num_labels must be >= 1, got 0\n"
+    assert stdout == "" and caught == []
 
 
 def test_train_merges_a_repeated_axis(capsys, tmp_path):

@@ -8,12 +8,12 @@ import pytest
 
 from peftlab import AdapterModel, parse_config
 from peftlab.checkpoint import BASE_CONFIG_FILE, CheckpointError, read_weights, write_weights
-from peftlab.configs import ConfigError
+from peftlab.configs import CONFIG_NAMES, ConfigError
 from peftlab.composition import Fuse, Parallel, Stack, leaves
 from peftlab import methods
 from peftlab import model as model_module
 from peftlab.methods import StateError
-from peftlab.model import DESK_DIMS, ModelDims
+from peftlab.model import DESK_DIMS, InputError, ModelDims
 from peftlab.registry import RegistryError
 
 from conftest import SMALL_DIMS, random_tokens
@@ -424,6 +424,53 @@ def test_load_collision_with_existing_name(tmp_path):
         m.load_adapter(tmp_path)
 
 
+@pytest.mark.parametrize("method", CONFIG_NAMES)
+def test_load_builds_from_the_file_without_drawing(tmp_path, rng_callers, method):
+    m = AdapterModel(DESK_DIMS, seed=1)
+    inst = m.add_adapter("keep", method)
+    randomize(inst, seed=9)
+    m.save_adapter("keep", tmp_path)
+    m2 = AdapterModel(DESK_DIMS, seed=1)
+    rng_callers.clear()
+    m2.load_adapter(tmp_path, name="loaded")
+    assert rng_callers == []
+    got = m2.adapter_instance("loaded").tensors
+    assert list(got) == list(inst.tensors)
+    for k, t in inst.tensors.items():
+        assert np.array_equal(got[k].data, t.data.astype(np.float32).astype(np.float64))
+
+
+def test_load_base_and_load_head_build_from_their_files_without_drawing(tmp_path,
+                                                                       rng_callers):
+    m = AdapterModel(SMALL_DIMS, seed=4)
+    head = m.add_prediction_head("h", "tagging", 3)
+    head.b.data[...] = np.random.default_rng(2).normal(size=3)
+    m.save_base(tmp_path)
+    m.save_head("h", tmp_path / "head.json")
+    rng_callers.clear()
+    m2 = AdapterModel.load_base(tmp_path)
+    m2.load_head("h", tmp_path / "head.json")
+    assert rng_callers == []
+    for k, t in m.encoder.params.items():
+        assert np.array_equal(m2.encoder.params[k].data,
+                              t.data.astype(np.float32).astype(np.float64))
+    assert m2.head("h").kind == "tagging"
+    for k, t in m.head("h").tensors().items():
+        assert np.array_equal(m2.head("h").tensors()[k].data, t.data)
+
+
+def test_an_encoder_built_from_a_state_keeps_its_float64_arrays():
+    state = AdapterModel(SMALL_DIMS, seed=3).encoder.state_array()
+    encoder = AdapterModel(SMALL_DIMS, base_state=state).encoder
+    assert all(encoder.params[k].data is a for k, a in state.items())
+    wide = dict(state, **{"embed.token": state["embed.token"][:, :-1]})
+    with pytest.raises(InputError, match="embed.token"):
+        AdapterModel(SMALL_DIMS, base_state=wide)
+    with pytest.raises(InputError, match="final_ln.b"):
+        AdapterModel(SMALL_DIMS, base_state={k: a for k, a in state.items()
+                                             if k != "final_ln.b"})
+
+
 # ---------------------------------------------------------------------------
 # averaging
 
@@ -439,6 +486,24 @@ def test_average_is_the_weighted_elementwise_mean():
     avg = m.average_adapters("avg", ["a", "b"], weights=[0.5, 0.5])
     for t in avg.tensors.values():
         assert np.all(t.data == 3.0)
+
+
+def test_an_unequal_average_of_three_builds_the_weighted_sums_without_drawing(rng_callers):
+    m = AdapterModel(SMALL_DIMS)
+    sources = [m.add_adapter(name, "unipelt") for name in ("a", "b", "c")]
+    for seed, inst in enumerate(sources):
+        randomize(inst, seed=seed)
+    rng_callers.clear()
+    avg = m.average_adapters("avg", ["a", "b", "c"], weights=[1.0, 2.0, 3.5])
+    assert rng_callers == []
+    weights = np.asarray([1.0, 2.0, 3.5])
+    weights = weights / weights.sum()
+    assert list(avg.tensors) == list(sources[0].tensors)
+    for key, t in avg.tensors.items():
+        acc = np.zeros_like(t.data)
+        for w, inst in zip(weights, sources):
+            acc += w * inst.tensors[key].data
+        assert np.array_equal(t.data, acc)
 
 
 def test_average_weights_are_normalized():

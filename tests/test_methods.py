@@ -333,6 +333,21 @@ def test_instance_allocation_matches_counter(name):
     assert inst.merged is False
 
 
+def test_an_instance_built_from_arrays_takes_each_by_name_and_shape():
+    cfg = parse_config("mam")
+    drawn = instantiate_adapter("x", cfg, SMALL_DIMS, np.random.default_rng(0))
+    arrays = {k: t.data + 1.0 for k, t in drawn.tensors.items()}
+    inst = instantiate_adapter("x", cfg, SMALL_DIMS, arrays)
+    assert list(inst.tensors) == list(drawn.tensors)
+    assert all(inst.tensors[k].data is a for k, a in arrays.items())
+    key = next(iter(arrays))
+    for bad, message in [({k: a for k, a in arrays.items() if k != key}, "no array given"),
+                         (dict(arrays, **{key: arrays[key][..., :1]}), "expected"),
+                         (dict(arrays, extra=np.zeros(1)), "does not declare")]:
+        with pytest.raises(ValueError, match=message):
+            instantiate_adapter("x", cfg, SMALL_DIMS, bad)
+
+
 def test_instance_classification_flags():
     mk = lambda s: instantiate_adapter("x", parse_config(s), DESK_DIMS,
                                        np.random.default_rng(0))

@@ -100,3 +100,7 @@ def test_spec_validation():
         TaskSpec(seq_len=1)
     with pytest.raises(ValueError, match="degenerate"):
         TaskSpec(n_eval=0)
+    with pytest.raises(ValueError, match="n_pretrain must be >= 0"):
+        TaskSpec(n_pretrain=-1)
+    with pytest.raises(ValueError, match="num_labels must be >= 1"):
+        TaskSpec(kind="position-tag", num_labels=0)

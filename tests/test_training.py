@@ -7,6 +7,7 @@ is seeded.
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -33,6 +34,9 @@ from conftest import SMALL_DIMS
 
 TINY_TASK = TaskSpec(kind="parity", vocab=SMALL_DIMS.vocab, seq_len=6,
                      n_train=48, n_eval=24, n_pretrain=16, seed=5)
+
+# (records digest, base digest) of test_a_full_ft_first_grid_keeps_its_pinned_records_and_base
+FULL_FT_FIRST_GOLDEN = ("302fc0b8f31b7a0d", "0ada1f9f07e0fac7")
 
 
 @contextlib.contextmanager
@@ -340,7 +344,7 @@ def test_an_empty_method_list_is_fine_with_full_ft():
 def test_each_axis_applies_to_every_config_with_the_field():
     grid = _mini_grid(methods=("seq_bn", "lora", "par_bn"), lrs=(1e-3, 5e-3),
                       axes={"reduction_factor": (2, 4), "r": (2,)})
-    got = [(m, cfg, lr) for m, cfg, lr, _ in training.grid_chains(grid, SMALL_DIMS)]
+    got = [(m, cfg, lr) for m, cfg, lr, _ in training.grid_chains(grid, SMALL_DIMS, 6)]
     seq_bn, lora, par_bn = (parse_config(m) for m in ("seq_bn", "lora", "par_bn"))
     assert got == [
         ("seq_bn", dataclasses.replace(seq_bn, reduction_factor=2), 1e-3),
@@ -356,7 +360,7 @@ def test_each_axis_applies_to_every_config_with_the_field():
     ]
     with pytest.raises(ConfigError, match="'r' does not apply"):
         training.grid_chains(_mini_grid(methods=("seq_bn",), include_full_ft=True,
-                                        axes={"r": (2,)}), SMALL_DIMS)
+                                        axes={"r": (2,)}), SMALL_DIMS, 6)
 
 
 def test_run_grid_trains_each_distinct_cell_once():
@@ -438,6 +442,37 @@ def test_run_grid_runs_full_ft_cells_unchained():
     got = _check_against_independent_cells(TINY_TASK, grid)
     assert [(r.method, r.epochs) for r in got] == [
         (FULL_FT, 1), (FULL_FT, 2), ("seq_bn", 1), ("seq_bn", 2)]
+
+
+def test_a_chain_builds_its_encoder_over_the_base_arrays_without_drawing(rng_callers):
+    grid = _mini_grid()
+    data, state = prepare_base(SMALL_DIMS, TINY_TASK, grid)
+    for method, config in ((FULL_FT, None), ("seq_bn", parse_config("seq_bn"))):
+        rng_callers.clear()
+        capture = {}
+        run_cell(SMALL_DIMS, TINY_TASK, data, state, method, config, 5e-3, 1,
+                 grid.batch_size, grid.seed, capture=capture)
+        assert "peftlab.model" not in rng_callers
+        assert "peftlab.registry" in rng_callers        # the head's own rng
+        assert all(t.data is state[k] for k, t in capture["model"].encoder.params.items())
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_a_full_ft_first_grid_keeps_its_pinned_records_and_base():
+    # The full-ft cells train in the snapshot's own arrays, so the adapter
+    # chains after them, and the snapshot itself, carry their updates.
+    # perfbench's stored sweep-flat reference depends on this; a chain
+    # that copied the base would change both digests.
+    grid = _mini_grid(methods=("seq_bn", "lora"), epochs=(1, 2), include_full_ft=True,
+                      pretrain_epochs=1)
+    data, state = prepare_base(SMALL_DIMS, TINY_TASK, grid)
+    got = run_grid(SMALL_DIMS, TINY_TASK, grid, data=data, base_state=state)
+    records = _digest("\n".join(_cell_fields(r) for r in got).encode())
+    base = _digest(b"".join(k.encode() + state[k].tobytes() for k in sorted(state)))
+    assert (records, base) == FULL_FT_FIRST_GOLDEN
 
 
 @pytest.fixture
