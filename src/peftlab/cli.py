@@ -21,6 +21,7 @@ checkpoints), 2 acceptance-check failure (``--check-paper`` mismatch).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -73,11 +74,15 @@ def _add_task_args(p, default_samples: int = 4000):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _task_spec(args) -> TaskSpec:
-    return TaskSpec(kind=args.task, vocab=args.vocab, seq_len=args.seq_len,
+def _task_spec(args, pretrain: bool = True) -> TaskSpec:
+    """The task the flags describe, every flag checked; without
+    ``pretrain``, with no pretraining split, which the generator draws
+    last, so the other splits are unchanged."""
+    spec = TaskSpec(kind=args.task, vocab=args.vocab, seq_len=args.seq_len,
                     n_train=args.samples, n_eval=args.eval_samples,
                     n_pretrain=args.pretrain_samples,
                     num_labels=args.num_labels, seed=args.seed)
+    return spec if pretrain else dataclasses.replace(spec, n_pretrain=0)
 
 
 def _split_pair(text: str):
@@ -248,11 +253,11 @@ def _print_summary(records, metric_name: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    model = AdapterModel.load_base(args.base)
-    task = _task_spec(args)
-    data = make_task(task)
     if not (args.adapter or args.head_file):
         raise ValueError("pass --adapter and/or --head-file")
+    model = AdapterModel.load_base(args.base)
+    task = _task_spec(args, pretrain=False)
+    data = make_task(task)
     head = model.load_adapter(args.adapter) if args.adapter else "head"
     head_file = Path(args.head_file or Path(args.adapter) / HEAD_FILE)
     if not (args.head_file or head_file.exists()):
@@ -290,7 +295,7 @@ def cmd_compose(args) -> int:
             raise ValueError(f"--input must hold a 2-D integer token array, "
                              f"got {tokens.dtype} with shape {tokens.shape}")
     else:
-        data = make_task(_task_spec(args))
+        data = make_task(_task_spec(args, pretrain=False))
         tokens = data.eval_x[:args.samples]
 
     state = model.encode(tokens)

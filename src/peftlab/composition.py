@@ -19,7 +19,8 @@ Nesting rules (validated exhaustively):
 :func:`validate_composition` checks every rule in one walk of the tree and
 returns a :class:`Plan`: the resolved adapters, the rows each block hands
 its children, the normalised ``Average`` weights, the fusion layers, the
-prepended prompts and the branch list.  :mod:`peftlab.routing` only reads it.
+prepended prompts, the branch list and whether the encoder's pooled readout
+may run.  :mod:`peftlab.routing` and the encoder only read it.
 """
 
 from __future__ import annotations
@@ -184,6 +185,10 @@ class Plan:
     branches: list = field(default_factory=list)    # [(label, rows)] over the output rows
     leaf_names: list = field(default_factory=list)
     fused: list = field(default_factory=list)
+    # The encoder may finish its last layer on the pooled window alone: no
+    # Split (it routes by position) and no gate read after that layer's
+    # attention (a gate averages its source over every position).
+    pools: bool = True
 
 
 class _Rows(NamedTuple):
@@ -300,6 +305,7 @@ class _Compiler:
             if kind is Split:
                 _check_split(node, self.seq)
                 pn.sizes = node.splits
+                self.plan.pools = False
             children = [self.walk(c, rows, within)[0] for c in node.children]
             if kind is Fuse:
                 names = tuple(c.adapter for c in node.children)
@@ -358,8 +364,16 @@ class _Compiler:
         gated = any(gate is not None
                     for per_layer in inst.bindings.get(HookPoint.ATTN_KV, ())
                     for _, gate in per_layer)
+        last = inst.dims.num_layers - 1
+        if last >= 0 and any(entry[1] is not None for hook in _AFTER_ATTENTION
+                             for entry in inst.at(hook, last)):
+            self.plan.pools = False
         pn = PlanNode(Leaf, inst=inst, gated_prefix=gated, attn=inst.touches_attention)
         return pn, rows, [(name, rows)]
+
+
+_AFTER_ATTENTION = (HookPoint.POST_ATTN_RESIDUAL, HookPoint.FFN_INTERMEDIATE_SCALE,
+                    HookPoint.POST_FFN_RESIDUAL)
 
 
 def _check_batch_split(node, rows: _Rows) -> None:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ContractError, Tape, Tensor
 
 
 class InputError(ValueError):
@@ -107,6 +108,9 @@ class EncoderState:
     prompt_len: int                     # number of prepended rows at the front
     seq_len: int                        # original token count per row
     branches: list = field(default_factory=list)   # [(label or None, row_count)]
+    # Pooled readout: ``hidden`` holds only positions [window_start,
+    # window_start + 2), which include the pooled one.  None: every position.
+    window_start: Optional[int] = None
 
 
 CLASSIFICATION = "classification"
@@ -149,9 +153,12 @@ class PredictionHead:
         if rows is not None:
             h = T.narrow(h, 0, rows.start, rows.stop - rows.start)
         if self.kind == TAGGING:
+            if state.window_start is not None:
+                raise InputError(f"tagging head {self.name!r} reads every position, but "
+                                 f"the state holds only the pooled window")
             tokens = T.narrow(h, 1, state.prompt_len, state.seq_len)
             return T.linear(tokens, self.w, self.b)
-        pooled = T.narrow(h, 1, state.prompt_len, 1)
+        pooled = T.narrow(h, 1, state.prompt_len - (state.window_start or 0), 1)
         pooled = T.reshape(pooled, (h.shape[0], h.shape[2]))
         return T.linear(pooled, self.w, self.b)
 
@@ -246,15 +253,39 @@ class TransformerEncoder:
             )
         return tokens
 
-    def _attn_core(self, q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
+    def _attn_core(self, q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
+                   window: Optional[tuple] = None) -> Tensor:
         """Multi-head scaled dot-product attention over flat (B, S, d)
         projections.  ``key_mask`` has shape (B, S_k); masked keys receive
-        (numerically) zero weight via a large negative score offset."""
+        (numerically) zero weight via a large negative score offset.
+        ``window`` is :func:`~peftlab.tensor.attention`'s query window."""
         bias = (key_mask.astype(np.float64) - 1.0) * _MASK_BIG
-        return T.attention(q, k, v, bias, self.dims.heads)
+        return T.attention(q, k, v, bias, self.dims.heads, window)
 
-    def encode(self, tokens, mask=None, ctx=None) -> EncoderState:
-        """Run the encoder; ``ctx`` (if given) routes every hook point."""
+    def encode(self, tokens, mask=None, ctx=None, pooled: bool = False) -> EncoderState:
+        """Run the encoder; ``ctx`` (if given) routes every hook point.
+
+        ``pooled`` asks for a state that only a head reading the pooled
+        position (the first one after any prepended rows: classification
+        and regression) can use.  The last layer still computes LN1, q, k,
+        v, the attention hook and the attention scores for every position,
+        since keys and values need them all.  From the softmax on, the
+        attention context, ``wo``, the residuals, the hooks after attention,
+        LN2, the feed-forward block, the final layer norm and the exit stage
+        run only on a two-position window that holds the pooled position,
+        and ``state.window_start`` says where it starts.  Two positions, not
+        one, keep every product matrix-matrix, so the window equals those
+        positions of the full path bit for bit.
+
+        The full path is kept when the sequence (prepended rows included)
+        has at most two positions, there are no layers, or ``ctx``'s plan
+        cannot pool (a ``Split``, which routes by position, or a gate that
+        averages over every position after the last attention).  Under a
+        tape ``pooled`` raises :class:`~peftlab.tensor.ContractError`: it is
+        forward only."""
+        if pooled and Tape.current() is not None:
+            raise ContractError("the pooled readout is forward only; it cannot run "
+                                "under a tape")
         tokens = self._check_tokens(tokens)
         B, S = tokens.shape
         if mask is None:
@@ -279,16 +310,23 @@ class TransformerEncoder:
                     f"max_seq {self.dims.max_seq}"
                 )
 
+        last = self.dims.num_layers - 1
+        pool = pooled and h.shape[1] > 2 and (ctx is None or ctx.plan.pools)
         for l in range(self.dims.num_layers):
             pre = f"layer{l}."
             x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
             q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
             k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
             v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
+            core = self._attn_core
+            if pool and l == last:
+                state.window_start = min(state.prompt_len, h.shape[1] - 2)
+                core = partial(self._attn_core, window=(state.window_start, 2))
+                h = T.narrow(h, 1, state.window_start, 2)
             if ctx is not None:
-                attn = ctx.attention(l, x, q, k, v, mask, self._attn_core)
+                attn = ctx.attention(l, x, q, k, v, mask, core)
             else:
-                attn = self._attn_core(q, k, v, mask)
+                attn = core(q, k, v, mask)
             attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
             h = h + attn
             if ctx is not None:

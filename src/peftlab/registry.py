@@ -239,13 +239,17 @@ class AdapterModel:
 
     # -- forward --------------------------------------------------------------------
 
-    def encode(self, tokens, mask=None) -> EncoderState:
+    def encode(self, tokens, mask=None, pooled: bool = False) -> EncoderState:
+        """Encode through the active setup.  ``pooled`` asks for the
+        encoder's pooled readout (see :meth:`TransformerEncoder.encode`),
+        for heads that read one position; the setup's plan decides whether
+        it can run or the full path is kept."""
         tokens = np.asarray(tokens)
         ctx = None
         if self._active is not None:
             batch, seq = tokens.shape if tokens.ndim == 2 else (None, None)
             ctx = RoutingContext(self.validate_setup(self._active, batch=batch, seq=seq))
-        return self.encoder.encode(tokens, mask, ctx)
+        return self.encoder.encode(tokens, mask, ctx, pooled)
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:
         return self.head(head_name).logits(state)

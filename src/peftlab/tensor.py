@@ -337,7 +337,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (x, w, b), rule)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
+              window: Optional[tuple] = None) -> Tensor:
     """Multi-head scaled dot-product attention as one record.
 
     ``q`` is (B, Sq, d) and ``k``, ``v`` are (B, Sk, d) flat projections
@@ -347,7 +348,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int) -> 
     unfused chain of reshape, swapaxes, matmul, scale, add and softmax bit
     for bit; the score path's backward runs only when ``q`` or ``k`` needs a
     gradient.
+
+    ``window`` ``(start, length)``, forward only, returns the context of
+    those queries alone, (B, length, d).  The scores are still computed for
+    every query, since a product over fewer query rows can round
+    differently; from the softmax on only the window's rows are computed,
+    and with ``length`` >= 2 they equal the full call's rows bit for bit.
     """
+    if window is not None and Tape.current() is not None:
+        raise ContractError("attention over a query window is forward only; "
+                            "it cannot run under a tape")
     B, Sq, d = q.data.shape
     Sk = k.data.shape[1]
     if k.data.shape != (B, Sk, d) or v.data.shape != (B, Sk, d) or d % heads:
@@ -355,12 +365,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int) -> 
                          f"divisible by {heads} heads; got {q.shape}, {k.shape}, {v.shape}")
     if np.shape(bias) != (B, Sk):
         raise ShapeError(f"attention bias shape {np.shape(bias)} != {(B, Sk)}")
+    if window is not None and not (0 <= window[0] and 1 <= window[1]
+                                   and window[0] + window[1] <= Sq):
+        raise ShapeError(f"attention query window {window} out of range for {Sq} queries")
     dh = d // heads
     s = float(1.0 / np.sqrt(dh))
     q4 = np.ascontiguousarray(q.data.reshape(B, Sq, heads, dh).swapaxes(1, 2))   # (B,H,Sq,dh)
     kt = np.ascontiguousarray(k.data.reshape(B, Sk, heads, dh).transpose(0, 2, 3, 1))
     v4 = np.ascontiguousarray(v.data.reshape(B, Sk, heads, dh).swapaxes(1, 2))
     scores = q4 @ kt                                                  # (B,H,Sq,Sk)
+    if window is not None:
+        start, Sq = window
+        scores = scores[:, :, start:start + Sq]
     scores *= s
     scores += bias.reshape(B, 1, 1, Sk)
     scores -= scores.max(axis=-1, keepdims=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .configs import ConfigError, config_to_dict, expand_axes, parse_config, prepended_rows
-from .model import REGRESSION, CapacityError, ModelDims
+from .model import REGRESSION, TAGGING, CapacityError, ModelDims
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
 from .tensor import Tape, Tensor
@@ -108,10 +108,22 @@ def task_metric(kind: str, logits: np.ndarray, y: np.ndarray) -> float:
 
 def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
              batch_size: int = 64) -> float:
+    """``head``'s task metric on ``x`` against ``y``, through the active
+    setup, in batches of ``batch_size``.  Classification and regression
+    heads read one position, so they use the encoder's pooled readout.  A
+    setup with more than one output branch is refused: each branch has its
+    own rows, which :meth:`AdapterModel.branch_logits` scores."""
     kind = model.head(head).kind
+    if x.shape[0] == 0:
+        raise ValueError("evaluate needs at least one sequence")
+    if np.shape(y)[0] != x.shape[0]:
+        raise ValueError(f"y has {np.shape(y)[0]} rows but x has {x.shape[0]}")
     outs = []
     for off in range(0, x.shape[0], batch_size):
-        state = model.encode(x[off:off + batch_size])
+        state = model.encode(x[off:off + batch_size], pooled=kind != TAGGING)
+        if len(state.branches) > 1:
+            raise ValueError(f"the active setup has {len(state.branches)} output "
+                             f"branches; score each with branch_logits")
         outs.append(model.logits(state, head).data)
     return task_metric(kind, np.concatenate(outs, axis=0), y)
 

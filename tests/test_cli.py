@@ -544,6 +544,31 @@ def test_eval_without_adapter_or_head_fails(capsys, workspace):
     assert "--head-file" in err
 
 
+def test_eval_checks_its_flags_before_reading_the_base(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "make_task", lambda spec: pytest.fail("generated the task"))
+    code, _, err = run_cli(capsys, "eval", *TASK_ARGS, "--base", str(tmp_path / "missing"))
+    assert code == 1
+    assert "--head-file" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "compose"])
+def test_eval_and_compose_generate_no_pretraining_split(capsys, workspace, monkeypatch,
+                                                        command):
+    specs = []
+    make_task = cli.make_task
+    monkeypatch.setattr(cli, "make_task", lambda spec: specs.append(spec) or make_task(spec))
+    flags = (["--adapter", str(workspace["bn"])] if command == "eval"
+             else ["--adapter", f"a1={workspace['bn']}", "--setup", "a1"])
+    code, _, _ = run_cli(capsys, command, *TASK_ARGS, "--base", str(workspace["base"]),
+                         *flags)
+    assert code == 0
+    assert [spec.n_pretrain for spec in specs] == [0]
+    # the flag is still checked, as train checks it
+    code, _, err = run_cli(capsys, command, *TASK_ARGS, "--base", str(workspace["base"]),
+                           *flags, "--pretrain-samples", "-1")
+    assert code == 1 and "n_pretrain must be >= 0" in err
+
+
 def test_compose_reports_branch_outputs(capsys, workspace):
     code, out, _ = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
                            "--base", str(workspace["base"]),

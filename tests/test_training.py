@@ -198,6 +198,43 @@ def test_evaluate_agrees_with_direct_metric():
     assert got == task_metric("classification", logits, data.eval_y)
 
 
+@pytest.mark.parametrize("kind, labels, pooled", [("classification", 2, True),
+                                                  ("regression", 1, True),
+                                                  ("tagging", 3, False)])
+def test_evaluate_asks_for_the_pooled_readout_only_for_heads_reading_one_position(
+        monkeypatch, kind, labels, pooled):
+    model, data = _tiny_setup()
+    model.add_prediction_head("other", kind, labels)
+    seen = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode",
+                        lambda x, pooled=False: seen.append(pooled) or encode(x, pooled=pooled))
+    y = (np.zeros(data.eval_x.shape, dtype=np.int64) if kind == "tagging"
+         else data.eval_y)
+    evaluate(model, "other", data.eval_x, y, batch_size=10)
+    assert seen == [pooled] * 3
+
+
+@pytest.mark.parametrize("setup", ["Parallel(bn, b2)", "BatchSplit(bn, b2, batch_sizes=[4, 4])"])
+@pytest.mark.parametrize("kind, labels", [("classification", 2), ("regression", 1)])
+def test_evaluate_refuses_a_setup_with_several_branches(setup, kind, labels):
+    model, data = _tiny_setup()
+    model.add_adapter("b2", "seq_bn")
+    model.add_prediction_head("b2", "classification", 2)
+    model.add_prediction_head("h", kind, labels)
+    model.set_active(setup)
+    with pytest.raises(ValueError, match="2 output branches.*branch_logits"):
+        evaluate(model, "h", data.eval_x[:8], data.eval_y[:8])
+
+
+def test_evaluate_refuses_empty_input_and_mismatched_labels():
+    model, data = _tiny_setup()
+    with pytest.raises(ValueError, match="at least one sequence"):
+        evaluate(model, "bn", data.eval_x[:0], data.eval_y[:0])
+    with pytest.raises(ValueError, match="y has 5 rows but x has 6"):
+        evaluate(model, "bn", data.eval_x[:6], data.eval_y[:5])
+
+
 # ---------------------------------------------------------------------------
 # grid runner
 
