@@ -8,6 +8,7 @@ intervene is routed through an optional context object (see
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, Tape, Tensor
+from .tensor import Tape, Tensor
 
 
 class InputError(ValueError):
@@ -277,15 +278,16 @@ class TransformerEncoder:
         one, keep every product matrix-matrix, so the window equals those
         positions of the full path bit for bit.
 
+        Under a tape the window is the tape's ``row_window`` from the
+        attention context to the exit stage, so the products there, and the
+        attention's, run their backward at full length with zero rows
+        outside the window, the rows whose gradient the full path leaves
+        zero.  Every gradient then equals the full path's bit for bit.
+
         The full path is kept when the sequence (prepended rows included)
         has at most two positions, there are no layers, or ``ctx``'s plan
         cannot pool (a ``Split``, which routes by position, or a gate that
-        averages over every position after the last attention).  Under a
-        tape ``pooled`` raises :class:`~peftlab.tensor.ContractError`: it is
-        forward only."""
-        if pooled and Tape.current() is not None:
-            raise ContractError("the pooled readout is forward only; it cannot run "
-                                "under a tape")
+        averages over every position after the last attention)."""
         tokens = self._check_tokens(tokens)
         B, S = tokens.shape
         if mask is None:
@@ -312,39 +314,45 @@ class TransformerEncoder:
 
         last = self.dims.num_layers - 1
         pool = pooled and h.shape[1] > 2 and (ctx is None or ctx.plan.pools)
-        for l in range(self.dims.num_layers):
-            pre = f"layer{l}."
-            x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
-            k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
-            v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
-            core = self._attn_core
-            if pool and l == last:
-                state.window_start = min(state.prompt_len, h.shape[1] - 2)
-                core = partial(self._attn_core, window=(state.window_start, 2))
-                h = T.narrow(h, 1, state.window_start, 2)
-            if ctx is not None:
-                attn = ctx.attention(l, x, q, k, v, mask, core)
-            else:
-                attn = core(q, k, v, mask)
-            attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
-            h = h + attn
-            if ctx is not None:
-                h = ctx.post_attention(l, h)
+        tape = Tape.current()
+        with ExitStack() as scope:
+            for l in range(self.dims.num_layers):
+                pre = f"layer{l}."
+                x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
+                q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
+                k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
+                v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
+                core = self._attn_core
+                window = None
+                if pool and l == last:
+                    state.window_start = min(state.prompt_len, h.shape[1] - 2)
+                    window = (state.window_start, 2)
+                    core = partial(self._attn_core, window=window)
+                    full, h = h.shape[1], T.narrow(h, 1, *window)
+                if ctx is not None:
+                    attn = ctx.attention(l, x, q, k, v, mask, core)
+                else:
+                    attn = core(q, k, v, mask)
+                if window is not None and tape is not None:
+                    scope.enter_context(tape.row_window(*window, full))
+                attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
+                h = h + attn
+                if ctx is not None:
+                    h = ctx.post_attention(l, h)
 
-            f_in = h
-            y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
-            if ctx is not None:
-                inter = ctx.ffn_intermediate(l, inter)
-            ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
-            h = f_in + ffn
-            if ctx is not None:
-                h = ctx.ffn_block(l, h, f_in)
+                f_in = h
+                y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
+                inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
+                if ctx is not None:
+                    inter = ctx.ffn_intermediate(l, inter)
+                ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
+                h = f_in + ffn
+                if ctx is not None:
+                    h = ctx.ffn_block(l, h, f_in)
 
-        h = T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-        if ctx is not None:
-            h = ctx.exit_stage(h)
+            h = T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
+            if ctx is not None:
+                h = ctx.exit_stage(h)
 
         state.hidden = h
         return state

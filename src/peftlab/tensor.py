@@ -20,6 +20,8 @@ from __future__ import annotations
 import ctypes
 import sys
 import threading
+from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -161,10 +163,15 @@ class Tape:
     waiting for the cyclic garbage collector (records -> output tensor ->
     ``Tensor._tape`` -> tape is a cycle).  ``backward`` therefore runs only
     inside the block.
+
+    ``window`` is ``None`` or, inside :meth:`row_window`, the
+    ``(start, length, full)`` row window that the products recorded there
+    run on (see :func:`linear`).
     """
 
     def __init__(self):
         self._records: Optional[list[_Record]] = []
+        self.window: Optional[tuple] = None
 
     @staticmethod
     def current() -> Optional["Tape"]:
@@ -180,6 +187,20 @@ class Tape:
         self._records = None
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape stack corrupted")
+
+    @contextmanager
+    def row_window(self, start: int, length: int, full: int):
+        """Declare that every (B, S, ...) operand of a :func:`linear` or a
+        3-D :func:`matmul` recorded in the block holds rows ``[start, start
+        + length)`` of a ``full``-row sequence along axis 1, and that the
+        other rows' gradients are zero.  Those products then run their
+        backward at full length, with zero rows (see :func:`linear`).  The
+        window ends with the block, also when it raises."""
+        self.window = (start, length, full)
+        try:
+            yield
+        finally:
+            self.window = None
 
     def __len__(self) -> int:
         return 0 if self._records is None else len(self._records)
@@ -221,14 +242,39 @@ def backward(loss: Tensor) -> None:
     loss._tape.backward(loss)
 
 
-def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
+def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable,
+          rows: Optional[np.ndarray] = None) -> Tensor:
+    """Wrap ``out_data`` and record ``rule`` on the current tape.  When the
+    tape has a row window and ``rows``, an operand of the op, has a sequence
+    axis (three or more axes), ``rule`` is called with ``window=`` that
+    window, and ``rows`` must hold the window's rows."""
     out = Tensor(out_data)
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
+        if rows is not None and tape.window is not None and rows.ndim > 2:
+            if rows.shape[1] != tape.window[1]:
+                raise ContractError(f"operand of shape {rows.shape} does not hold the "
+                                    f"{tape.window[1]} rows of the tape's row window")
+            rule = partial(rule, window=tape.window)
         tape._records.append(_Record(out, tuple(inputs), rule))
     return out
+
+
+def _pad_rows(a: np.ndarray, window: tuple) -> np.ndarray:
+    """``a`` (B, length, ...) as rows ``[start, start + length)`` of a
+    C-contiguous (B, full, ...) array of zeros."""
+    start, length, full = window
+    out = np.zeros((a.shape[0], full) + a.shape[2:])
+    out[:, start:start + length] = a
+    return out
+
+
+def _window_rows(a: np.ndarray, window: tuple) -> np.ndarray:
+    """Rows ``[start, start + length)`` of ``a`` (B, full, ...), contiguous."""
+    start, length, _ = window
+    return np.ascontiguousarray(a[:, start:start + length])
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -288,18 +334,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
 
-    if ad.ndim == 2 and bd.ndim == 2:
-        def rule(g):
-            da = g @ bd.T if a.requires_grad else None
-            db = ad.T @ g if b.requires_grad else None
-            return (da, db)
-    elif ad.ndim > 2 and bd.ndim == 2:
-        k, n = bd.shape
+    rows = None
+    if bd.ndim == 2:
+        def rule(g, window=None):
+            return _product_grads(g, ad, bd, a.requires_grad, b.requires_grad, window)
 
-        def rule(g):
-            da = g @ bd.T if a.requires_grad else None
-            db = ad.reshape(-1, k).T @ g.reshape(-1, n) if b.requires_grad else None
-            return (da, db)
+        rows = ad
     elif ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]:
         def rule(g):
             da = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
@@ -307,34 +347,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (da, db)
     else:
         raise ShapeError(f"unsupported matmul operand ranks: {ad.shape} @ {bd.shape}")
-    return _emit(ad @ bd, (a, b), rule)
+    return _emit(ad @ bd, (a, b), rule, rows)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of a >=2-D ``x``, as one
-    record.  Values and gradients equal ``matmul(x, w) + b`` bit for bit."""
+    record.  Values and gradients equal ``matmul(x, w) + b`` bit for bit.
+
+    Under a tape's :meth:`~Tape.row_window`, a (B, S, ...) ``x`` holds the
+    window's rows of a longer sequence whose other rows get zero gradient.
+    The forward ``x @ w`` equals those rows of the full product at any row
+    count >= 2, but BLAS rounds both gradient products by the row count:
+    ``g @ w.T`` per row, ``x^T g`` in how it groups the sum over rows.  So
+    the backward places ``g`` and ``x`` in zero rows at full length, in the
+    C-contiguous layout the full path gives them, runs both products there
+    and keeps the window's rows of ``dx``; every gradient then equals the
+    full path's bit for bit.  ``db`` sums over leading axes one row after
+    another, where zero rows add exact zeros, so it stays on the window."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[-1:]:
         raise ShapeError(f"linear needs x (..., k), w (k, n), b (n,); got "
                          f"{xd.shape}, {wd.shape}, {bd.shape}")
     if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear inner dims differ: {xd.shape} @ {wd.shape}")
-    k, n = wd.shape
     out = xd @ wd
     out += bd
 
-    def rule(g):
-        dx = g @ wd.T if x.requires_grad else None
-        if not w.requires_grad:
-            dw = None
-        elif xd.ndim == 2:
-            dw = xd.T @ g
-        else:
-            dw = xd.reshape(-1, k).T @ g.reshape(-1, n)
+    def rule(g, window=None):
         db = _unbroadcast(g, bd.shape) if b.requires_grad else None
-        return (dx, dw, db)
+        return _product_grads(g, xd, wd, x.requires_grad, w.requires_grad, window) + (db,)
 
-    return _emit(out, (x, w, b), rule)
+    return _emit(out, (x, w, b), rule, xd)
+
+
+def _product_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, need_x: bool,
+                   need_w: bool, window: Optional[tuple]) -> tuple:
+    """``(g @ w.T, x^T g)`` for the product ``x @ w`` of a >=2-D ``x`` and a
+    2-D ``w``, each ``None`` when not needed; over a row ``window``, both
+    run at full length (see :func:`linear`)."""
+    if window is not None:
+        g = _pad_rows(g, window)
+        if need_w:
+            xd = _pad_rows(xd, window)
+    dx = g @ wd.T if need_x else None
+    if window is not None and dx is not None:
+        dx = _window_rows(dx, window)
+    if not need_w:
+        dw = None
+    elif xd.ndim == 2:
+        dw = xd.T @ g
+    else:
+        k, n = wd.shape
+        dw = xd.reshape(-1, k).T @ g.reshape(-1, n)
+    return (dx, dw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
@@ -349,15 +414,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
     for bit; the score path's backward runs only when ``q`` or ``k`` needs a
     gradient.
 
-    ``window`` ``(start, length)``, forward only, returns the context of
-    those queries alone, (B, length, d).  The scores are still computed for
-    every query, since a product over fewer query rows can round
-    differently; from the softmax on only the window's rows are computed,
-    and with ``length`` >= 2 they equal the full call's rows bit for bit.
+    ``window`` ``(start, length)`` returns the context of those queries
+    alone, (B, length, d), for callers whose other queries get zero
+    gradient.  The scores are still computed for every query, since a
+    product over fewer query rows can round differently; from the softmax
+    on only the window's rows are computed, and with ``length`` >= 2 they
+    equal the full call's rows bit for bit.  The backward runs at full
+    size: ``g`` and the attention weights sit in zero rows outside the
+    window, as the full path's would be, because ``dk`` and ``dv`` sum over
+    query rows and every product here rounds by its row count.  So the
+    gradients of ``q``, ``k`` and ``v`` equal the full call's bit for bit.
     """
-    if window is not None and Tape.current() is not None:
-        raise ContractError("attention over a query window is forward only; "
-                            "it cannot run under a tape")
     B, Sq, d = q.data.shape
     Sk = k.data.shape[1]
     if k.data.shape != (B, Sk, d) or v.data.shape != (B, Sk, d) or d % heads:
@@ -374,6 +441,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
     kt = np.ascontiguousarray(k.data.reshape(B, Sk, heads, dh).transpose(0, 2, 3, 1))
     v4 = np.ascontiguousarray(v.data.reshape(B, Sk, heads, dh).swapaxes(1, 2))
     scores = q4 @ kt                                                  # (B,H,Sq,Sk)
+    full = Sq
     if window is not None:
         start, Sq = window
         scores = scores[:, :, start:start + Sq]
@@ -389,15 +457,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
     # unfused chain gave them (a transposed view of a contiguous array, a
     # strided view of g): BLAS rounding depends on that layout.
     def rule(g):
-        g4 = g.reshape(B, Sq, heads, dh).swapaxes(1, 2)
+        a = att
+        if window is not None:
+            g = _pad_rows(g, (start, Sq, full))
+            a = np.zeros((B, heads, full, Sk))
+            a[:, :, start:start + Sq] = att
+        g4 = g.reshape(B, full, heads, dh).swapaxes(1, 2)
         dq = dk = dv = None
         if v.requires_grad:
-            dv = (att.swapaxes(-1, -2) @ g4).swapaxes(1, 2).reshape(B, Sk, d)
+            dv = (a.swapaxes(-1, -2) @ g4).swapaxes(1, 2).reshape(B, Sk, d)
         if q.requires_grad or k.requires_grad:
             datt = g4 @ v4.swapaxes(-1, -2)
-            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * s
+            dscores = a * (datt - (datt * a).sum(axis=-1, keepdims=True)) * s
             if q.requires_grad:
-                dq = (dscores @ kt.swapaxes(-1, -2)).swapaxes(1, 2).reshape(B, Sq, d)
+                dq = (dscores @ kt.swapaxes(-1, -2)).swapaxes(1, 2).reshape(B, full, d)
             if k.requires_grad:
                 dk = (q4.swapaxes(-1, -2) @ dscores).transpose(0, 3, 1, 2).reshape(B, Sk, d)
         return (dq, dk, dv)

@@ -112,12 +112,11 @@ def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
     setup, in batches of ``batch_size``.  Classification and regression
     heads read one position, so they use the encoder's pooled readout.  A
     setup with more than one output branch is refused: each branch has its
-    own rows, which :meth:`AdapterModel.branch_logits` scores."""
+    own rows, which :meth:`AdapterModel.branch_logits` scores.  So are an
+    ``x`` with no sequence, a ``y`` row count other than ``x``'s and a
+    ``batch_size`` that is not an int >= 1 (:class:`ValueError`)."""
     kind = model.head(head).kind
-    if x.shape[0] == 0:
-        raise ValueError("evaluate needs at least one sequence")
-    if np.shape(y)[0] != x.shape[0]:
-        raise ValueError(f"y has {np.shape(y)[0]} rows but x has {x.shape[0]}")
+    _check_batches(x, y, batch_size)
     outs = []
     for off in range(0, x.shape[0], batch_size):
         state = model.encode(x[off:off + batch_size], pooled=kind != TAGGING)
@@ -126,6 +125,17 @@ def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
                              f"branches; score each with branch_logits")
         outs.append(model.logits(state, head).data)
     return task_metric(kind, np.concatenate(outs, axis=0), y)
+
+
+def _check_batches(x: np.ndarray, y: np.ndarray, batch_size) -> None:
+    """:class:`ValueError` unless ``x`` has a sequence, ``y`` one row per
+    sequence and ``batch_size`` is an int >= 1."""
+    if x.shape[0] == 0:
+        raise ValueError("x needs at least one sequence")
+    if np.shape(y)[0] != x.shape[0]:
+        raise ValueError(f"y has {np.shape(y)[0]} rows but x has {x.shape[0]}")
+    if not _is_int(batch_size, 1):
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +154,38 @@ def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarra
     """Minimize the task loss over the model's trainable partition, once
     through every epoch count in ``milestones``.
 
-    A generator: yields ``(epochs, TrainResult)`` at each milestone, in
-    ascending order with duplicates dropped, while the model holds exactly
-    the state that training for ``epochs`` from scratch gives (each epoch's
-    shuffle comes from one seeded stream and there is no LR schedule).  A
-    non-finite loss ends training; every later milestone then reports the
-    same diverged result."""
+    Returns a generator that yields ``(epochs, TrainResult)`` at each
+    milestone, in ascending order with duplicates dropped, while the model
+    holds exactly the state that training for ``epochs`` from scratch gives
+    (each epoch's shuffle comes from one seeded stream and there is no LR
+    schedule).  A non-finite loss ends training; every later milestone then
+    reports the same diverged result.
+
+    Bad input raises when this is called, before any step:
+    :class:`ValueError` for a milestone that is not an int >= 1, and for
+    the cases :func:`evaluate` refuses (no sequence, a ``y`` row count
+    other than ``x``'s, a ``batch_size`` that is not an int >= 1);
+    :class:`RuntimeError` when nothing is trainable."""
+    _check_batches(x, y, batch_size)
+    milestones = list(milestones)
+    if not all(_is_int(m, 1) for m in milestones):
+        raise ValueError(f"every milestone must be an int >= 1, got {milestones}")
     params = model.trainable_parameters()
     if not params:
         raise RuntimeError("nothing is trainable; call train_adapter or train_full first")
-    opt = Adam(params, lr=lr)
+    return _milestones(model, head, x, y, Adam(params, lr=lr), sorted(set(milestones)),
+                       batch_size, seed)
+
+
+def _milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray, opt: Adam,
+                milestones: list, batch_size: int, seed: int):
+    """The generator behind :func:`train_milestones`, over checked input."""
     kind = model.head(head).kind
     rng = np.random.default_rng(seed)
     losses = []
     n = x.shape[0]
     done, diverged = 0, False
-    for target in sorted(set(milestones)):
+    for target in milestones:
         while done < target and not diverged:
             perm = rng.permutation(n)
             for off in range(0, n, batch_size):
@@ -178,9 +204,12 @@ def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarra
 def _train_step(model: AdapterModel, head: str, kind: str, xb: np.ndarray,
                 yb: np.ndarray) -> float:
     """Forward one batch and, when its loss is finite, backward into the
-    trainable gradients.  The step's activations are freed on return."""
+    trainable gradients.  The step's activations are freed on return.
+    Classification and regression heads train through the encoder's pooled
+    readout, whose gradients equal the full path's bit for bit."""
     with Tape() as tape:
-        loss = task_loss(kind, model.logits(model.encode(xb), head), yb)
+        state = model.encode(xb, pooled=kind != TAGGING)
+        loss = task_loss(kind, model.logits(state, head), yb)
         val = loss.item()
         if np.isfinite(val):
             tape.backward(loss)

@@ -235,6 +235,65 @@ def test_evaluate_refuses_empty_input_and_mismatched_labels():
         evaluate(model, "bn", data.eval_x[:6], data.eval_y[:5])
 
 
+@pytest.mark.parametrize("batch_size", [-1, 0, 2.5, True, "8", None])
+def test_evaluate_refuses_a_batch_size_that_is_not_a_positive_int(batch_size):
+    model, data = _tiny_setup()
+    with pytest.raises(ValueError, match="batch_size must be an int >= 1"):
+        evaluate(model, "bn", data.eval_x, data.eval_y, batch_size=batch_size)
+
+
+BAD_TRAINING_INPUT = {
+    "batch_size -1": ({"batch_size": -1}, "batch_size must be an int >= 1"),
+    "batch_size 0": ({"batch_size": 0}, "batch_size must be an int >= 1"),
+    "batch_size 2.0": ({"batch_size": 2.0}, "batch_size must be an int >= 1"),
+    "batch_size True": ({"batch_size": True}, "batch_size must be an int >= 1"),
+    "milestone 2.5": ({"milestones": (1, 2.5)}, "every milestone must be an int >= 1"),
+    "milestone 0": ({"milestones": (0,)}, "every milestone must be an int >= 1"),
+    "milestone -1": ({"milestones": (2, -1)}, "every milestone must be an int >= 1"),
+    "milestone True": ({"milestones": (True,)}, "every milestone must be an int >= 1"),
+    "empty x": ({"rows": slice(0, 0)}, "at least one sequence"),
+    "3 labels for 8 rows": ({"rows": slice(0, 8), "labels": 3}, "y has 3 rows but x has 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAINING_INPUT))
+def test_training_refuses_bad_input_before_any_step(monkeypatch, case):
+    kwargs, message = BAD_TRAINING_INPUT[case]
+    model, data = _tiny_setup()
+    before = {k: t.data.copy() for k, t in model.trainable_parameters().items()}
+    monkeypatch.setattr(training, "_train_step", lambda *a: pytest.fail("a step ran"))
+    rows = kwargs.get("rows", slice(None))
+    x = data.train_x[rows]
+    y = data.train_y[rows][:kwargs.get("labels")]
+    batch_size = kwargs.get("batch_size", 16)
+    milestones = kwargs.get("milestones", (1,))
+    with pytest.raises(ValueError, match=message):     # on the call, not on the first next
+        training.train_milestones(model, "bn", x, y, 1e-3, milestones, batch_size)
+    if "milestones" not in kwargs:
+        with pytest.raises(ValueError, match=message):
+            train_model(model, "bn", x, y, lr=1e-3, epochs=1, batch_size=batch_size)
+    after = model.trainable_parameters()
+    assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
+
+
+@pytest.mark.parametrize("kind, labels, pooled", [("classification", 2, True),
+                                                  ("regression", 1, True),
+                                                  ("tagging", 3, False)])
+def test_a_train_step_asks_for_the_pooled_readout_only_for_heads_reading_one_position(
+        monkeypatch, kind, labels, pooled):
+    model, data = _tiny_setup()
+    model.add_prediction_head("other", kind, labels)
+    model.train_adapter("bn", extra_heads=("other",))
+    seen = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode",
+                        lambda x, pooled=False: seen.append(pooled) or encode(x, pooled=pooled))
+    y = (np.zeros(data.train_x.shape, dtype=np.int64) if kind == "tagging"
+         else data.train_y)
+    res = train_model(model, "other", data.train_x, y, lr=1e-3, epochs=1, batch_size=16)
+    assert res.steps == 3 and seen == [pooled] * 3
+
+
 # ---------------------------------------------------------------------------
 # grid runner
 
