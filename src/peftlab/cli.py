@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import HEAD_FILE, CheckpointError
+from .checkpoint import HEAD_FILE, CheckpointError, write_atomic
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
                       count_params, parse_config, run_count_audit)
@@ -41,10 +41,12 @@ from .training import (CSV_FIELDS, DEFAULT_EPOCHS, DEFAULT_LRS, FULL_FT,
                        GridSpec, best_metric, evaluate, grid_chains, prepare_base,
                        record_to_csv_row, run_cell, run_grid)
 
-# every anticipated failure maps to exit code 1; mismatched --check-paper
-# audits are the only exit-2 path
+# every anticipated failure maps to exit code 1, a MemoryError for a size
+# the allocator refuses included; mismatched --check-paper audits are the
+# only exit-2 path
 _CLI_ERRORS = (ConfigError, CompositionError, CheckpointError, RegistryError,
-               InputError, CapacityError, StateError, ValueError, OSError)
+               InputError, CapacityError, StateError, ValueError, OSError,
+               MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,6 +183,12 @@ def cmd_train(args) -> int:
                          f"checkpoint at {args.base}")
     chains = grid_chains(grid, dims, task.seq_len)   # every config fits before any training
     cells = [(m, cfg, lr, ep) for m, cfg, lr, eps in chains for ep in eps]
+    if args.save and len(cells) != 1:
+        raise ValueError("--save requires exactly one grid cell (one --config with "
+                         f"one --lr and one --epochs); this grid has {len(cells)}")
+    if args.save and cells[0][0] == FULL_FT:
+        raise ValueError("full fine-tuning has no adapter to save; "
+                         "use --save-base for the encoder weights")
     if base is not None:
         data, base_state = make_task(task), base.encoder.state_array()
     else:
@@ -205,14 +213,7 @@ def cmd_train(args) -> int:
 
     try:
         if args.save:
-            if len(cells) != 1:
-                raise ValueError(
-                    "--save requires exactly one grid cell (one --config with "
-                    f"one --lr and one --epochs); this grid has {len(cells)}")
             method, cfg, lr, epochs = cells[0]
-            if method == FULL_FT:
-                raise ValueError("full fine-tuning has no adapter to save; "
-                                 "use --save-base for the encoder weights")
             capture = {}
             rec = run_cell(dims, task, data, base_state, method, cfg, lr, epochs,
                            grid.batch_size, grid.seed, capture=capture)
@@ -286,6 +287,9 @@ def cmd_compose(args) -> int:
             model.load_head(loaded, Path(directory) / HEAD_FILE)
     if args.fuse:
         names = [s.strip() for s in args.fuse.split(",")]
+        unknown = [n for n in names if not model.has_adapter(n)]
+        if unknown:
+            raise ValueError(f"--fuse names adapters that were not loaded: {unknown}")
         model.add_adapter_fusion(names)
     model.set_active(parse_setup(args.setup))
 
@@ -308,7 +312,7 @@ def cmd_compose(args) -> int:
     }
     text = json.dumps(doc, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_atomic(args.out, (text + "\n").encode("utf-8"))
     else:
         print(text)
     return 0

@@ -272,9 +272,7 @@ class AdapterModel:
         pairs = []
         for l in range(self.dims.num_layers):
             for hook, proj in ((HookPoint.ATTN_Q_PROJ, "wq"), (HookPoint.ATTN_V_PROJ, "wv")):
-                for m, gate in inst.at(hook, l):
-                    if gate is not None:
-                        raise StateError("gated low-rank modules cannot be merged")
+                for m, _ in inst.at(hook, l):
                     pairs.append((self.encoder.params[f"layer{l}.attn.{proj}"], m))
         return pairs
 

@@ -5,11 +5,12 @@ records itself on the innermost active :class:`Tape`, which replays the
 records in exact reverse order on ``backward``.  Gradient accumulation into
 ``Tensor.grad`` is additive: callers zero gradients between optimizer steps.
 
-Two fused ops cover the encoder's hot path with one record each:
-:func:`linear` (``x @ w + b``) and :func:`attention` (multi-head scaled
-dot-product attention); both give the same bits as the chains of simpler
-ops they replace.  Backward rules compute nothing for an operand that does
-not require a gradient, and GELU computes its derivative only in backward.
+Every product with a 2-D weight records through :func:`linear` (``x @ w``
+plus an optional bias), and :func:`attention` is multi-head scaled
+dot-product attention; each is one record with the same bits as the chain
+of simpler ops it replaces.  Backward rules compute nothing for an operand
+that does not require a gradient, and GELU computes its derivative only in
+backward.
 
 A finite-difference oracle (:func:`grad_check`) is provided so analytic
 backward rules can be validated independently of the tape itself.
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import sys
-import threading
 from contextlib import contextmanager
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,49 +88,16 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # Arithmetic sugar; the free functions hold the actual rules.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
+    # Sugar for residual sums; the free functions hold the rules.
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise TypeError("tensor division is only supported by python scalars")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return sub(self, other)
 
 
 class _Record:
@@ -146,17 +112,11 @@ class _Record:
         self.backward = backward
 
 
-_LOCAL = threading.local()
-
-
-def _stack() -> list:
-    if not hasattr(_LOCAL, "tapes"):
-        _LOCAL.tapes = []
-    return _LOCAL.tapes
+_TAPES: list = []     # the active tapes of the process, innermost last
 
 
 class Tape:
-    """Ordered record of operations for one forward pass (per thread).
+    """Ordered record of operations for one forward pass.
 
     Leaving the ``with`` block frees the records, so a step's activations
     and per-op closures die with their last outside reference instead of
@@ -165,8 +125,8 @@ class Tape:
     inside the block.
 
     ``window`` is ``None`` or, inside :meth:`row_window`, the
-    ``(start, length, full)`` row window that the products recorded there
-    run on (see :func:`linear`).
+    ``(start, length, full)`` row window that the :func:`linear` products
+    recorded there run their backward on.
     """
 
     def __init__(self):
@@ -175,27 +135,26 @@ class Tape:
 
     @staticmethod
     def current() -> Optional["Tape"]:
-        st = _stack()
-        return st[-1] if st else None
+        return _TAPES[-1] if _TAPES else None
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _stack().pop()
+        popped = _TAPES.pop()
         self._records = None
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape stack corrupted")
 
     @contextmanager
     def row_window(self, start: int, length: int, full: int):
-        """Declare that every (B, S, ...) operand of a :func:`linear` or a
-        3-D :func:`matmul` recorded in the block holds rows ``[start, start
-        + length)`` of a ``full``-row sequence along axis 1, and that the
-        other rows' gradients are zero.  Those products then run their
-        backward at full length, with zero rows (see :func:`linear`).  The
-        window ends with the block, also when it raises."""
+        """Declare that every (B, S, ...) ``x`` of a :func:`linear` recorded
+        in the block holds rows ``[start, start + length)`` of a
+        ``full``-row sequence along axis 1, and that the other rows'
+        gradients are zero.  Those products then run their backward at full
+        length, with zero rows (see :func:`linear`).  The window ends with
+        the block, also when it raises."""
         self.window = (start, length, full)
         try:
             yield
@@ -242,22 +201,13 @@ def backward(loss: Tensor) -> None:
     loss._tape.backward(loss)
 
 
-def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable,
-          rows: Optional[np.ndarray] = None) -> Tensor:
-    """Wrap ``out_data`` and record ``rule`` on the current tape.  When the
-    tape has a row window and ``rows``, an operand of the op, has a sequence
-    axis (three or more axes), ``rule`` is called with ``window=`` that
-    window, and ``rows`` must hold the window's rows."""
+def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
+    """Wrap ``out_data`` and record ``rule`` on the current tape."""
     out = Tensor(out_data)
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
-        if rows is not None and tape.window is not None and rows.ndim > 2:
-            if rows.shape[1] != tape.window[1]:
-                raise ContractError(f"operand of shape {rows.shape} does not hold the "
-                                    f"{tape.window[1]} rows of the tape's row window")
-            rule = partial(rule, window=tape.window)
         tape._records.append(_Record(out, tuple(inputs), rule))
     return out
 
@@ -269,12 +219,6 @@ def _pad_rows(a: np.ndarray, window: tuple) -> np.ndarray:
     out = np.zeros((a.shape[0], full) + a.shape[2:])
     out[:, start:start + length] = a
     return out
-
-
-def _window_rows(a: np.ndarray, window: tuple) -> np.ndarray:
-    """Rows ``[start, start + length)`` of ``a`` (B, full, ...), contiguous."""
-    start, length, _ = window
-    return np.ascontiguousarray(a[:, start:start + length])
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -328,31 +272,30 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``: :func:`linear` without a bias when ``b`` is 2-D, else a
+    batched product of two operands of the same rank and leading axes."""
     ad, bd = a.data, b.data
+    if bd.ndim == 2:
+        return linear(a, b)
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
+    if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"unsupported matmul operand ranks: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
 
-    rows = None
-    if bd.ndim == 2:
-        def rule(g, window=None):
-            return _product_grads(g, ad, bd, a.requires_grad, b.requires_grad, window)
+    def rule(g):
+        da = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
+        db = ad.swapaxes(-1, -2) @ g if b.requires_grad else None
+        return (da, db)
 
-        rows = ad
-    elif ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]:
-        def rule(g):
-            da = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
-            db = ad.swapaxes(-1, -2) @ g if b.requires_grad else None
-            return (da, db)
-    else:
-        raise ShapeError(f"unsupported matmul operand ranks: {ad.shape} @ {bd.shape}")
-    return _emit(ad @ bd, (a, b), rule, rows)
+    return _emit(ad @ bd, (a, b), rule)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` over the last axis of a >=2-D ``x``, as one
-    record.  Values and gradients equal ``matmul(x, w) + b`` bit for bit.
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Product ``x @ w`` of a >=2-D ``x`` and a 2-D ``w`` over the last axis
+    of ``x``, plus the bias ``b`` when given, as one record.  Values and
+    gradients equal ``matmul(x, w) + b`` bit for bit.
 
     Under a tape's :meth:`~Tape.row_window`, a (B, S, ...) ``x`` holds the
     window's rows of a longer sequence whose other rows get zero gradient.
@@ -364,42 +307,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     and keeps the window's rows of ``dx``; every gradient then equals the
     full path's bit for bit.  ``db`` sums over leading axes one row after
     another, where zero rows add exact zeros, so it stays on the window."""
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[-1:]:
+    xd, wd = x.data, w.data
+    bd = None if b is None else b.data
+    if xd.ndim < 2 or wd.ndim != 2 or (bd is not None and bd.shape != wd.shape[-1:]):
         raise ShapeError(f"linear needs x (..., k), w (k, n), b (n,); got "
-                         f"{xd.shape}, {wd.shape}, {bd.shape}")
+                         f"{xd.shape}, {wd.shape}, {None if bd is None else bd.shape}")
     if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear inner dims differ: {xd.shape} @ {wd.shape}")
     out = xd @ wd
-    out += bd
+    if bd is not None:
+        out += bd
+    tape = Tape.current()
+    window = None if tape is None or xd.ndim < 3 else tape.window
+    if window is not None and xd.shape[1] != window[1]:
+        raise ContractError(f"operand of shape {xd.shape} does not hold the "
+                            f"{window[1]} rows of the tape's row window")
 
-    def rule(g, window=None):
-        db = _unbroadcast(g, bd.shape) if b.requires_grad else None
-        return _product_grads(g, xd, wd, x.requires_grad, w.requires_grad, window) + (db,)
-
-    return _emit(out, (x, w, b), rule, xd)
-
-
-def _product_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, need_x: bool,
-                   need_w: bool, window: Optional[tuple]) -> tuple:
-    """``(g @ w.T, x^T g)`` for the product ``x @ w`` of a >=2-D ``x`` and a
-    2-D ``w``, each ``None`` when not needed; over a row ``window``, both
-    run at full length (see :func:`linear`)."""
-    if window is not None:
-        g = _pad_rows(g, window)
-        if need_w:
-            xd = _pad_rows(xd, window)
-    dx = g @ wd.T if need_x else None
-    if window is not None and dx is not None:
-        dx = _window_rows(dx, window)
-    if not need_w:
+    def rule(g):
+        db = _unbroadcast(g, bd.shape) if b is not None and b.requires_grad else None
+        xg = xd
+        if window is not None:
+            g = _pad_rows(g, window)
+            if w.requires_grad:
+                xg = _pad_rows(xd, window)
+        dx = g @ wd.T if x.requires_grad else None
+        if window is not None and dx is not None:
+            dx = np.ascontiguousarray(dx[:, window[0]:window[0] + window[1]])
         dw = None
-    elif xd.ndim == 2:
-        dw = xd.T @ g
-    else:
-        k, n = wd.shape
-        dw = xd.reshape(-1, k).T @ g.reshape(-1, n)
-    return (dx, dw)
+        if w.requires_grad:     # for a 2-D x both reshapes are views with the same strides
+            dw = xg.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
+        return (dx, dw) if b is None else (dx, dw, db)
+
+    return _emit(out, (x, w) if b is None else (x, w, b), rule)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,

@@ -12,7 +12,9 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,40 @@ def test_train_save_rejects_full_ft(capsys, tmp_path):
                           "--save", str(tmp_path / "ck"))
     assert code == 1
     assert "--save-base" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--config", "seq_bn", "--lr", "1e-3", "--lr", "1e-4", "--epochs", "1"),
+     "exactly one grid cell"),
+    (("--full-ft", "--lr", "1e-3", "--epochs", "1"), "--save-base"),
+], ids=["two-cells", "full-ft"])
+def test_train_save_refuses_an_unsavable_grid_before_pretraining(capsys, tmp_path, monkeypatch,
+                                                                 flags, message):
+    called = []
+    for module in (cli, training):
+        monkeypatch.setattr(module, "prepare_base", lambda *a: called.append("prepare_base"))
+        monkeypatch.setattr(module, "make_task", lambda *a: called.append("make_task"))
+    base = tmp_path / "base"
+    code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, *flags,
+                                "--save", str(tmp_path / "ck"), "--save-base", str(base))
+    assert code == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert stdout == "" and called == []
+    assert not base.exists() and not (tmp_path / "ck").exists()
+
+
+# 10**12 sequences of 32 int64 tokens are 233 TiB, more than a 47-bit
+# address space holds, so the allocator refuses them at once
+HUGE_SPLIT = ["--seq-len", "32"]
+
+
+def test_train_with_more_samples_than_memory_exits_one(capsys, tmp_path):
+    code, stdout, err = run_cli(capsys, "train", *TASK_ARGS, *HUGE_SPLIT,
+                                "--samples", str(10**12), "--config", "seq_bn",
+                                "--lr", "1e-3", "--epochs", "1")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert stdout == ""
 
 
 def test_train_checks_every_config_against_the_dims_before_pretraining(capsys, tmp_path):
@@ -569,6 +605,46 @@ def test_eval_and_compose_generate_no_pretraining_split(capsys, workspace, monke
     assert code == 1 and "n_pretrain must be >= 0" in err
 
 
+def test_eval_with_more_samples_than_memory_exits_one(capsys, workspace):
+    code, stdout, err = run_cli(capsys, "eval", *TASK_ARGS, *HUGE_SPLIT,
+                                "--eval-samples", str(10**12),
+                                "--base", str(workspace["base"]),
+                                "--adapter", str(workspace["bn"]))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert stdout == ""
+
+
+def _compose_a1(workspace):
+    return ["compose", *TASK_ARGS, "--samples", "8", "--base", str(workspace["base"]),
+            "--adapter", f"a1={workspace['bn']}", "--setup", "a1"]
+
+
+def test_compose_out_holds_the_report_printed_without_it(capsys, workspace, tmp_path):
+    report = tmp_path / "report.json"
+    code, printed, _ = run_cli(capsys, *_compose_a1(workspace))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, *_compose_a1(workspace), "--out", str(report))
+    assert code == 0 and stdout == ""
+    assert report.read_text() == printed
+
+
+def test_a_failed_compose_out_write_keeps_the_old_file(capsys, workspace, tmp_path,
+                                                       monkeypatch):
+    report = tmp_path / "report.json"
+    report.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, stdout, err = run_cli(capsys, *_compose_a1(workspace), "--out", str(report))
+    assert code == 1
+    assert err == "error: disk full\n" and stdout == ""
+    assert report.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_compose_reports_branch_outputs(capsys, workspace):
     code, out, _ = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
                            "--base", str(workspace["base"]),
@@ -616,6 +692,14 @@ def test_compose_rejects_float_input(capsys, workspace, tmp_path):
                            "--input", str(tmp_path / "bad.npy"))
     assert code == 1
     assert "integer" in err
+
+
+@pytest.mark.parametrize("fuse", ["a1,ghost", ",", "a1"])
+def test_compose_fuse_of_names_it_cannot_fuse_exits_one(capsys, workspace, fuse):
+    code, out, err = run_cli(capsys, *_compose_a1(workspace), "--fuse", fuse)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_compose_unknown_adapter_fails(capsys, workspace):
@@ -912,6 +996,110 @@ def test_average_with_non_finite_weights_writes_nothing(capsys, workspace, weigh
     assert code == 1
     assert "finite" in err
     assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# every verb that reads checkpoints, over hostile flags and damaged files
+
+# flags besides the checkpoint paths, each with values no run can use and
+# values a run can; compose's --input names one of the NPY_INPUTS, or a
+# truncated .npy file
+HOSTILE_FLAGS = {
+    "eval": {"samples": ["-1", "0", "1"], "eval-samples": ["-1", "0", "1", "2"],
+             "seq-len": ["-1", "1", "2", "129"], "vocab": ["2", "3"],
+             "num-labels": ["0", "1"], "task": ["masked-sum", "position-tag", "nope"],
+             "head-file": ["missing.json", "src"]},
+    "compose": {"samples": ["-3", "0", "1"], "seq-len": ["1", "2", "129"],
+                "setup": ["Stack(a, a)", "Parallel(a, a)", "Fuse(a, a)", "Stack(a", "b",
+                          "Split(a, a, splits=[1, 7])", "BatchSplit(a, a, batch_sizes=[1, 7])",
+                          "Average(a, a, weights=[nan, 1])"],
+                "fuse": ["a,a", "a", "b", ","],
+                "input": ["tokens.npy", "float.npy", "empty.npy", "out-of-vocab.npy",
+                          "uint8.npy", "3-d.npy", "truncated.npy"]},
+    "average": {"weights": ["nan,1", "inf,1", "1", "0,0", "-1,2", "1e308,1e308", "x",
+                            "0.3,0.7"],
+                "name": ["", "b", "a/b", "seq_bn"]},
+    "merge": {},
+}
+DAMAGED_FILES = ("base/base_config.json", "base/base_weights.bin",
+                 "src/adapter_config.json", "src/weights.bin", "src/head.json")
+NPY_INPUTS = {
+    "tokens.npy": np.arange(2, 18).reshape(2, 8),
+    "float.npy": np.ones((2, 8)),
+    "empty.npy": np.zeros((0, 8), dtype=np.int64),
+    "out-of-vocab.npy": np.full((1, 8), 10**6),
+    "uint8.npy": np.full((2, 8), 5, dtype=np.uint8),
+    "3-d.npy": np.zeros((1, 2, 8), dtype=np.int64),
+}
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _damage(path, kind, at, mask):
+    """Truncate ``path``, flip the bits of ``mask`` in one byte, or put a
+    NaN in its payload: the last float of a weights file, a number of a
+    JSON file."""
+    data = path.read_bytes()
+    i = at % len(data)
+    if kind == "truncate":
+        data = data[:i]
+    elif kind == "flip":
+        data = data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+    elif path.suffix == ".bin":
+        data = data[:-4] + np.float32(np.nan).tobytes()
+    else:
+        numbers = list(_NUMBER.finditer(data.decode("utf-8")))
+        m = numbers[at % len(numbers)]
+        data = data[:m.start()] + b"NaN" + data[m.end():]
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("verb", sorted(HOSTILE_FLAGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_any_checkpoint_verb_exits_zero_with_json_or_one_with_an_error(workspace, verb, data):
+    """``eval``, ``compose``, ``average`` and ``merge`` over a damaged copy
+    of the saved base, adapter and head, with up to two hostile flags,
+    either print one JSON document and exit 0 or exit 1 with ``error:``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        base, src = root / "base", root / "src"
+        shutil.copytree(workspace["base"], base)
+        shutil.copytree(workspace[data.draw(st.sampled_from(["bn", "lora"]))], src)
+        target = data.draw(st.sampled_from((None,) + DAMAGED_FILES))
+        if target is not None:
+            _damage(root / target, data.draw(st.sampled_from(["truncate", "flip", "nan"])),
+                    data.draw(st.integers(0, 1 << 20)), data.draw(st.integers(1, 255)))
+        argv = {"eval": ["eval", *TASK_ARGS, "--base", str(base), "--adapter", str(src)],
+                "compose": ["compose", *TASK_ARGS, "--base", str(base),
+                            "--adapter", f"a={src}", "--setup", "a"],
+                "average": ["average", "--base", str(base), "--adapter", f"a={src}",
+                            "--adapter", f"b={src}", "--out", str(root / "out")],
+                "merge": ["merge", "--base", str(base), "--adapter", str(src),
+                          "--out", str(root / "out")]}[verb]
+        flaws = HOSTILE_FLAGS[verb]
+        for flag in data.draw(st.sets(st.sampled_from(sorted(flaws)), max_size=2)) if flaws else ():
+            value = data.draw(st.sampled_from(flaws[flag]))
+            if flag == "input":
+                np.save(root / value, NPY_INPUTS.get(value, NPY_INPUTS["tokens.npy"]))
+                if value == "truncated.npy":
+                    (root / value).write_bytes((root / value).read_bytes()[:-5])
+            if flag in ("head-file", "input"):
+                value = root / value
+            argv.append(f"--{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:          # argparse's own errors, e.g. --task=nope
+                code = e.code
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "error: " in err.getvalue()
+        assert out.getvalue() == ""
+        return
+    assert code == 0
+    assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_console_script_is_installed():
