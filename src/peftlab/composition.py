@@ -19,8 +19,9 @@ Nesting rules (validated exhaustively):
 :func:`validate_composition` checks every rule in one walk of the tree and
 returns a :class:`Plan`: the resolved adapters, the rows each block hands
 its children, the normalised ``Average`` weights, the fusion layers, the
-prepended prompts, the branch list and whether the encoder's pooled readout
-may run.  :mod:`peftlab.routing` and the encoder only read it.
+prepended prompts, the branch list, whether the encoder's pooled readout
+may run and the first stage any adapter acts at.  :mod:`peftlab.routing` and
+the encoder only read it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .configs import SEQUENTIAL, BottleneckConfig
 from .methods import StateError
-from .model import HookPoint
+from .model import HookPoint, Stage
 
 log = logging.getLogger(__name__)
 
@@ -189,6 +191,17 @@ class Plan:
     # Split (it routes by position) and no gate read after that layer's
     # attention (a gate averages its source over every position).
     pools: bool = True
+
+    @cached_property
+    def start(self) -> Optional[Stage]:
+        """The first stage the setup acts at, below which an encode
+        computes only frozen layers, so that it can start there from
+        activations computed earlier (``TransformerEncoder.prefix``).  None:
+        it acts at the embedding (prompts, invertible couplings,
+        ``Parallel``'s replicated rows, ``Average``'s weighted sums), or
+        only in the last layer, where the pooled window begins.  Worked out
+        when first asked, since only training reads it."""
+        return _start(self.root)
 
 
 class _Rows(NamedTuple):
@@ -374,6 +387,28 @@ class _Compiler:
 
 _AFTER_ATTENTION = (HookPoint.POST_ATTN_RESIDUAL, HookPoint.FFN_INTERMEDIATE_SCALE,
                     HookPoint.POST_FFN_RESIDUAL)
+
+
+def _start(node: PlanNode) -> Optional[Stage]:
+    """The first stage a leaf under ``node`` acts at (see :attr:`Plan.start`)."""
+    if node.kind is Leaf:
+        return node.inst.first_stage
+    # Every other block only slices and joins rows or positions at a hook
+    # where no leaf below acts, which keeps the bits.
+    if node.kind is Average or node.replicates:
+        return None
+    return _earliest(_start(c) for c in node.children)
+
+
+def _earliest(stages) -> Optional[Stage]:
+    """The earliest of ``stages`` (None, the embedding, comes first), reading
+    what each one at that position reads."""
+    stages = list(stages)
+    if None in stages:
+        return None
+    first = min(stages, key=lambda st: st.position)
+    return first._replace(reads=frozenset().union(
+        *(st.reads for st in stages if st.position == first.position)))
 
 
 def _check_batch_split(node, rows: _Rows) -> None:

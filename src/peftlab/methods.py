@@ -14,13 +14,15 @@ coupling layers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import ATTENTION_HOOKS, HookPoint, ModelDims, given_array
+from .model import (ATTENTION, ATTENTION_HOOKS, ATTENTION_RESIDUAL, FFN_RESIDUAL, HookPoint,
+                    ModelDims, Stage, given_array)
 
 if TYPE_CHECKING:
     from .configs import AdapterConfig, PrefixTuningConfig
@@ -394,6 +396,29 @@ class AdapterInstance:
 
     def prompt_length(self) -> int:
         return sum(p.length for p in self.bindings.get(HookPoint.INPUT_PREPEND, ()))
+
+    @cached_property
+    def first_stage(self) -> Optional[Stage]:
+        """The first stage this adapter acts at, with what its hooks read
+        there, in a layer before the last; None when it acts at the
+        embedding or not before the last layer."""
+        if self.footprint & {HookPoint.INPUT_PREPEND, HookPoint.EMBEDDING_BOUNDARY}:
+            return None
+        for l in range(self.dims.num_layers - 1):
+            attn = [entry for hook in ATTENTION_HOOKS for entry in self.at(hook, l)]
+            if attn:    # a projection delta, or a gate, reads the layer-normed input
+                reads_x = (any(self.at(hook, l) for hook in (HookPoint.ATTN_Q_PROJ,
+                                                              HookPoint.ATTN_V_PROJ))
+                           or any(entry[1] is not None for entry in attn))
+                return Stage(l, ATTENTION, frozenset({"x"} if reads_x else ()))
+            if any(self.at(hook, l) for hook in (HookPoint.POST_ATTN_RESIDUAL,
+                                                 HookPoint.FFN_INTERMEDIATE_SCALE)):
+                return Stage(l, ATTENTION_RESIDUAL)
+            ffn = self.at(HookPoint.POST_FFN_RESIDUAL, l)
+            if ffn:
+                parallel = any(hook is HookPoint.PARALLEL_TO_LAYER for _, _, hook in ffn)
+                return Stage(l, FFN_RESIDUAL, frozenset({"f_in"} if parallel else ()))
+        return None
 
 
 def instantiate_adapter(name: str, config: AdapterConfig, dims: ModelDims,

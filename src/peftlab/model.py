@@ -12,7 +12,7 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,6 +99,63 @@ ATTENTION_HOOKS = frozenset(
 )
 
 _MASK_BIG = 1e9
+
+# Where, inside a layer, an encode can start from stored activations (see
+# Stage): at the layer's attention inputs, after its attention residual, or
+# after its feed-forward residual, before the hook there.
+ATTENTION, ATTENTION_RESIDUAL, FFN_RESIDUAL = range(3)
+
+# Sequences per batch while TransformerEncoder.prefix computes activations:
+# a sequence's bits do not depend on its batch, and 64 rows of 32 tokens keep
+# the temporaries (attention scores, the feed-forward width) near 2 MB each.
+PREFIX_CHUNK = 64
+
+
+class Stage(NamedTuple):
+    """A point where an encode can start from activations computed earlier:
+    ``point`` (``ATTENTION``, ``ATTENTION_RESIDUAL`` or ``FFN_RESIDUAL``) of
+    layer ``layer``.  The rest of the encode reads the residual stream ``h``
+    there, ``q``, ``k`` and ``v`` at ``ATTENTION``, and the names in
+    ``reads``: ``"x"``, the layer-normed input, when an attention hook reads
+    it, and ``"f_in"``, the feed-forward block's input, when a parallel
+    adapter does."""
+
+    layer: int
+    point: int
+    reads: frozenset = frozenset()
+
+    @property
+    def position(self) -> int:
+        """Stages in encoder order: earlier stages have lower positions."""
+        return 3 * self.layer + self.point
+
+    @property
+    def arrays(self) -> tuple:
+        """The names of the activations stored for this stage."""
+        kept = ("h", "q", "k", "v") if self.point == ATTENTION else ("h",)
+        return kept + tuple(sorted(self.reads))
+
+    def serves(self, need: "Stage") -> bool:
+        """Whether activations stored here can start an encode whose setup
+        first acts at ``need``: an earlier stage, or the same one holding
+        every array read there."""
+        return (self.position < need.position
+                or (self.position == need.position and self.reads >= need.reads))
+
+
+@dataclass(frozen=True)
+class Activations:
+    """What :meth:`TransformerEncoder.encode` reads to start at ``stage``,
+    one row per sequence: name (see :attr:`Stage.arrays`) -> a (sequences,
+    positions, width) array."""
+
+    stage: Stage
+    arrays: dict
+
+    def take(self, rows) -> "Activations":
+        """The activations of ``rows`` (a slice or an index array) of the
+        sequences, in that order."""
+        return Activations(self.stage, {k: a[rows] for k, a in self.arrays.items()})
 
 
 @dataclass
@@ -263,7 +320,8 @@ class TransformerEncoder:
         bias = (key_mask.astype(np.float64) - 1.0) * _MASK_BIG
         return T.attention(q, k, v, bias, self.dims.heads, window)
 
-    def encode(self, tokens, mask=None, ctx=None, pooled: bool = False) -> EncoderState:
+    def encode(self, tokens, mask=None, ctx=None, pooled: bool = False,
+               start: Optional[Activations] = None) -> EncoderState:
         """Run the encoder; ``ctx`` (if given) routes every hook point.
 
         ``pooled`` asks for a state that only a head reading the pooled
@@ -287,7 +345,40 @@ class TransformerEncoder:
         The full path is kept when the sequence (prepended rows included)
         has at most two positions, there are no layers, or ``ctx``'s plan
         cannot pool (a ``Split``, which routes by position, or a gate that
-        averages over every position after the last attention)."""
+        averages over every position after the last attention).
+
+        ``start``, from :meth:`prefix` over these ``tokens`` and ``mask``
+        (rows taken in the same order), skips everything before its stage:
+        the encode starts there from the stored activations instead of
+        recomputing the frozen layers below it.  Only a ``ctx`` whose plan
+        starts at that stage or later (``Plan.start``), over frozen
+        weights, gives the same bits as the full encode; the caller checks
+        that.  A sequence's activations do not depend on the batch it is
+        computed in, so the bits are those of the full encode."""
+        return self._forward(tokens, mask, ctx, pooled, start, None)
+
+    def prefix(self, tokens, stage: Stage, mask=None) -> Activations:
+        """The activations at ``stage`` of ``tokens`` with no adapter: what
+        :meth:`encode` reads to start there.  They are computed
+        ``PREFIX_CHUNK`` sequences at a time into one array per name, since
+        a sequence's activations do not depend on its batch."""
+        tokens = self._check_tokens(tokens)
+        out = {}
+        for off in range(0, tokens.shape[0], PREFIX_CHUNK):
+            rows = slice(off, off + PREFIX_CHUNK)
+            part = self._forward(tokens[rows], None if mask is None else mask[rows],
+                                 None, False, None, stage)
+            for name, a in part.items():
+                if name not in out:
+                    out[name] = np.empty((tokens.shape[0],) + a.shape[1:])
+                out[name][rows] = a
+        return Activations(stage, out)
+
+    def _forward(self, tokens, mask, ctx, pooled: bool, start: Optional[Activations],
+                 stop: Optional[Stage]):
+        """The encoder's one layer loop: :meth:`encode` from the embedding,
+        or from ``start``'s stage, to the exit; or, with ``stop``, from the
+        embedding to that stage, returning the arrays it stores."""
         tokens = self._check_tokens(tokens)
         B, S = tokens.shape
         if mask is None:
@@ -298,55 +389,80 @@ class TransformerEncoder:
                 raise InputError(f"mask shape {mask.shape} != tokens shape {(B, S)}")
 
         p = self.params
-        tok = T.gather_rows(p["embed.token"], tokens)
-        pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
-        h = tok + pos
-
+        begin = -1 if start is None else start.stage.position
+        end = None if stop is None else stop.position
+        if start is None:
+            tok = T.gather_rows(p["embed.token"], tokens)
+            pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
+            h = tok + pos
+        else:
+            held = {name: Tensor(a) for name, a in start.arrays.items()}
+            h = held["h"]
         state = EncoderState(hidden=h, prompt_len=0, seq_len=S,
                              branches=[(None, B)])
-        if ctx is not None:
+        if ctx is not None and start is None:
             h, mask = ctx.embedding_stage(h, mask, state)
             if state.prompt_len + S > self.dims.max_seq:
                 raise CapacityError(
                     f"sequence {S} + prepended rows {state.prompt_len} exceeds "
                     f"max_seq {self.dims.max_seq}"
                 )
+        elif ctx is not None:
+            state.branches = ctx.plan.branches
+
+        def stored(**arrays):
+            return {name: arrays[name].data for name in stop.arrays}
 
         last = self.dims.num_layers - 1
         pool = pooled and h.shape[1] > 2 and (ctx is None or ctx.plan.pools)
         tape = Tape.current()
         with ExitStack() as scope:
             for l in range(self.dims.num_layers):
+                at = 3 * l          # the position of this layer's ATTENTION stage
+                if begin > at + FFN_RESIDUAL:
+                    continue
                 pre = f"layer{l}."
-                x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-                q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
-                k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
-                v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
-                core = self._attn_core
-                window = None
-                if pool and l == last:
-                    state.window_start = min(state.prompt_len, h.shape[1] - 2)
-                    window = (state.window_start, 2)
-                    core = partial(self._attn_core, window=window)
-                    full, h = h.shape[1], T.narrow(h, 1, *window)
-                if ctx is not None:
-                    attn = ctx.attention(l, x, q, k, v, mask, core)
+                if begin < at:
+                    x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
+                    q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
+                    k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
+                    v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
+                elif begin == at:
+                    x, q, k, v = (held.get(name) for name in ("x", "q", "k", "v"))
+                if end == at:
+                    return stored(h=h, x=x, q=q, k=k, v=v)
+                if begin <= at:
+                    core = self._attn_core
+                    window = None
+                    if pool and l == last:
+                        state.window_start = min(state.prompt_len, h.shape[1] - 2)
+                        window = (state.window_start, 2)
+                        core = partial(self._attn_core, window=window)
+                        full, h = h.shape[1], T.narrow(h, 1, *window)
+                    if ctx is not None:
+                        attn = ctx.attention(l, x, q, k, v, mask, core)
+                    else:
+                        attn = core(q, k, v, mask)
+                    if window is not None and tape is not None:
+                        scope.enter_context(tape.row_window(*window, full))
+                    attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
+                    h = h + attn
+                if end == at + ATTENTION_RESIDUAL:
+                    return stored(h=h)
+                if begin <= at + ATTENTION_RESIDUAL:
+                    if ctx is not None:
+                        h = ctx.post_attention(l, h)
+                    f_in = h
+                    y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
+                    inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
+                    if ctx is not None:
+                        inter = ctx.ffn_intermediate(l, inter)
+                    ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
+                    h = f_in + ffn
                 else:
-                    attn = core(q, k, v, mask)
-                if window is not None and tape is not None:
-                    scope.enter_context(tape.row_window(*window, full))
-                attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
-                h = h + attn
-                if ctx is not None:
-                    h = ctx.post_attention(l, h)
-
-                f_in = h
-                y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
-                inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
-                if ctx is not None:
-                    inter = ctx.ffn_intermediate(l, inter)
-                ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
-                h = f_in + ffn
+                    f_in = held.get("f_in")
+                if end == at + FFN_RESIDUAL:
+                    return stored(h=h, f_in=f_in)
                 if ctx is not None:
                     h = ctx.ffn_block(l, h, f_in)
 

@@ -27,8 +27,8 @@ from .composition import Leaf, Plan, leaves, parse_setup, validate_composition
 from .configs import (LoraConfig, config_from_dict, config_to_dict, parse_config,
                       tensor_shapes)
 from .methods import AdapterInstance, FusionLayer, StateError, instantiate_adapter
-from .model import (CLASSIFICATION, DESK_DIMS, EncoderState, HookPoint, ModelDims,
-                    PredictionHead, TransformerEncoder, encoder_shapes)
+from .model import (CLASSIFICATION, DESK_DIMS, Activations, EncoderState, HookPoint,
+                    ModelDims, PredictionHead, Stage, TransformerEncoder, encoder_shapes)
 from .routing import RoutingContext
 from .tensor import Tensor
 
@@ -239,17 +239,41 @@ class AdapterModel:
 
     # -- forward --------------------------------------------------------------------
 
-    def encode(self, tokens, mask=None, pooled: bool = False) -> EncoderState:
+    def frozen_stage(self) -> Optional[Stage]:
+        """The stage below which the active setup's encodes compute only
+        frozen layers (``Plan.start``), so that they can start there from
+        :meth:`TransformerEncoder.prefix` activations; None with no active
+        setup, a trainable base weight, or a setup that acts at the
+        embedding."""
+        if self._active is None or self._base_trains():
+            return None
+        return self.validate_setup(self._active).start
+
+    def _base_trains(self) -> bool:
+        return any(t.requires_grad for t in self.encoder.params.values())
+
+    def encode(self, tokens, mask=None, pooled: bool = False,
+               start: Optional[Activations] = None) -> EncoderState:
         """Encode through the active setup.  ``pooled`` asks for the
         encoder's pooled readout (see :meth:`TransformerEncoder.encode`),
         for heads that read one position; the setup's plan decides whether
-        it can run or the full path is kept."""
+        it can run or the full path is kept.  ``start`` holds these tokens'
+        activations at a stage (:meth:`TransformerEncoder.prefix`), where
+        the encode then starts; :class:`ValueError` when there is no active
+        setup, a base weight is trainable, or the setup acts before that
+        stage or reads an array there that ``start`` does not hold."""
         tokens = np.asarray(tokens)
-        ctx = None
+        ctx = plan = None
         if self._active is not None:
             batch, seq = tokens.shape if tokens.ndim == 2 else (None, None)
-            ctx = RoutingContext(self.validate_setup(self._active, batch=batch, seq=seq))
-        return self.encoder.encode(tokens, mask, ctx, pooled)
+            plan = self.validate_setup(self._active, batch=batch, seq=seq)
+            ctx = RoutingContext(plan)
+        if start is not None:
+            need = None if plan is None or self._base_trains() else plan.start
+            if need is None or not start.stage.serves(need):
+                raise ValueError(f"activations at {start.stage} cannot start the active "
+                                 f"setup, which starts at {need or 'the embedding'}")
+        return self.encoder.encode(tokens, mask, ctx, pooled, start)
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:
         return self.head(head_name).logits(state)

@@ -12,10 +12,10 @@ moves tensors:
   transforms;
 * pointwise hooks (residual adapters, elementwise scales, invertible
   couplings) slice the payload by rows/tokens and apply leaf modules;
-* the attention hook accumulates projection deltas, key/value scales, and
-  prefix extensions along a ``Stack``'s members (nested Stacks flattened),
-  runs the core attention per row block, and realizes gated prefixes as a
-  two-pass delta.
+* the attention hook applies the projection deltas and key/value scales of
+  a ``Stack``'s members (nested Stacks flattened), then their prefix
+  extensions, runs the core attention per row block, and realizes gated
+  prefixes as a two-pass delta.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .model import HookPoint
 
 @dataclass
 class _AttnPayload:
-    x: Tensor            # layer-normed block input (rows, S, d)
+    x: Tensor            # layer-normed block input (rows, S, d); None when no hook reads it
     q: Tensor
     k: Tensor
     v: Tensor
@@ -42,7 +42,7 @@ class _AttnPayload:
 
     def slice_rows(self, start: int, count: int) -> "_AttnPayload":
         return _AttnPayload(
-            x=T.narrow(self.x, 0, start, count),
+            x=None if self.x is None else T.narrow(self.x, 0, start, count),
             q=T.narrow(self.q, 0, start, count),
             k=T.narrow(self.k, 0, start, count),
             v=T.narrow(self.v, 0, start, count),
@@ -214,10 +214,12 @@ class RoutingContext:
         self._layer = layer
         return self._route_point(self.plan.root, h, {}, self._leaf_post_attn)
 
-    def ffn_block(self, layer: int, h: Tensor, f_in: Tensor) -> Tensor:
+    def ffn_block(self, layer: int, h: Tensor, f_in) -> Tensor:
+        """``f_in``, the block input, is None when no parallel adapter reads it."""
         self._layer = layer
-        return self._route_point(self.plan.root, h, {"block_input": f_in},
-                                 self._leaf_ffn_block, fusion_hook=True)
+        aux = {} if f_in is None else {"block_input": f_in}
+        return self._route_point(self.plan.root, h, aux, self._leaf_ffn_block,
+                                 fusion_hook=True)
 
     def ffn_intermediate(self, layer: int, inter: Tensor) -> Tensor:
         self._layer = layer
@@ -234,44 +236,52 @@ class RoutingContext:
         pay = _AttnPayload(x=x, q=q, k=k, v=v, km=key_mask)
         return self._route_attention(self.plan.root, pay, core)
 
-    def _route_attention(self, node, pay: _AttnPayload, core) -> Tensor:
+    def _route_attention(self, node, pay: _AttnPayload, core, pending=()) -> Tensor:
+        """Attention of ``node``'s rows.  ``pending`` holds the ungated
+        key/value prefixes of earlier ``Stack`` members, which extend the
+        rows once this node's projection hooks have run."""
         # Split and Fuse children never modify attention (the plan checked).
         if not node.attn:
-            return core(pay.q, pay.k, pay.v, pay.km)
+            return self._run_attention(self._extend(pay, pending), (), core)
         kind = node.kind
-        if kind is Leaf:
-            pay, deferred = self._apply_attn_leaf(node.inst, pay)
-            return self._run_attention(pay, deferred, core)
-        if kind is Stack:
-            # The plan admits attention members only before the first block
-            # that modifies attention, and gated prefixes only when no such
-            # block follows them, so that block takes the rows as they are.
-            deferred = []
-            for m in node.members:
+        if kind is Leaf or kind is Stack:
+            # As in the paper's library, projection deltas and key/value
+            # scales act on the token rows, and prefixes join after every
+            # member's projections.  The plan admits attention members only
+            # before the first block that modifies attention, and gated
+            # prefixes only when no such block follows them, so that block
+            # takes the projected rows and the pending prefixes.
+            prefixes, deferred = list(pending), []
+            for m in (node,) if kind is Leaf else node.members:
                 if not m.attn:
                     continue
                 if m.kind is not Leaf:
-                    return self._route_attention(m, pay, core)
-                pay, more = self._apply_attn_leaf(m.inst, pay)
-                deferred.extend(more)
-            return self._run_attention(pay, deferred, core)
+                    return self._route_attention(m, pay, core, prefixes)
+                pay = self._project(m.inst, pay)
+                for pm, gate in m.inst.at(HookPoint.ATTN_KV, self._layer):
+                    if gate is None:
+                        prefixes.append(pm)
+                    else:
+                        deferred.append((pm, gate))
+            return self._run_attention(self._extend(pay, prefixes), deferred, core)
         if kind is Average:
             total = None
             for c, w in zip(node.children, node.weights):
-                term = T.scale(self._route_attention(c, pay, core), w)
+                term = T.scale(self._route_attention(c, pay, core, pending), w)
                 total = term if total is None else total + term
             return total
         # Parallel, BatchSplit
         outs = []
         off = 0
         for c, r in zip(node.children, node.rows):
-            outs.append(self._route_attention(c, pay.slice_rows(off, r), core))
+            outs.append(self._route_attention(c, pay.slice_rows(off, r), core, pending))
             off += r
         return T.concat(outs, axis=0)
 
-    def _apply_attn_leaf(self, inst: AdapterInstance, pay: _AttnPayload):
+    def _project(self, inst: AdapterInstance, pay: _AttnPayload) -> _AttnPayload:
+        """``pay`` after ``inst``'s projection deltas and key/value scales."""
         l = self._layer
-        x, q, k, v, km = pay.x, pay.q, pay.k, pay.v, pay.km
+        x, q, k, v = pay.x, pay.q, pay.k, pay.v
         for m, gate in inst.at(HookPoint.ATTN_Q_PROJ, l):
             q = _add_delta(q, m, gate, x)
         for m, gate in inst.at(HookPoint.ATTN_V_PROJ, l):
@@ -280,13 +290,14 @@ class RoutingContext:
             k = _rescale(k, m, gate, x)
         for m, gate in inst.at(HookPoint.ATTN_VALUES_SCALE, l):
             v = _rescale(v, m, gate, x)
-        deferred = []
-        for pm, gate in inst.at(HookPoint.ATTN_KV, l):
-            if gate is None:
-                k, v, km = self._extend_kv(pm, k, v, km)
-            else:
-                deferred.append((pm, gate))
-        return _AttnPayload(x=x, q=q, k=k, v=v, km=km), deferred
+        return _AttnPayload(x=x, q=q, k=k, v=v, km=pay.km)
+
+    def _extend(self, pay: _AttnPayload, prefixes) -> _AttnPayload:
+        """``pay`` with each prefix's key/value rows joined in turn."""
+        k, v, km = pay.k, pay.v, pay.km
+        for pm in prefixes:
+            k, v, km = self._extend_kv(pm, k, v, km)
+        return _AttnPayload(x=pay.x, q=pay.q, k=k, v=v, km=km)
 
     def _run_attention(self, pay: _AttnPayload, deferred, core) -> Tensor:
         out = core(pay.q, pay.k, pay.v, pay.km)

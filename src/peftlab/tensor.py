@@ -383,11 +383,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
     full = Sq
     if window is not None:
         start, Sq = window
-        scores = scores[:, :, start:start + Sq]
+        scores = scores[:, :, start:start + Sq].copy()
     scores *= s
     scores += bias.reshape(B, 1, 1, Sk)
     scores -= scores.max(axis=-1, keepdims=True)
-    att = np.exp(scores)
+    att = np.exp(scores, out=scores)
     att /= att.sum(axis=-1, keepdims=True)
     ctx = att @ v4                                                    # (B,H,Sq,dh)
     out = np.ascontiguousarray(ctx.swapaxes(1, 2)).reshape(B, Sq, d)
@@ -406,8 +406,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
         if v.requires_grad:
             dv = (a.swapaxes(-1, -2) @ g4).swapaxes(1, 2).reshape(B, Sk, d)
         if q.requires_grad or k.requires_grad:
-            datt = g4 @ v4.swapaxes(-1, -2)
-            dscores = a * (datt - (datt * a).sum(axis=-1, keepdims=True)) * s
+            datt = g4 @ v4.swapaxes(-1, -2)       # a * (datt - sum(datt * a)) * s, in place
+            datt -= np.multiply(datt, a).sum(axis=-1, keepdims=True)
+            dscores = np.multiply(a, datt, out=datt)
+            dscores *= s
             if q.requires_grad:
                 dq = (dscores @ kt.swapaxes(-1, -2)).swapaxes(1, 2).reshape(B, full, d)
             if k.requires_grad:
@@ -444,15 +446,26 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU."""
+    """Exact erf-based GELU: ``x * 0.5 * (1 + erf(x / sqrt(2)))``, with the
+    derivative ``cdf + x * exp(-x * x / 2) / sqrt(2 pi)``, each computed in
+    one buffer."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / _SQRT_2))
+    cdf = np.divide(xd, _SQRT_2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def rule(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return (g * (cdf + xd * pdf),)
+        d = np.multiply(xd, -0.5)
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xd
+        d += cdf
+        d *= g
+        return (d,)
 
-    return _emit(xd * cdf, (x,), rule)
+    return _emit(np.multiply(xd, cdf), (x,), rule)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -496,26 +509,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match feature dim {xd.shape[-1]}"
         )
-    mu = xd.mean(axis=-1, keepdims=True)
-    centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gamma.data + beta.data
+    # Every mean is np.mean's own sum-then-divide, and every step runs in
+    # place where the result's buffer is free, in the order of the formulas.
+    n = xd.shape[-1]
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
+    mu /= n
+    xhat = np.subtract(xd, mu)                  # centered, normalized below
+    out = np.multiply(xhat, xhat)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=lead) if gamma.requires_grad else None
         dbeta = g.sum(axis=lead) if beta.requires_grad else None
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            dx = inv_std * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        else:
-            dx = None
+        dx = None
+        if x.requires_grad:     # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            dx = np.multiply(g, gamma.data)
+            t = np.multiply(dx, xhat)
+            m2 = np.add.reduce(t, axis=-1, keepdims=True)
+            m2 /= n
+            m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+            m1 /= n
+            dx -= m1
+            dx -= np.multiply(xhat, m2, out=t)
+            dx *= inv_std
         return (dx, dgamma, dbeta)
 
     return _emit(out, (x, gamma, beta), rule)

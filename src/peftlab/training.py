@@ -22,8 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .composition import Leaf, validate_composition
 from .configs import ConfigError, config_to_dict, expand_axes, parse_config, prepended_rows
-from .model import REGRESSION, TAGGING, CapacityError, ModelDims
+from .methods import instantiate_adapter
+from .model import (REGRESSION, TAGGING, Activations, CapacityError, ModelDims, Stage,
+                    TransformerEncoder)
 from .registry import AdapterModel
 from .tasks import Dataset, TaskSpec, make_task
 from .tensor import Tape, Tensor
@@ -46,20 +49,34 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._size = max((p.data.size for p in self.params), default=0)
 
     def step(self) -> None:
+        """``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment
+        updates, each operation in that order, in two work rows that every
+        tensor shares and the step frees."""
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
+        work = np.empty((2, self._size))
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
+            a, b = (row[:m.size].reshape(m.shape) for row in work)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(g, 1.0 - self.b1, out=a)
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -107,19 +124,27 @@ def task_metric(kind: str, logits: np.ndarray, y: np.ndarray) -> float:
 
 
 def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 64) -> float:
+             batch_size: int = 64, start: Optional[Activations] = None) -> float:
     """``head``'s task metric on ``x`` against ``y``, through the active
     setup, in batches of ``batch_size``.  Classification and regression
     heads read one position, so they use the encoder's pooled readout.  A
     setup with more than one output branch is refused: each branch has its
     own rows, which :meth:`AdapterModel.branch_logits` scores.  So are an
     ``x`` with no sequence, a ``y`` row count other than ``x``'s and a
-    ``batch_size`` that is not an int >= 1 (:class:`ValueError`)."""
+    ``batch_size`` that is not an int >= 1 (:class:`ValueError`).
+
+    ``start``, ``x``'s activations at a frozen stage
+    (:meth:`~peftlab.model.TransformerEncoder.prefix`), lets each batch
+    start there (see :meth:`AdapterModel.encode`); the metric is the same
+    to all digits.  Evaluation reads each sequence once, so it computes no
+    such activations itself."""
     kind = model.head(head).kind
-    _check_batches(x, y, batch_size)
+    _check_batches(x, y, batch_size, start)
     outs = []
     for off in range(0, x.shape[0], batch_size):
-        state = model.encode(x[off:off + batch_size], pooled=kind != TAGGING)
+        rows = slice(off, off + batch_size)
+        state = model.encode(x[rows], pooled=kind != TAGGING,
+                             start=None if start is None else start.take(rows))
         if len(state.branches) > 1:
             raise ValueError(f"the active setup has {len(state.branches)} output "
                              f"branches; score each with branch_logits")
@@ -127,15 +152,20 @@ def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
     return task_metric(kind, np.concatenate(outs, axis=0), y)
 
 
-def _check_batches(x: np.ndarray, y: np.ndarray, batch_size) -> None:
+def _check_batches(x: np.ndarray, y: np.ndarray, batch_size,
+                   start: Optional[Activations] = None) -> None:
     """:class:`ValueError` unless ``x`` has a sequence, ``y`` one row per
-    sequence and ``batch_size`` is an int >= 1."""
+    sequence, ``batch_size`` is an int >= 1 and ``start``, when given, holds
+    one row per sequence."""
     if x.shape[0] == 0:
         raise ValueError("x needs at least one sequence")
     if np.shape(y)[0] != x.shape[0]:
         raise ValueError(f"y has {np.shape(y)[0]} rows but x has {x.shape[0]}")
     if not _is_int(batch_size, 1):
         raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+    if start is not None and start.arrays["h"].shape[:2] != x.shape[:2]:
+        raise ValueError(f"start holds activations of shape {start.arrays['h'].shape[:2]} "
+                         f"for x of shape {x.shape[:2]}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +180,8 @@ class TrainResult:
 
 
 def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
-                     lr: float, milestones, batch_size: int = 16, seed: int = 0):
+                     lr: float, milestones, batch_size: int = 16, seed: int = 0,
+                     start: Optional[Activations] = None, compute_start: bool = True):
     """Minimize the task loss over the model's trainable partition, once
     through every epoch count in ``milestones``.
 
@@ -161,12 +192,22 @@ def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarra
     schedule).  A non-finite loss ends training; every later milestone then
     reports the same diverged result.
 
+    Steps start at the active setup's frozen stage
+    (:meth:`AdapterModel.frozen_stage`) from ``start``, ``x``'s activations
+    there (see :func:`evaluate`), each step taking its batch's rows of them
+    in the epoch's shuffled order.  Without ``start``, when
+    ``compute_start`` is set and training reads ``x`` more than once (the
+    last milestone is 2 or more), they are computed here first, if they fit
+    ``PREFIX_CACHE_BYTES``.  The losses and the trained weights are the
+    same to all digits either way.
+
     Bad input raises when this is called, before any step:
     :class:`ValueError` for a milestone that is not an int >= 1, and for
     the cases :func:`evaluate` refuses (no sequence, a ``y`` row count
-    other than ``x``'s, a ``batch_size`` that is not an int >= 1);
-    :class:`RuntimeError` when nothing is trainable."""
-    _check_batches(x, y, batch_size)
+    other than ``x``'s, a ``batch_size`` that is not an int >= 1, a
+    ``start`` with other rows); :class:`RuntimeError` when nothing is
+    trainable."""
+    _check_batches(x, y, batch_size, start)
     milestones = list(milestones)
     if not all(_is_int(m, 1) for m in milestones):
         raise ValueError(f"every milestone must be an int >= 1, got {milestones}")
@@ -174,13 +215,18 @@ def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarra
     if not params:
         raise RuntimeError("nothing is trainable; call train_adapter or train_full first")
     return _milestones(model, head, x, y, Adam(params, lr=lr), sorted(set(milestones)),
-                       batch_size, seed)
+                       batch_size, seed, start, compute_start)
 
 
 def _milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray, opt: Adam,
-                milestones: list, batch_size: int, seed: int):
+                milestones: list, batch_size: int, seed: int, start: Optional[Activations],
+                compute_start: bool):
     """The generator behind :func:`train_milestones`, over checked input."""
     kind = model.head(head).kind
+    if start is None and compute_start and milestones[-1] > 1:
+        stage = model.frozen_stage()
+        if stage is not None and _prefix_bytes(stage, x, model.dims) <= PREFIX_CACHE_BYTES:
+            start = model.encoder.prefix(x, stage)
     rng = np.random.default_rng(seed)
     losses = []
     n = x.shape[0]
@@ -190,7 +236,8 @@ def _milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray, op
             perm = rng.permutation(n)
             for off in range(0, n, batch_size):
                 idx = perm[off:off + batch_size]
-                val = _train_step(model, head, kind, x[idx], y[idx])
+                val = _train_step(model, head, kind, x[idx], y[idx],
+                                  None if start is None else start.take(idx))
                 if not np.isfinite(val):
                     diverged = True
                     break
@@ -202,13 +249,14 @@ def _milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray, op
 
 
 def _train_step(model: AdapterModel, head: str, kind: str, xb: np.ndarray,
-                yb: np.ndarray) -> float:
-    """Forward one batch and, when its loss is finite, backward into the
-    trainable gradients.  The step's activations are freed on return.
-    Classification and regression heads train through the encoder's pooled
-    readout, whose gradients equal the full path's bit for bit."""
+                yb: np.ndarray, start: Optional[Activations] = None) -> float:
+    """Forward one batch, from ``start`` when given, and, when its loss is
+    finite, backward into the trainable gradients.  The step's activations
+    are freed on return.  Classification and regression heads train through
+    the encoder's pooled readout, whose gradients equal the full path's bit
+    for bit."""
     with Tape() as tape:
-        state = model.encode(xb, pooled=kind != TAGGING)
+        state = model.encode(xb, pooled=kind != TAGGING, start=start)
         loss = task_loss(kind, model.logits(state, head), yb)
         val = loss.item()
         if np.isfinite(val):
@@ -358,10 +406,14 @@ def run_cell(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
 
 def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
                method: str, config, lr: float, milestones, batch_size: int,
-               seed: int, capture: Optional[dict] = None):
+               seed: int, capture: Optional[dict] = None, starts: Optional[tuple] = None):
     """Build one (method, config, lr) model from the base snapshot, train it
     once through ``milestones`` and yield the record of each, in ascending
-    epoch order."""
+    epoch order.  ``starts``, the train and eval splits' activations at the
+    adapter's frozen stage, lets every step and evaluation start there; a
+    grid passes ``(None, None)`` for a chain whose stage it did not store,
+    and the chain then computes none itself."""
+    train_start, eval_start = starts or (None, None)
     start = time.perf_counter()
     model = AdapterModel(dims, seed=seed, base_state=base_state)
     head = method if method != FULL_FT else "baseline"
@@ -378,11 +430,12 @@ def _run_chain(dims: ModelDims, spec: TaskSpec, data: Dataset, base_state: dict,
         capture["head"] = head
     axes = {} if config is None else _config_axes(config, method)
     for epochs, result in train_milestones(model, head, data.train_x, data.train_y,
-                                           lr, milestones, batch_size, seed):
+                                           lr, milestones, batch_size, seed, train_start,
+                                           compute_start=starts is None):
         if result.diverged:
             metric = float("nan")
         else:
-            metric = evaluate(model, head, data.eval_x, data.eval_y)
+            metric = evaluate(model, head, data.eval_x, data.eval_y, start=eval_start)
         spent = time.perf_counter() - start
         yield CellRecord(
             method=method,
@@ -473,15 +526,21 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     full-ft cells forks its own workers, so every chain sees the base a
     serial run gives it.
 
+    Below an adapter's first adapted stage (:attr:`Plan.start`) its encodes
+    compute only frozen layers.  So before each run of adapter chains, on
+    the base the full-ft cells before it left, this process computes the
+    train and eval splits' activations at each stage that run's adapters
+    start at, once, within ``PREFIX_CACHE_BYTES`` (latest stage first, as
+    a later stage skips more per stored byte); workers share them
+    copy-on-write.  Every step and evaluation of a chain starts there; the
+    records are the same to all digits.
+
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
     snapshot; otherwise the base is pretrained here, once every config of
     the grid has passed :func:`validate_config`."""
     chains = grid_chains(grid, dims, spec.seq_len)
     if data is None or base_state is None:
         data, base_state = prepare_base(dims, spec, grid)
-
-    def run_one(chain):       # (method, config, lr, milestones)
-        return _run_chain(dims, spec, data, base_state, *chain, grid.batch_size, grid.seed)
 
     records = []
 
@@ -493,8 +552,63 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     for full_ft, run in groupby(chains, key=lambda chain: chain[0] == FULL_FT):
         run = list(run)
+        starts = {} if full_ft else _frozen_starts(dims, data, base_state, run)
+
+        def run_one(chain, starts=starts):       # (method, config, lr, milestones)
+            return _run_chain(dims, spec, data, base_state, *chain, grid.batch_size,
+                              grid.seed, None, starts.get(chain[1], (None, None)))
+
         _run_chains(run, run_one, emit, workers=1 if full_ft else min(cpus, len(run)))
     return records
+
+
+# The most bytes of stored activations (TransformerEncoder.prefix) that one
+# training run, or one run of grid chains, computes; a stage that would pass
+# it is not stored, and its runs start at the embedding.  One stored array
+# costs 8 bytes per token per hidden width: 16 KiB per 32-token sequence at
+# desk dims.  The criterion-9 grid (4,000 train and 1,000 eval sequences)
+# stores its bottleneck stages, 3 arrays (h and f_in after the feed-forward
+# residual, h after the attention residual), in 246 MB; its attention stage
+# would add 5 arrays, 410 MB, for the least work skipped per byte, and is
+# left out.  A grid's workers share the parent's arrays copy-on-write and
+# compute none of their own, so this bounds what a grid adds to the host's
+# memory.
+PREFIX_CACHE_BYTES = 256 << 20
+
+
+def _prefix_bytes(stage: Stage, x: np.ndarray, dims: ModelDims) -> int:
+    """The bytes of ``x``'s activations at ``stage``."""
+    return len(stage.arrays) * x.size * dims.hidden * 8
+
+
+def _adapter_stage(dims: ModelDims, config) -> Optional[Stage]:
+    """The frozen stage of a one-adapter setup of ``config`` (see
+    :attr:`Plan.start`), from a dry build of it."""
+    inst = instantiate_adapter("a", config, dims, None)
+    return validate_composition(Leaf("a"), lambda _: inst).start
+
+
+def _frozen_starts(dims: ModelDims, data: Dataset, base_state: dict, chains: list) -> dict:
+    """config -> the (train, eval) activations that the adapter ``chains``
+    with that config start from: one pair per stage, at the position the
+    configs start at, holding every array any of them reads there, stored
+    latest stage first while they fit ``PREFIX_CACHE_BYTES``."""
+    stages = {cfg: _adapter_stage(dims, cfg) for cfg in dict.fromkeys(c[1] for c in chains)}
+    merged = {}
+    for st in filter(None, stages.values()):
+        held = merged.get(st.position)
+        merged[st.position] = st if held is None else held._replace(reads=held.reads | st.reads)
+    encoder = TransformerEncoder(dims, state=base_state)
+    pairs, spent = {}, 0
+    for position in sorted(merged, reverse=True):
+        stage = merged[position]
+        size = _prefix_bytes(stage, data.train_x, dims) + _prefix_bytes(stage, data.eval_x, dims)
+        if spent + size <= PREFIX_CACHE_BYTES:
+            spent += size
+            pairs[position] = (encoder.prefix(data.train_x, stage),
+                               encoder.prefix(data.eval_x, stage))
+    return {cfg: pairs[st.position] for cfg, st in stages.items()
+            if st is not None and st.position in pairs}
 
 
 def _run_chains(chains: list, run_one, emit, workers: int) -> None:

@@ -660,6 +660,23 @@ def test_compose_reports_branch_outputs(capsys, workspace):
     assert doc["outputs"]["a1"] == doc["outputs"]["a2"]
 
 
+def test_compose_stacks_a_lora_adapter_after_a_prefix(capsys, workspace, tmp_path):
+    # p carries a copy of l's head, so each order's branch reads the same head
+    model = AdapterModel.load_base(workspace["base"])
+    model.add_adapter("p", "prefix_tuning")
+    model.save_adapter("p", tmp_path / "p")
+    shutil.copy(workspace["lora"] / "head.json", tmp_path / "p" / "head.json")
+    outputs = []
+    for setup, label in (("Stack(p, l)", "l"), ("Stack(l, p)", "p")):
+        code, out, err = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
+                                 "--base", str(workspace["base"]),
+                                 "--adapter", f"p={tmp_path / 'p'}",
+                                 "--adapter", f"l={workspace['lora']}", "--setup", setup)
+        assert (code, err) == (0, "")
+        outputs.append(json.loads(out)["outputs"][label])
+    assert outputs[0] == outputs[1]
+
+
 def test_compose_runs_fusion_setups(capsys, workspace):
     code, out, _ = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
                            "--base", str(workspace["base"]),

@@ -20,7 +20,7 @@ from peftlab.composition import (Average, BatchSplit, CompositionError, Fuse,
                                  parse_setup)
 from peftlab.composition import MAX_DEPTH, validate_composition
 from peftlab.methods import StateError
-from peftlab.model import HookPoint
+from peftlab.model import DESK_DIMS, HookPoint
 
 from conftest import SMALL_DIMS, random_tokens
 from test_model import reference_encode
@@ -423,6 +423,32 @@ def test_stack_applies_children_sequentially(rng):
     assert np.allclose(got, want, atol=1e-10)
     # the order is load-bearing
     assert not np.allclose(got, run(m, Stack("b", "a"), tokens), atol=1e-6)
+
+
+def _attention_members_model(seed=7):
+    """Desk-dims model with a prefix, a LoRA and an (IA)^3 adapter, each off
+    its identity."""
+    m = AdapterModel(DESK_DIMS, seed=seed)
+    r = np.random.default_rng(seed)
+    for name, preset in (("p", "prefix_tuning"), ("l", "lora"), ("i", "ia3"), ("m", "mam"),
+                         ("u", "unipelt")):
+        for t in m.add_adapter(name, parse_config(preset)).tensors.values():
+            t.data[...] += r.normal(0.0, 0.1, size=t.data.shape)
+    return m
+
+
+@pytest.mark.parametrize("first, second", [("p", "l"), ("p", "i"), ("m", "l"), ("m", "i"),
+                                           ("p", "u")])
+def test_stack_applies_projections_before_prefixes_in_any_member_order(rng, first, second):
+    # LoRA and (IA)^3 act on the projections of the token rows and a prefix
+    # joins its rows after them, so the member order of a Stack of the two
+    # kinds does not matter.  Projecting after the prefix joined once
+    # raised numpy's broadcast error for a LoRA after a prefix.
+    m = _attention_members_model()
+    tokens = random_tokens(rng, 4, 6, DESK_DIMS.vocab)
+    got = run(m, f"Stack({first}, {second})", tokens)
+    assert got.tobytes() == run(m, f"Stack({second}, {first})", tokens).tobytes()
+    assert not np.allclose(got, run(m, second, tokens), atol=1e-6)
 
 
 def test_parallel_matches_independent_forwards(rng):

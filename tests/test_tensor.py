@@ -387,8 +387,12 @@ def test_tensor_dtype_and_contiguity():
 # fused ops against the unfused chains they replace
 
 
-def unfused_linear(x, w, b):
-    return T.matmul(x, w) + b
+def numpy_linear(x, w, b, g):
+    """``x @ w + b`` and its closed-form gradients under the upstream ``g``,
+    in plain numpy, with the operands in the layouts the encoder's full path
+    gives them: ``w.T`` a transposed view, ``x`` and ``g`` as rows."""
+    rows_x, rows_g = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    return x @ w + b, g @ w.T, rows_x.T @ rows_g, g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def unfused_attention(q, k, v, bias, heads):
@@ -434,7 +438,15 @@ def assert_fused_equals_unfused(fused, unfused, arrays, extra, rng):
 @pytest.mark.parametrize("x_shape", [(9, 6), (3, 7, 6)])
 def test_linear_equals_matmul_plus_bias(rng, x_shape):
     arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 3)), rng.normal(size=(3,))]
-    assert_fused_equals_unfused(T.linear, unfused_linear, arrays, (), rng)
+    upstream = rng.normal(size=x_shape[:-1] + (3,))
+    out, *grads = numpy_linear(*arrays, upstream)
+    for n in range(len(arrays) + 1):
+        for trainable in itertools.combinations(range(len(arrays)), n):
+            got, got_grads = run_op(T.linear, arrays, trainable, (), upstream)
+            assert np.array_equal(got, out)
+            for i, (g, want) in enumerate(zip(got_grads, grads)):
+                assert (g is None) == (i not in trainable)
+                assert g is None or np.array_equal(g, want), (trainable, i)
 
 
 @pytest.mark.parametrize("sq,sk", [(5, 5), (4, 9)])

@@ -207,8 +207,8 @@ def test_evaluate_asks_for_the_pooled_readout_only_for_heads_reading_one_positio
     model.add_prediction_head("other", kind, labels)
     seen = []
     encode = model.encode
-    monkeypatch.setattr(model, "encode",
-                        lambda x, pooled=False: seen.append(pooled) or encode(x, pooled=pooled))
+    monkeypatch.setattr(model, "encode", lambda x, pooled=False, start=None:
+                        seen.append(pooled) or encode(x, pooled=pooled, start=start))
     y = (np.zeros(data.eval_x.shape, dtype=np.int64) if kind == "tagging"
          else data.eval_y)
     evaluate(model, "other", data.eval_x, y, batch_size=10)
@@ -286,8 +286,8 @@ def test_a_train_step_asks_for_the_pooled_readout_only_for_heads_reading_one_pos
     model.train_adapter("bn", extra_heads=("other",))
     seen = []
     encode = model.encode
-    monkeypatch.setattr(model, "encode",
-                        lambda x, pooled=False: seen.append(pooled) or encode(x, pooled=pooled))
+    monkeypatch.setattr(model, "encode", lambda x, pooled=False, start=None:
+                        seen.append(pooled) or encode(x, pooled=pooled, start=start))
     y = (np.zeros(data.train_x.shape, dtype=np.int64) if kind == "tagging"
          else data.train_y)
     res = train_model(model, "other", data.train_x, y, lr=1e-3, epochs=1, batch_size=16)
