@@ -342,8 +342,11 @@ class TransformerEncoder:
         outside the window, the rows whose gradient the full path leaves
         zero.  Every gradient then equals the full path's bit for bit.
 
-        The full path is kept when the sequence (prepended rows included)
-        has at most two positions, there are no layers, or ``ctx``'s plan
+        The full path is kept when the sequence has at most two positions
+        after any prepended rows (the window would then hold the last
+        position, and the Haswell-class OpenBLAS kernels round the last row
+        of an odd-row product differently from a two-row one), there are
+        no layers, or ``ctx``'s plan
         cannot pool (a ``Split``, which routes by position, or a gate that
         averages over every position after the last attention).
 
@@ -357,28 +360,34 @@ class TransformerEncoder:
         computed in, so the bits are those of the full encode."""
         return self._forward(tokens, mask, ctx, pooled, start, None)
 
-    def prefix(self, tokens, stage: Stage, mask=None) -> Activations:
+    def prefix(self, tokens, stage, mask=None):
         """The activations at ``stage`` of ``tokens`` with no adapter: what
-        :meth:`encode` reads to start there.  They are computed
+        :meth:`encode` reads to start there.  ``stage`` may also be a list
+        of stages, which gives a tuple of their activations, in that order,
+        from one walk up to the latest of them.  They are computed
         ``PREFIX_CHUNK`` sequences at a time into one array per name, since
         a sequence's activations do not depend on its batch."""
+        stages = [stage] if isinstance(stage, Stage) else list(stage)
         tokens = self._check_tokens(tokens)
-        out = {}
-        for off in range(0, tokens.shape[0], PREFIX_CHUNK):
+        out = [{} for _ in stages]
+        for off in range(0, tokens.shape[0] if stages else 0, PREFIX_CHUNK):
             rows = slice(off, off + PREFIX_CHUNK)
-            part = self._forward(tokens[rows], None if mask is None else mask[rows],
-                                 None, False, None, stage)
-            for name, a in part.items():
-                if name not in out:
-                    out[name] = np.empty((tokens.shape[0],) + a.shape[1:])
-                out[name][rows] = a
-        return Activations(stage, out)
+            parts = self._forward(tokens[rows], None if mask is None else mask[rows],
+                                  None, False, None, stages)
+            for held, part in zip(out, parts):
+                for name, a in part.items():
+                    if name not in held:
+                        held[name] = np.empty((tokens.shape[0],) + a.shape[1:])
+                    held[name][rows] = a
+        acts = tuple(Activations(st, held) for st, held in zip(stages, out))
+        return acts[0] if isinstance(stage, Stage) else acts
 
     def _forward(self, tokens, mask, ctx, pooled: bool, start: Optional[Activations],
-                 stop: Optional[Stage]):
+                 stops: Optional[list]):
         """The encoder's one layer loop: :meth:`encode` from the embedding,
-        or from ``start``'s stage, to the exit; or, with ``stop``, from the
-        embedding to that stage, returning the arrays it stores."""
+        or from ``start``'s stage, to the exit; or, with ``stops``, from the
+        embedding to the latest of those stages, returning the arrays each
+        stores, in their order."""
         tokens = self._check_tokens(tokens)
         B, S = tokens.shape
         if mask is None:
@@ -390,7 +399,10 @@ class TransformerEncoder:
 
         p = self.params
         begin = -1 if start is None else start.stage.position
-        end = None if stop is None else stop.position
+        stops = stops or []
+        stored = [None] * len(stops)
+        due = {st.position for st in stops}
+        end = max(due, default=None)
         if start is None:
             tok = T.gather_rows(p["embed.token"], tokens)
             pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
@@ -410,11 +422,16 @@ class TransformerEncoder:
         elif ctx is not None:
             state.branches = ctx.plan.branches
 
-        def stored(**arrays):
-            return {name: arrays[name].data for name in stop.arrays}
+        def reached(position, **arrays):
+            """Store the arrays of every stop at ``position``; whether it is
+            the last."""
+            for i, st in enumerate(stops):
+                if st.position == position:
+                    stored[i] = {name: arrays[name].data for name in st.arrays}
+            return position == end
 
         last = self.dims.num_layers - 1
-        pool = pooled and h.shape[1] > 2 and (ctx is None or ctx.plan.pools)
+        pool = pooled and S > 2 and (ctx is None or ctx.plan.pools)
         tape = Tape.current()
         with ExitStack() as scope:
             for l in range(self.dims.num_layers):
@@ -429,13 +446,13 @@ class TransformerEncoder:
                     v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
                 elif begin == at:
                     x, q, k, v = (held.get(name) for name in ("x", "q", "k", "v"))
-                if end == at:
-                    return stored(h=h, x=x, q=q, k=k, v=v)
+                if at in due and reached(at, h=h, x=x, q=q, k=k, v=v):
+                    return stored
                 if begin <= at:
                     core = self._attn_core
                     window = None
                     if pool and l == last:
-                        state.window_start = min(state.prompt_len, h.shape[1] - 2)
+                        state.window_start = state.prompt_len
                         window = (state.window_start, 2)
                         core = partial(self._attn_core, window=window)
                         full, h = h.shape[1], T.narrow(h, 1, *window)
@@ -447,8 +464,8 @@ class TransformerEncoder:
                         scope.enter_context(tape.row_window(*window, full))
                     attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
                     h = h + attn
-                if end == at + ATTENTION_RESIDUAL:
-                    return stored(h=h)
+                if at + ATTENTION_RESIDUAL in due and reached(at + ATTENTION_RESIDUAL, h=h):
+                    return stored
                 if begin <= at + ATTENTION_RESIDUAL:
                     if ctx is not None:
                         h = ctx.post_attention(l, h)
@@ -461,8 +478,8 @@ class TransformerEncoder:
                     h = f_in + ffn
                 else:
                     f_in = held.get("f_in")
-                if end == at + FFN_RESIDUAL:
-                    return stored(h=h, f_in=f_in)
+                if at + FFN_RESIDUAL in due and reached(at + FFN_RESIDUAL, h=h, f_in=f_in):
+                    return stored
                 if ctx is not None:
                     h = ctx.ffn_block(l, h, f_in)
 

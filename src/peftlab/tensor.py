@@ -300,7 +300,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     Under a tape's :meth:`~Tape.row_window`, a (B, S, ...) ``x`` holds the
     window's rows of a longer sequence whose other rows get zero gradient.
     The forward ``x @ w`` equals those rows of the full product at any row
-    count >= 2, but BLAS rounds both gradient products by the row count:
+    count >= 2 that does not hold the last row (some BLAS kernels round the
+    last row of an odd-row product apart), but BLAS rounds both gradient
+    products by the row count:
     ``g @ w.T`` per row, ``x^T g`` in how it groups the sum over rows.  So
     the backward places ``g`` and ``x`` in zero rows at full length, in the
     C-contiguous layout the full path gives them, runs both products there

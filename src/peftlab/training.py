@@ -509,14 +509,20 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
 
     Chains run in worker processes forked from this one, one per CPU this
     process may run on (``os.sched_getaffinity``) and no more than there
-    are chains; with one such CPU, or without ``fork``, they run here.
-    Workers take chains in grid order and send each record as its
+    are chains; with one such CPU, or without ``fork``, they run here, in
+    grid order.  Workers take chains longest first, by the ``STEP_COST``
+    estimate, when a simulation of the hand-out predicts that this ends
+    the run strictly sooner than grid order; otherwise in grid order, which
+    brings the first records soonest.  They send each record as its
     milestone is reached.  Only this process calls ``sink``: the earliest
     unfinished chain's records pass through as they arrive, and later
-    chains' records wait for their turn.  An exception raised in
-    a chain is raised here, with its own type, once every earlier record
-    has reached ``sink``; a worker that exits without finishing its chain
-    raises :class:`RuntimeError`.  No worker outlives the call.
+    chains' records wait for their turn, so the order of work never
+    changes the records or their order.  An exception raised in a chain is
+    raised here, with its own type, once every earlier record has reached
+    ``sink``; a worker that exits without finishing its chain raises
+    :class:`RuntimeError`.  When several chains fail, the earliest in grid
+    order is raised, as a serial run raises it.  No worker outlives the
+    call.
 
     ``full-ft`` cells are not chained, and they run in this process:
     full fine-tuning trains in the ``base_state`` arrays themselves (a
@@ -558,7 +564,9 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
             return _run_chain(dims, spec, data, base_state, *chain, grid.batch_size,
                               grid.seed, None, starts.get(chain[1], (None, None)))
 
-        _run_chains(run, run_one, emit, workers=1 if full_ft else min(cpus, len(run)))
+        workers = 1 if full_ft else min(cpus, len(run))
+        order = range(len(run)) if full_ft else _hand_out_order(run, workers)
+        _run_chains(run, run_one, emit, workers, order)
     return records
 
 
@@ -574,6 +582,17 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
 # compute none of their own, so this bounds what a grid adds to the host's
 # memory.
 PREFIX_CACHE_BYTES = 256 << 20
+
+# The relative cost of one training step of each preset, in ms: the
+# per-method `training.step_ms` of
+#   python3 perfbench/run.py --workload sweep-flat --seed 11 --seconds 10 --trace 1
+# (desk dims, batch 16 x 32 tokens, from stored activations where the preset
+# has a frozen stage, BLAS on one thread), rounded.  A chain's cost is its
+# preset's times its last milestone.  It only decides the order in which
+# workers take chains (see _hand_out_order), never a record.
+STEP_COST = {"seq_bn": 7, "par_bn": 8, "double_seq_bn": 10, "ia3": 12, "lora": 13,
+             "seq_bn_inv": 14, "prompt_tuning": 15, "compacter": 16, "prefix_tuning": 17,
+             "mam": 22, "unipelt": 32}
 
 
 def _prefix_bytes(stage: Stage, x: np.ndarray, dims: ModelDims) -> int:
@@ -591,30 +610,63 @@ def _adapter_stage(dims: ModelDims, config) -> Optional[Stage]:
 def _frozen_starts(dims: ModelDims, data: Dataset, base_state: dict, chains: list) -> dict:
     """config -> the (train, eval) activations that the adapter ``chains``
     with that config start from: one pair per stage, at the position the
-    configs start at, holding every array any of them reads there, stored
-    latest stage first while they fit ``PREFIX_CACHE_BYTES``."""
+    configs start at, holding every array any of them reads there, kept
+    latest stage first while they fit ``PREFIX_CACHE_BYTES`` and computed in
+    one walk per split."""
     stages = {cfg: _adapter_stage(dims, cfg) for cfg in dict.fromkeys(c[1] for c in chains)}
     merged = {}
     for st in filter(None, stages.values()):
         held = merged.get(st.position)
         merged[st.position] = st if held is None else held._replace(reads=held.reads | st.reads)
-    encoder = TransformerEncoder(dims, state=base_state)
-    pairs, spent = {}, 0
+    kept, spent = [], 0
     for position in sorted(merged, reverse=True):
         stage = merged[position]
         size = _prefix_bytes(stage, data.train_x, dims) + _prefix_bytes(stage, data.eval_x, dims)
         if spent + size <= PREFIX_CACHE_BYTES:
             spent += size
-            pairs[position] = (encoder.prefix(data.train_x, stage),
-                               encoder.prefix(data.eval_x, stage))
+            kept.append(stage)
+    encoder = TransformerEncoder(dims, state=base_state)
+    pairs = dict(zip((st.position for st in kept),
+                     zip(encoder.prefix(data.train_x, kept), encoder.prefix(data.eval_x, kept))))
     return {cfg: pairs[st.position] for cfg, st in stages.items()
             if st is not None and st.position in pairs}
 
 
-def _run_chains(chains: list, run_one, emit, workers: int) -> None:
-    """``emit`` the records of ``chains`` in order, running the chains in
-    ``workers`` forked processes, or in this one when ``workers`` is 1 or
-    ``fork`` is not available."""
+def _makespan(costs: list, order, workers: int) -> int:
+    """When the last of ``workers`` ends if each free worker, the lowest
+    index first, takes the next chain of ``order``; chain ``i`` costs
+    ``costs[i]``."""
+    ends = [0] * workers
+    for i in order:
+        ends[ends.index(min(ends))] += costs[i]
+    return max(ends)
+
+
+def _hand_out_order(chains: list, workers: int) -> list:
+    """The order in which ``workers`` take the adapter ``chains``, by their
+    ``STEP_COST`` estimate: longest first (ties in grid order) when that is
+    predicted to end strictly sooner than grid order, else grid order,
+    whose earliest records reach the sink soonest."""
+    costs = [STEP_COST[method] * milestones[-1] for method, _, _, milestones in chains]
+    grid_order = list(range(len(costs)))
+    longest = sorted(grid_order, key=lambda i: -costs[i])
+    if _makespan(costs, longest, workers) < _makespan(costs, grid_order, workers):
+        return longest
+    return grid_order
+
+
+def _run_chains(chains: list, run_one, emit, workers: int, order) -> None:
+    """``emit`` the records of ``chains`` in grid order, running the chains
+    in ``workers`` forked processes, which take them in ``order`` (chain
+    indices), or in this one, in grid order, when ``workers`` is 1 or
+    ``fork`` is not available.
+
+    A chain fails when it raises or its worker exits before it ends; a
+    worker that exits is replaced while chains are left to hand out.  After
+    a failure only the chains before it in grid order are still handed out,
+    and the earliest failure's exception is raised once every record before
+    it has been emitted: what running the chains here, in grid order,
+    raises."""
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         for chain in chains:
             for rec in run_one(chain):
@@ -623,50 +675,68 @@ def _run_chains(chains: list, run_one, emit, workers: int) -> None:
     ctx = multiprocessing.get_context("fork")
     received = [[] for _ in chains]   # records not yet emitted, per chain
     outcome = [None] * len(chains)    # True once done, or the exception it raised
-    todo = iter(range(len(chains)))
-    procs, conns, held = [], [], []   # per worker; ``held`` is the chain it runs
-    failed = False
+    todo = list(order)[::-1]          # chains not handed out, the next one last
+    owed = len(chains)                # the earliest failed chain; none from it on is owed
+    held = {}                         # worker's connection -> [process, the chain it runs]
     head = 0                          # the earliest chain not wholly emitted
+
+    def next_chain():
+        while todo:
+            if (i := todo.pop()) < owed:
+                return i
+        return None
+
+    def fail(i, exc):
+        nonlocal owed
+        outcome[i], owed = exc, min(owed, i)
+
+    def start():                      # a worker for the next chain, if one is left
+        if (i := next_chain()) is None:
+            return
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_chain_worker,
+                           args=(child_conn, [*held, conn], chains, run_one))
+        proc.start()
+        child_conn.close()
+        held[conn] = [proc, i]
+        conn.send(i)
+
     try:
-        for w in range(workers):
-            conn, child_conn = ctx.Pipe()
-            conns.append(conn)
-            proc = ctx.Process(target=_chain_worker,
-                               args=(child_conn, list(conns), chains, run_one))
-            proc.start()
-            procs.append(proc)
-            child_conn.close()
-            held.append(next(todo))
-            conn.send(held[w])
-        running = set(range(workers))
+        for _ in range(workers):
+            start()
         while head < len(chains):
-            ready = wait([conns[w] for w in running] + [procs[w].sentinel for w in running])
-            for w in list(running):
-                gone = procs[w].sentinel in ready
+            ready = wait([*held] + [proc.sentinel for proc, _ in held.values()])
+            for conn, entry in list(held.items()):
+                proc = entry[0]
+                gone = proc.sentinel in ready
                 try:
-                    while conns[w].poll():
-                        i, msg = conns[w].recv()
+                    while conn.poll():
+                        i, msg = conn.recv()
                         if isinstance(msg, CellRecord):
                             received[i].append(msg)
-                        elif msg is None:             # chain i is done
+                            continue
+                        if msg is None:               # chain i is done
                             outcome[i] = True
-                            held[w] = None if failed else next(todo, None)
-                            conns[w].send(held[w])
-                        else:                         # chain i raised; the worker stops
+                        else:                         # chain i raised
                             exc, tb = msg
                             exc.__cause__ = RuntimeError(f"raised in a grid worker:\n{tb}")
-                            outcome[i], held[w], failed = exc, None, True
+                            fail(i, exc)
+                        entry[1] = next_chain()
+                        conn.send(entry[1])
                 except (EOFError, ConnectionError):
                     gone = True
                 if gone:
-                    running.discard(w)
-                    if held[w] is not None:
-                        procs[w].join()
-                        method, _, lr, _ = chains[held[w]]
-                        outcome[held[w]] = RuntimeError(
-                            f"grid worker exited with code {procs[w].exitcode} before "
-                            f"finishing the {method} chain at lr {lr}")
-                        failed = True
+                    del held[conn]
+                    proc.join()
+                    code = proc.exitcode
+                    proc.close()
+                    conn.close()
+                    i = entry[1]
+                    if i is not None and outcome[i] is None:
+                        method, _, lr, _ = chains[i]
+                        fail(i, RuntimeError(f"grid worker exited with code {code} before "
+                                             f"finishing the {method} chain at lr {lr}"))
+                        start()
             while head < len(chains):
                 for rec in received[head]:
                     emit(rec)
@@ -677,20 +747,19 @@ def _run_chains(chains: list, run_one, emit, workers: int) -> None:
                     raise outcome[head]
                 head += 1
     finally:
-        for proc in procs:
+        for proc, _ in held.values():
             proc.terminate()
-        for proc in procs:
+        for conn, (proc, _) in held.items():
             proc.join()
             proc.close()
-        for conn in conns:
             conn.close()
 
 
 def _chain_worker(conn, parent_ends: list, chains: list, run_one) -> None:
     """Run the chains whose indices the parent sends, until it sends
-    ``None``.  Sends ``(index, record)`` for each record, then
-    ``(index, None)`` when the chain is done, or ``(index, (exception,
-    traceback text))`` when it raised, and then stops."""
+    ``None``.  Sends ``(index, record)`` for each record, then ``(index,
+    None)`` when the chain is done, or ``(index, (exception, traceback
+    text))`` when it raised."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)     # the parent stops its workers
     for end in parent_ends:           # so that a lost parent reads as end of file here
         end.close()
@@ -700,8 +769,8 @@ def _chain_worker(conn, parent_ends: list, chains: list, run_one) -> None:
                 conn.send((i, rec))
         except Exception as e:
             conn.send((i, (e, traceback.format_exc())))
-            return
-        conn.send((i, None))
+        else:
+            conn.send((i, None))
 
 
 def best_metric(records, method: str) -> float:

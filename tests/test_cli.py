@@ -194,6 +194,34 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
         (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (1, 2)]
 
 
+def test_train_hands_chains_out_longest_first_and_writes_them_in_grid_order(
+        capsys, tmp_path, monkeypatch):
+    real = training._run_chains
+    handed = []
+
+    def spy(chains, run_one, emit, workers, order):
+        handed.append((workers, [chains[i][0] for i in order]))
+        return real(chains, run_one, emit, workers, order)
+
+    monkeypatch.setattr(training, "_run_chains", spy)
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out_f = tmp_path / f"{len(cpus)}.jsonl"
+        code, out, _ = _train(capsys, tmp_path, "--full-ft", "--config", "seq_bn",
+                              "--config", "par_bn", "--config", "unipelt", "--lr", "1e-3",
+                              "--epochs", "1", "--out", str(out_f))
+        assert code == 0
+        outputs[len(cpus)] = [re.sub(r'"seconds": [^,}]*', '"seconds": 0', text)
+                              for text in (out, out_f.read_text())]
+    assert outputs[1] == outputs[2]
+    assert outputs[2][0] == outputs[2][1]
+    assert [json.loads(line)["method"] for line in outputs[2][0].splitlines()] == [
+        "full-ft", "seq_bn", "par_bn", "unipelt"]
+    assert handed == [(1, ["full-ft"]), (1, ["seq_bn", "par_bn", "unipelt"]),
+                      (1, ["full-ft"]), (2, ["unipelt", "par_bn", "seq_bn"])]
+
+
 def _summary(err):
     """The ``# best[...]`` lines as (method, best metric, gap text or None)."""
     lines = re.findall(r"^# best\[(.+)\] accuracy=(\S+)(?: \(full-ft (\S+)\))?$", err, re.M)

@@ -83,12 +83,13 @@ def _data(kind, labels, rows, seq, seed=0, vocab=DESK_DIMS.vocab):
 
 @pytest.fixture
 def prefix_calls(monkeypatch):
-    """The stage of every ``TransformerEncoder.prefix`` call, in order."""
+    """Each stage that ``TransformerEncoder.prefix`` computes, in order."""
     calls = []
     real = TransformerEncoder.prefix
 
     def spy(self, tokens, stage, mask=None):
-        calls.append((len(tokens), stage, _digest(self.state_array())))
+        for st in [stage] if isinstance(stage, Stage) else stage:
+            calls.append((len(tokens), st, _digest(self.state_array())))
         return real(self, tokens, stage, mask)
 
     monkeypatch.setattr(TransformerEncoder, "prefix", spy)
@@ -230,6 +231,27 @@ def test_prefix_does_not_depend_on_its_chunks(monkeypatch):
     monkeypatch.setattr(M, "PREFIX_CHUNK", 3)
     chunked = encoder.prefix(x, stage)
     assert all(chunked.arrays[k].tobytes() == a.tobytes() for k, a in whole.arrays.items())
+
+
+def test_prefix_of_several_stages_walks_once_and_equals_each_stage_alone(monkeypatch):
+    encoder = TransformerEncoder(SMALL_DIMS, seed=2)
+    x = np.random.default_rng(0).integers(0, SMALL_DIMS.vocab, size=(10, 7))
+    mask = (np.random.default_rng(1).random(x.shape) > 0.3).astype(np.float64)
+    stages = [Stage(0, FFN_RESIDUAL, frozenset({"f_in"})), Stage(0, ATTENTION_RESIDUAL),
+              Stage(0, ATTENTION, frozenset({"x"})), Stage(1, ATTENTION)]
+    alone = [encoder.prefix(x, st, mask) for st in stages]
+    monkeypatch.setattr(M, "PREFIX_CHUNK", 4)
+    walks = []
+    real = TransformerEncoder._forward
+    monkeypatch.setattr(TransformerEncoder, "_forward",
+                        lambda self, *a: walks.append(a[-1]) or real(self, *a))
+    together = encoder.prefix(x, stages, mask)
+    assert walks == [stages] * 3                      # one walk per chunk of 4 rows
+    assert [acts.stage for acts in together] == stages
+    for got, want in zip(together, alone):
+        assert sorted(got.arrays) == sorted(want.arrays)
+        assert all(got.arrays[k].tobytes() == a.tobytes() for k, a in want.arrays.items())
+    assert encoder.prefix(x, []) == ()
 
 
 def test_encode_refuses_a_start_the_active_setup_cannot_use():

@@ -9,6 +9,9 @@ trainable gradient must equal the full path's bit for bit too.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 
 import numpy as np
@@ -27,6 +30,7 @@ from peftlab.registry import AdapterModel
 from peftlab.tensor import ContractError, ShapeError, Tape
 from peftlab.training import FULL_FT, task_loss
 
+from test_frozen_prefix import _openblas_core
 from test_golden import COMPOSED_GOLDEN, composed_model
 from test_lifecycle import randomize
 
@@ -75,8 +79,8 @@ def test_pooled_readout_equals_the_full_path_bit_for_bit(preset):
             tokens = rng.integers(0, DESK_DIMS.vocab, size=(batch, seq))
             for mask in (None, (rng.random((batch, seq)) > 0.3).astype(np.float64)):
                 state = _assert_pooled_equals_full(model, tokens, mask)
-                # the window runs wherever the sequence is longer than it
-                pools = preset not in FALLBACK_PRESETS and seq + state.prompt_len > 2
+                # the window runs wherever it would not hold the last position
+                pools = preset not in FALLBACK_PRESETS and seq > 2
                 assert (state.window_start is not None) == pools
 
 
@@ -141,11 +145,12 @@ def test_a_gate_read_only_inside_attention_still_pools():
     assert _assert_pooled_equals_full(model, tokens).window_start == 0
 
 
-def test_the_window_ends_at_the_last_position_when_the_pooled_one_is_last():
+def test_a_pooled_position_among_the_last_two_keeps_the_full_path():
     model = _model("prompt_tuning")
-    tokens = np.random.default_rng(4).integers(0, DESK_DIMS.vocab, size=(3, 1))
-    state = _assert_pooled_equals_full(model, tokens)
-    assert state.prompt_len == 10 and state.window_start == 9
+    for seq in (1, 2):
+        tokens = np.random.default_rng(4).integers(0, DESK_DIMS.vocab, size=(3, seq))
+        state = _assert_pooled_equals_full(model, tokens)
+        assert state.prompt_len == 10 and state.window_start is None
 
 
 def test_a_tagging_head_refuses_a_pooled_state():
@@ -229,8 +234,7 @@ def test_a_pooled_training_step_equals_the_full_one_for_any_shape(case, kind, ba
     tokens = rng.integers(0, DESK_DIMS.vocab, size=(batch, seq))
     mask = (rng.random((batch, seq)) > 0.4).astype(np.float64) if masked else None
     start = _assert_pooled_step_equals_full(model, kind, tokens, mask, seed=seed)
-    rows = seq + (prompt if case == "prompt" else 0)
-    assert (start is not None) == (rows > 2)
+    assert (start is not None) == (seq > 2)
 
 
 GATED_PREFIX = ConfigUnion(members=(PrefixTuningConfig(prefix_length=3), LoraConfig(r=2)),
@@ -368,3 +372,24 @@ def test_the_attention_query_window_is_checked_and_its_gradients_equal_the_full_
             tape.backward(T.tsum(T.mul(out, T.constant(gw))))
         grads.append([t.grad.tobytes() for t in (q, k, v)])
     assert grads[0] == grads[1]
+
+
+# ---------------------------------------------------------------------------
+# the Haswell kernel, which rounds the last row of an odd-row product apart
+
+
+def test_pooled_short_and_prompted_sequences_are_the_same_on_haswell():
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    running = _openblas_core(env)
+    if running != "Haswell":
+        pytest.skip(f"numpy's BLAS does not run OpenBLAS's Haswell kernel here "
+                    f"(it reports {running or 'no OpenBLAS kernel'})")
+    tests = [f"{__file__}::{name}" for name in (
+        "test_pooled_readout_equals_the_full_path_bit_for_bit",
+        "test_pooled_readout_equals_the_full_path_for_any_batch_and_mask",
+        "test_a_pooled_position_among_the_last_two_keeps_the_full_path",
+        "test_a_pooled_training_step_equals_the_full_one_for_any_shape")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

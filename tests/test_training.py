@@ -12,15 +12,18 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peftlab import tensor as T
 from peftlab import training
-from peftlab.configs import ConfigError, parse_config
-from peftlab.model import InputError, ModelDims
+from peftlab.configs import CONFIG_NAMES, ConfigError, parse_config
+from peftlab.model import DESK_DIMS, InputError, ModelDims
 from peftlab.registry import AdapterModel
 from peftlab.tasks import TaskSpec, make_task
 from peftlab.tensor import Tape, Tensor
@@ -46,12 +49,14 @@ def _deadline(seconds: int):
         raise TimeoutError(f"still running after {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    outer, start = signal.alarm(seconds), time.monotonic()
     try:
         yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+        if outer:                     # an enclosing deadline keeps its time
+            signal.alarm(max(1, outer - int(time.monotonic() - start)))
 
 
 @pytest.fixture(autouse=True)
@@ -652,6 +657,89 @@ def test_a_failing_chain_fails_the_grid_after_every_earlier_record(two_cpus, mon
     assert [(r.method, r.lr, r.epochs) for r in seen] == [
         ("seq_bn", 5e-3, 1), ("seq_bn", 5e-3, 2), ("seq_bn", 1e-3, 1), ("seq_bn", 1e-3, 2),
         ("lora", 5e-3, 1)]
+
+
+def _fake_run_one(plan):
+    """A chain runner that trains nothing: chain ``m<i>`` yields one record
+    per milestone, each after ``plan[i][2]`` ms, and, when ``plan[i]`` is
+    ``("raise", n, _)`` or ``("exit", n, _)``, fails before its record ``n``.
+    An exit in a worker ends it with code 3; in this process, which the
+    serial path runs it in, it raises what the parent makes of that exit."""
+    def run_one(chain):
+        method, _, lr, milestones = chain
+        mode, after, ms = plan[int(method[1:])]
+        for n, epochs in enumerate(milestones):
+            time.sleep(ms / 1e3)
+            if n == after and mode == "raise":
+                raise ValueError(f"{method} raised")
+            if n == after and mode == "exit":
+                if multiprocessing.parent_process() is None:
+                    raise RuntimeError(f"grid worker exited with code 3 before finishing "
+                                       f"the {method} chain at lr {lr}")
+                os._exit(3)
+            yield CellRecord(method, {}, lr, epochs, 0, 0.5, "accuracy", 1, 0.0)
+    return run_one
+
+
+def _chains_outcome(chains, run_one, workers, order):
+    """The records ``_run_chains`` emits, and the type and text of what it
+    raises (None when it returns)."""
+    seen = []
+    try:
+        training._run_chains(chains, run_one, seen.append, workers, order)
+        error = None
+    except Exception as e:
+        error = (type(e), str(e))
+    return [(r.method, r.epochs) for r in seen], error
+
+
+FAILURES = st.tuples(st.sampled_from([None, "raise", "exit"]), st.integers(0, 3),
+                     st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=st.lists(FAILURES, min_size=1, max_size=6), workers=st.integers(1, 3),
+       shuffle=st.permutations(range(6)))
+@example(plan=[(None, 0, 1)] * 4 + [("raise", 1, 0)], workers=2, shuffle=(4, 3, 2, 1, 0, 5))
+@example(plan=[(None, 0, 1)] * 2 + [("exit", 0, 0)] * 2, workers=2, shuffle=(3, 2, 1, 0, 4, 5))
+def test_chains_handed_out_in_any_order_fail_as_the_serial_path_does(plan, workers, shuffle):
+    if workers == 1:                  # the chains run here, where an exit ends the test run
+        plan = [("raise" if mode == "exit" else mode, n, ms) for mode, n, ms in plan]
+    chains = [(f"m{i}", None, 1e-3, (1, 2, 3)) for i in range(len(plan))]
+    order = [i for i in shuffle if i < len(plan)]
+    run_one = _fake_run_one(plan)
+    with _deadline(20):
+        got = _chains_outcome(chains, run_one, workers, order)
+    assert multiprocessing.active_children() == []
+    assert got == _chains_outcome(chains, run_one, 1, range(len(chains)))
+
+
+def _adapter_chains(**grid):
+    return training.grid_chains(GridSpec(**grid), DESK_DIMS, 32)
+
+
+def test_an_all_preset_grid_hands_out_longest_first():
+    chains = _adapter_chains(methods=CONFIG_NAMES, lrs=(1e-3,), epochs=(2,))
+    order = training._hand_out_order(chains, 2)
+    assert [chains[i][0] for i in order] == sorted(CONFIG_NAMES,
+                                                   key=lambda m: -training.STEP_COST[m])
+    assert chains[order[0]][0] == "unipelt"
+
+
+@pytest.mark.parametrize("grid", [
+    # longest-first would hand out lora and ia3 first, and end no sooner
+    dict(methods=("seq_bn", "lora", "ia3"), lrs=(1e-4, 1e-3), epochs=(1, 2, 3, 5)),
+    dict(),                           # the default train grid: one method
+    dict(methods=("unipelt",), lrs=(1e-3, 1e-4), epochs=(1, 2)),
+], ids=["milestones", "default", "one-method"])
+def test_grids_longest_first_would_not_shorten_keep_grid_order(grid):
+    chains = _adapter_chains(**grid)
+    assert training._hand_out_order(chains, 2) == list(range(len(chains)))
+
+
+def test_every_preset_has_a_step_cost():
+    assert sorted(training.STEP_COST) == sorted(CONFIG_NAMES)
+    assert all(isinstance(c, int) and c > 0 for c in training.STEP_COST.values())
 
 
 @pytest.mark.parametrize("interrupt", [ValueError, KeyboardInterrupt])
