@@ -8,7 +8,8 @@ Verbs::
                    exit 2 on mismatch)
     check-paper    shorthand for ``count-params --check-paper``
     train          hyperparameter-grid training on a synthetic task: JSON-line
-                   records (optionally CSV), then a per-method ranking on stderr
+                   records (optionally CSV); on stderr a ``# blas <kernel>
+                   threads=<n>`` line first, then a per-method ranking
     eval           evaluate a saved adapter (or bare head) on a task split
     compose        execute a composition DSL string over saved adapters
     average        weighted parameter averaging of same-config adapters
@@ -21,6 +22,7 @@ checkpoints), 2 acceptance-check failure (``--check-paper`` mismatch).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -193,6 +195,8 @@ def cmd_train(args) -> int:
         data, base_state = make_task(task), base.encoder.state_array()
     else:
         data, base_state = prepare_base(dims, task, grid)
+    core, threads = blas_kernel()
+    print(f"# blas {core} threads={threads}", file=sys.stderr)
 
     if args.save_base:
         AdapterModel(dims, base_state=base_state).save_base(args.save_base)
@@ -233,6 +237,28 @@ def cmd_train(args) -> int:
 
     _print_summary(records, task.metric_name)
     return 0
+
+
+def blas_kernel() -> tuple:
+    """(kernel name, thread count) of numpy's bundled OpenBLAS, as text, read
+    through ``ctypes``: the kernel decides the rounding of every product, so
+    the bits of a run.  ``unknown`` for each that numpy's BLAS does not
+    export."""
+    core = threads = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get_core = getattr(lib, "scipy_openblas_get_corename64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get_core is not None:
+            get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+            core = get_core().decode()
+        if get_threads is not None:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = str(get_threads())
+    return core, threads
 
 
 def _print_summary(records, metric_name: str) -> None:

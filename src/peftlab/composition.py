@@ -191,6 +191,11 @@ class Plan:
     # Split (it routes by position) and no gate read after that layer's
     # attention (a gate averages its source over every position).
     pools: bool = True
+    batch: Optional[int] = None     # the input rows it was compiled for, if known
+    # The hook points where routing can change a value: every hook a leaf
+    # binds, and every hook when an Average, whose weighted sum rounds, is
+    # in the setup.  Elsewhere routing only slices and joins copies of rows.
+    hooks: set = field(default_factory=set)
 
     @cached_property
     def start(self) -> Optional[Stage]:
@@ -198,10 +203,23 @@ class Plan:
         computes only frozen layers, so that it can start there from
         activations computed earlier (``TransformerEncoder.prefix``).  None:
         it acts at the embedding (prompts, invertible couplings,
-        ``Parallel``'s replicated rows, ``Average``'s weighted sums), or
-        only in the last layer, where the pooled window begins.  Worked out
-        when first asked, since only training reads it."""
+        ``Average``'s weighted sums), or only in the last layer, where the
+        pooled window begins.  A setup that replicates rows (``Parallel``)
+        starts at its earliest leaf's stage: its branches share the frozen
+        layers below it, computed once on the input rows and then copied by
+        :attr:`row_index`.  Worked out when first asked, since only
+        training and replicating setups read it."""
         return _start(self.root)
+
+    @cached_property
+    def row_index(self) -> Optional[np.ndarray]:
+        """The input row that each row after the embedding stage copies, for
+        a setup that replicates rows (``Parallel``) compiled for a batch:
+        the map the router's embedding stage applies.  None when every row
+        is its own."""
+        if not self.root.replicates:
+            return None
+        return _replicate(self.root, np.arange(self.batch))
 
 
 class _Rows(NamedTuple):
@@ -304,6 +322,7 @@ class _Compiler:
 
         elif kind is Average:
             pn.weights = _average_weights(node)
+            self.plan.hooks.update(HookPoint)
             walked = [self.walk(c, rows, within) for c in node.children]
             children = [w[0] for w in walked]
             outs = [w[1] for w in walked]
@@ -372,6 +391,7 @@ class _Compiler:
                 f"adapter {name!r} is merged into the base weights; unmerge it before composing"
             )
         self.plan.leaf_names.append(name)
+        self.plan.hooks.update(inst.footprint)
         # prompt adapters sit under Stacks only, so leaf order is prompt order
         self.plan.prompts.extend(inst.bindings.get(HookPoint.INPUT_PREPEND, ()))
         gated = any(gate is not None
@@ -393,11 +413,32 @@ def _start(node: PlanNode) -> Optional[Stage]:
     """The first stage a leaf under ``node`` acts at (see :attr:`Plan.start`)."""
     if node.kind is Leaf:
         return node.inst.first_stage
-    # Every other block only slices and joins rows or positions at a hook
-    # where no leaf below acts, which keeps the bits.
-    if node.kind is Average or node.replicates:
+    # Every other block only slices, joins or copies rows or positions at a
+    # hook where no leaf below acts, which keeps the bits.
+    if node.kind is Average:
         return None
     return _earliest(_start(c) for c in node.children)
+
+
+def _replicate(node: PlanNode, rows: np.ndarray) -> np.ndarray:
+    """The rows after ``node``'s embedding stage, as indices into ``rows``:
+    ``Parallel`` repeats them per child, ``BatchSplit`` hands each child
+    its own, a ``Stack`` applies its children in turn and an ``Average``
+    one child's map, which all its children share."""
+    kind = node.kind
+    if kind is Stack:
+        for c in node.children:
+            rows = _replicate(c, rows)
+        return rows
+    if kind is Parallel:
+        return np.concatenate([_replicate(c, rows) for c in node.children])
+    if kind is BatchSplit:
+        offsets = np.cumsum((0,) + node.sizes)
+        return np.concatenate([_replicate(c, rows[lo:hi]) for c, lo, hi
+                               in zip(node.children, offsets, offsets[1:])])
+    if kind is Average:
+        return _replicate(node.children[0], rows)
+    return rows             # Leaf, Split, Fuse
 
 
 def _earliest(stages) -> Optional[Stage]:
@@ -503,6 +544,7 @@ def validate_composition(node, resolve, batch=None, seq=None,
     rows = _Rows(0, batch) if batch is not None else _Rows(1, 0)
     plan = compiler.plan
     plan.root, _, branches = compiler.walk(_as_node(node), rows, ())
+    plan.batch = batch
     plan.branches = [(label, r.count()) for label, r in branches]
     return plan
 

@@ -114,8 +114,6 @@ class PhmLinear:
 
     def __init__(self, al: _Alloc, prefix: str, fin: int, fout: int, n: int,
                  shared_a: Tensor, zero_out: bool):
-        self.n = n
-        self.fin, self.fout = fin, fout
         self.a = shared_a                                     # (n, n, n)
         self.s = al.normal(prefix + "s", (n, fin // n), std=0.05)
         if zero_out:
@@ -125,16 +123,10 @@ class PhmLinear:
         self.bias = al.zeros(prefix + "bias", (fout,))
 
     def weight(self) -> Tensor:
-        """Materialize the (fin, fout) weight as the explicit Kronecker sum."""
-        n = self.n
-        total = None
-        for i in range(n):
-            a_i = T.reshape(T.narrow(self.a, 0, i, 1), (n, n))
-            s_i = T.reshape(T.narrow(self.s, 0, i, 1), (self.fin // n, 1))
-            t_i = T.reshape(T.narrow(self.t, 0, i, 1), (1, self.fout // n))
-            term = T.kron(a_i, T.matmul(s_i, t_i))
-            total = term if total is None else total + term
-        return total
+        """Materialize the (fin, fout) weight, ``sum_i kron(a[i], s[i]^T
+        t[i])``, as one record (:func:`~peftlab.tensor.kron_sum`), with the
+        bits of the per-``i`` chain of narrow, reshape, matmul, kron and add."""
+        return T.kron_sum(self.a, self.s, self.t)
 
     def apply(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight(), self.bias)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 
 class InputError(ValueError):
@@ -336,11 +336,13 @@ class TransformerEncoder:
         one, keep every product matrix-matrix, so the window equals those
         positions of the full path bit for bit.
 
-        Under a tape the window is the tape's ``row_window`` from the
+        The window is a :func:`~peftlab.tensor.row_window` from the
         attention context to the exit stage, so the products there, and the
         attention's, run their backward at full length with zero rows
         outside the window, the rows whose gradient the full path leaves
-        zero.  Every gradient then equals the full path's bit for bit.
+        zero, and so do the forwards of products too narrow to round a row
+        apart from the row count.  Every value and gradient then equals the
+        full path's bit for bit.
 
         The full path is kept when the sequence has at most two positions
         after any prepended rows (the window would then hold the last
@@ -356,8 +358,12 @@ class TransformerEncoder:
         recomputing the frozen layers below it.  Only a ``ctx`` whose plan
         starts at that stage or later (``Plan.start``), over frozen
         weights, gives the same bits as the full encode; the caller checks
-        that.  A sequence's activations do not depend on the batch it is
-        computed in, so the bits are those of the full encode."""
+        that.  When the plan replicates rows (``Parallel``), the stored
+        rows and the mask are copied by ``Plan.row_index``, as the
+        router's embedding stage copies the embeddings, so every branch
+        starts from the one computation of the frozen layers.  A sequence's
+        activations do not depend on the batch it is computed in, so the
+        bits are those of the full encode."""
         return self._forward(tokens, mask, ctx, pooled, start, None)
 
     def prefix(self, tokens, stage, mask=None):
@@ -408,6 +414,10 @@ class TransformerEncoder:
             pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
             h = tok + pos
         else:
+            if ctx is not None and ctx.plan.row_index is not None:
+                # the rows the router's embedding stage would have copied
+                rows = ctx.plan.row_index
+                start, mask = start.take(rows), mask[rows]
             held = {name: Tensor(a) for name, a in start.arrays.items()}
             h = held["h"]
         state = EncoderState(hidden=h, prompt_len=0, seq_len=S,
@@ -432,7 +442,6 @@ class TransformerEncoder:
 
         last = self.dims.num_layers - 1
         pool = pooled and S > 2 and (ctx is None or ctx.plan.pools)
-        tape = Tape.current()
         with ExitStack() as scope:
             for l in range(self.dims.num_layers):
                 at = 3 * l          # the position of this layer's ATTENTION stage
@@ -460,8 +469,8 @@ class TransformerEncoder:
                         attn = ctx.attention(l, x, q, k, v, mask, core)
                     else:
                         attn = core(q, k, v, mask)
-                    if window is not None and tape is not None:
-                        scope.enter_context(tape.row_window(*window, full))
+                    if window is not None:
+                        scope.enter_context(T.row_window(*window, full))
                     attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
                     h = h + attn
                 if at + ATTENTION_RESIDUAL in due and reached(at + ATTENTION_RESIDUAL, h=h):

@@ -261,7 +261,14 @@ class AdapterModel:
         activations at a stage (:meth:`TransformerEncoder.prefix`), where
         the encode then starts; :class:`ValueError` when there is no active
         setup, a base weight is trainable, or the setup acts before that
-        stage or reads an array there that ``start`` does not hold."""
+        stage or reads an array there that ``start`` does not hold.
+
+        A setup that replicates rows (``Parallel``) over a frozen base, and
+        that has a first adapted stage (``Plan.start``), starts there
+        without a ``start`` too: the input rows' activations are computed
+        once and copied to every branch, instead of every branch computing
+        the frozen layers below its first hook on its own copy of the
+        rows.  The bits are those of the encode from the embedding."""
         tokens = np.asarray(tokens)
         ctx = plan = None
         if self._active is not None:
@@ -273,6 +280,10 @@ class AdapterModel:
             if need is None or not start.stage.serves(need):
                 raise ValueError(f"activations at {start.stage} cannot start the active "
                                  f"setup, which starts at {need or 'the embedding'}")
+        elif plan is not None and plan.root.replicates and not self._base_trains():
+            stage = plan.start
+            if stage is not None:
+                start = self.encoder.prefix(tokens, stage, mask)
         return self.encoder.encode(tokens, mask, ctx, pooled, start)
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:

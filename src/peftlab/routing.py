@@ -9,9 +9,13 @@ moves tensors:
 
 * the embedding stage replicates the input for ``Parallel`` branches,
   prepends the plan's prompts and applies entry-direction invertible
-  transforms;
+  transforms.  An encode that starts at the plan's first adapted stage
+  (``Plan.start``) skips it: the encoder copies the stored activations of
+  the input rows by ``Plan.row_index``, the map ``_expand`` applies here;
 * pointwise hooks (residual adapters, elementwise scales, invertible
-  couplings) slice the payload by rows/tokens and apply leaf modules;
+  couplings) slice the payload by rows/tokens and apply leaf modules; a
+  hook that no leaf binds (``Plan.hooks``) returns its input when no tape
+  records, since slicing and joining rows there would only copy them;
 * the attention hook applies the projection deltas and key/value scales of
   a ``Stack``'s members (nested Stacks flattened), then their prefix
   extensions, runs the core attention per row block, and realizes gated
@@ -64,7 +68,10 @@ def _rescale(target: Tensor, m, gate, source: Tensor) -> Tensor:
 
 
 class RoutingContext:
-    """Per-encode adapter router for one compiled setup."""
+    """Per-encode adapter router for one compiled setup.  Its rows are the
+    rows after the embedding stage: each input row once per ``Parallel``
+    branch, in ``Plan.row_index`` order, whether the embedding stage
+    copied them or the encoder started from copied stored activations."""
 
     def __init__(self, plan: Plan):
         self.plan = plan
@@ -86,7 +93,8 @@ class RoutingContext:
             mask = np.concatenate([np.ones((rows, pm.length)), mask], axis=1)
             state.prompt_len += pm.length
 
-        h = self._route_point(root, h, {}, self._leaf_embed_forward)
+        if not self._idle(HookPoint.EMBEDDING_BOUNDARY):
+            h = self._route_point(root, h, {}, self._leaf_embed_forward)
         state.branches = self.plan.branches
         return h, mask
 
@@ -210,22 +218,37 @@ class RoutingContext:
 
     # -- hook entry points ----------------------------------------------------
 
+    def _idle(self, *hooks: HookPoint) -> bool:
+        """Whether routing at ``hooks`` would only copy rows: nothing in the
+        setup acts there and no tape records.  A tape keeps the copies,
+        whose backward adds zero rows to the gradient (turning -0.0 into
+        +0.0), so that gradients keep their bits."""
+        return self.plan.hooks.isdisjoint(hooks) and T.Tape.current() is None
+
     def post_attention(self, layer: int, h: Tensor) -> Tensor:
+        if self._idle(HookPoint.POST_ATTN_RESIDUAL):
+            return h
         self._layer = layer
         return self._route_point(self.plan.root, h, {}, self._leaf_post_attn)
 
     def ffn_block(self, layer: int, h: Tensor, f_in) -> Tensor:
         """``f_in``, the block input, is None when no parallel adapter reads it."""
+        if self._idle(HookPoint.POST_FFN_RESIDUAL, HookPoint.PARALLEL_TO_LAYER):
+            return h
         self._layer = layer
         aux = {} if f_in is None else {"block_input": f_in}
         return self._route_point(self.plan.root, h, aux, self._leaf_ffn_block,
                                  fusion_hook=True)
 
     def ffn_intermediate(self, layer: int, inter: Tensor) -> Tensor:
+        if self._idle(HookPoint.FFN_INTERMEDIATE_SCALE):
+            return inter
         self._layer = layer
         return self._route_point(self.plan.root, inter, {}, self._leaf_ffn_intermediate)
 
     def exit_stage(self, h: Tensor) -> Tensor:
+        if self._idle(HookPoint.EMBEDDING_BOUNDARY):
+            return h
         return self._route_point(self.plan.root, h, {}, self._leaf_embed_inverse, reverse=True)
 
     # -- attention hook ---------------------------------------------------------

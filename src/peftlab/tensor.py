@@ -6,9 +6,12 @@ records in exact reverse order on ``backward``.  Gradient accumulation into
 ``Tensor.grad`` is additive: callers zero gradients between optimizer steps.
 
 Every product with a 2-D weight records through :func:`linear` (``x @ w``
-plus an optional bias), and :func:`attention` is multi-head scaled
-dot-product attention; each is one record with the same bits as the chain
-of simpler ops it replaces.  Backward rules compute nothing for an operand
+plus an optional bias), :func:`attention` is multi-head scaled dot-product
+attention, and :func:`kron_sum` is a parameterized hypercomplex weight, a
+sum of Kronecker products; each is one record with the same bits as the
+chain of simpler ops it replaces.  Inside a :func:`row_window`,
+:func:`linear` runs each product whose bits depend on the row count at full
+length, on zero rows.  Backward rules compute nothing for an operand
 that does not require a gradient, and GELU computes its derivative only in
 backward.
 
@@ -124,14 +127,16 @@ class Tape:
     ``Tensor._tape`` -> tape is a cycle).  ``backward`` therefore runs only
     inside the block.
 
-    ``window`` is ``None`` or, inside :meth:`row_window`, the
-    ``(start, length, full)`` row window that the :func:`linear` products
-    recorded there run their backward on.
+    ``window`` is the row window in force (:func:`row_window`), or
+    ``None``.
     """
 
     def __init__(self):
         self._records: Optional[list[_Record]] = []
-        self.window: Optional[tuple] = None
+
+    @property
+    def window(self) -> Optional[tuple]:
+        return _WINDOW
 
     @staticmethod
     def current() -> Optional["Tape"]:
@@ -147,19 +152,10 @@ class Tape:
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape stack corrupted")
 
-    @contextmanager
-    def row_window(self, start: int, length: int, full: int):
-        """Declare that every (B, S, ...) ``x`` of a :func:`linear` recorded
-        in the block holds rows ``[start, start + length)`` of a
-        ``full``-row sequence along axis 1, and that the other rows'
-        gradients are zero.  Those products then run their backward at full
-        length, with zero rows (see :func:`linear`).  The window ends with
-        the block, also when it raises."""
-        self.window = (start, length, full)
-        try:
-            yield
-        finally:
-            self.window = None
+    @staticmethod
+    def row_window(start: int, length: int, full: int):
+        """:func:`row_window`, for the products this tape records."""
+        return row_window(start, length, full)
 
     def __len__(self) -> int:
         return 0 if self._records is None else len(self._records)
@@ -194,6 +190,25 @@ class Tape:
                     t.grad = dg if t.grad is None else t.grad + dg
 
 
+_WINDOW: Optional[tuple] = None     # the row window in force (see row_window)
+
+
+@contextmanager
+def row_window(start: int, length: int, full: int):
+    """Declare that every (B, S, ...) ``x`` of a :func:`linear` in the block
+    holds rows ``[start, start + length)`` of a ``full``-row sequence along
+    axis 1, and that the other rows' gradients are zero.  Those products run
+    their backward at full length, with zero rows, and so do the forwards
+    that BLAS rounds by the row count (see :func:`linear`).  The window ends
+    with the block, also when it raises."""
+    global _WINDOW
+    _WINDOW = (start, length, full)
+    try:
+        yield
+    finally:
+        _WINDOW = None
+
+
 def backward(loss: Tensor) -> None:
     """Run the backward pass of the tape that recorded ``loss``."""
     if loss._tape is None:
@@ -210,6 +225,11 @@ def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Ten
         out._tape = tape
         tape._records.append(_Record(out, tuple(inputs), rule))
     return out
+
+
+# Products with fewer output columns than this round a row by the row count
+# on some BLAS kernels, so inside a row window they run at full length.
+WINDOW_MIN_COLUMNS = 4
 
 
 def _pad_rows(a: np.ndarray, window: tuple) -> np.ndarray:
@@ -297,12 +317,16 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     of ``x``, plus the bias ``b`` when given, as one record.  Values and
     gradients equal ``matmul(x, w) + b`` bit for bit.
 
-    Under a tape's :meth:`~Tape.row_window`, a (B, S, ...) ``x`` holds the
-    window's rows of a longer sequence whose other rows get zero gradient.
-    The forward ``x @ w`` equals those rows of the full product at any row
-    count >= 2 that does not hold the last row (some BLAS kernels round the
-    last row of an odd-row product apart), but BLAS rounds both gradient
-    products by the row count:
+    Under a :func:`row_window`, a (B, S, ...) ``x`` holds the window's rows
+    of a longer sequence whose other rows get zero gradient.  The forward
+    ``x @ w`` equals those rows of the full product at any row count >= 2
+    that does not hold the last row (some BLAS kernels round the last row
+    of an odd-row product apart) when ``w`` has at least
+    ``WINDOW_MIN_COLUMNS`` columns.  A narrower product (numpy hands a
+    one-column one to gemv, and OpenBLAS's SkylakeX kernels round two and
+    three columns by the row count too) runs on the window's rows placed in
+    zero rows at full length, whose other rows do not change the window's
+    bits.  BLAS rounds both gradient products by the row count:
     ``g @ w.T`` per row, ``x^T g`` in how it groups the sum over rows.  So
     the backward places ``g`` and ``x`` in zero rows at full length, in the
     C-contiguous layout the full path gives them, runs both products there
@@ -316,14 +340,17 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                          f"{xd.shape}, {wd.shape}, {None if bd is None else bd.shape}")
     if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear inner dims differ: {xd.shape} @ {wd.shape}")
-    out = xd @ wd
-    if bd is not None:
-        out += bd
-    tape = Tape.current()
-    window = None if tape is None or xd.ndim < 3 else tape.window
+    window = None if xd.ndim < 3 else _WINDOW
     if window is not None and xd.shape[1] != window[1]:
         raise ContractError(f"operand of shape {xd.shape} does not hold the "
-                            f"{window[1]} rows of the tape's row window")
+                            f"{window[1]} rows of the row window")
+    if window is not None and wd.shape[1] < WINDOW_MIN_COLUMNS:
+        start, length, _ = window
+        out = np.ascontiguousarray((_pad_rows(xd, window) @ wd)[:, start:start + length])
+    else:
+        out = xd @ wd
+    if bd is not None:
+        out += bd
 
     def rule(g):
         db = _unbroadcast(g, bd.shape) if b is not None and b.requires_grad else None
@@ -436,6 +463,63 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
         return (da, db)
 
     return _emit(np.kron(ad, bd), (a, b), rule)
+
+
+def kron_sum(a: Tensor, s: Tensor, t: Tensor) -> Tensor:
+    """``sum_i kron(a[i], s[i]^T t[i])`` for an (n, n, n) ``a``, an (n, p)
+    ``s`` and an (n, q) ``t``: the (n*p, n*q) weight of a parameterized
+    hypercomplex layer, as one record.  Values and gradients equal the
+    chain it replaces bit for bit: per ``i``, ``narrow`` and ``reshape`` of
+    each factor, ``matmul(s_i, t_i)`` and :func:`kron`, the terms summed
+    with ``add`` in order.
+
+    The forward keeps the chain's ``s_i @ t_i`` products (BLAS, unlike a
+    plain multiply, gives +0.0 for a zero product), takes every Kronecker
+    term in one broadcast multiply and adds the terms in order.  The
+    backward runs :func:`kron`'s ``einsum`` calls and :func:`linear`'s two
+    products per ``i`` on copies laid out as the chain lays them out.  The
+    chain accumulates each factor's gradient one zero-padded slice at a
+    time, so with ``n`` > 1 every slice has had +0.0 added to it; the
+    gradients here add it too, which turns -0.0 into +0.0 as the chain
+    does."""
+    ad, sd, td = a.data, s.data, t.data
+    n = ad.shape[0] if ad.ndim == 3 else 0
+    if (n == 0 or ad.shape != (n, n, n) or sd.ndim != 2 or td.ndim != 2
+            or sd.shape[0] != n or td.shape[0] != n):
+        raise ShapeError(f"kron_sum needs a (n, n, n), s (n, p), t (n, q); got "
+                         f"{ad.shape}, {sd.shape}, {td.shape}")
+    p, q = sd.shape[1], td.shape[1]
+    s_i = [sd[i].reshape(p, 1).copy() for i in range(n)]
+    t_i = [td[i].reshape(1, q).copy() for i in range(n)]
+    st = [x @ w for x, w in zip(s_i, t_i)]
+    terms = ad[:, :, None, :, None] * np.stack(st)[:, None, :, None, :]   # (n, n, p, n, q)
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    out = out.reshape(n * p, n * q)
+
+    def rule(g):
+        blocks = g.reshape(n, p, n, q)
+        da = np.empty_like(ad) if a.requires_grad else None
+        ds = np.empty_like(sd) if s.requires_grad else None
+        dt = np.empty_like(td) if t.requires_grad else None
+        for i in range(n):
+            if da is not None:
+                da[i] = np.einsum("ipjq,pq->ij", blocks, st[i])
+            if ds is None and dt is None:
+                continue
+            dst = np.einsum("ipjq,ij->pq", blocks, ad[i].copy())
+            if ds is not None:
+                ds[i] = (dst @ t_i[i].T).reshape(p)
+            if dt is not None:
+                dt[i] = (s_i[i].T @ dst).reshape(q)
+        if n > 1:
+            for d in (da, ds, dt):
+                if d is not None:
+                    d += 0.0
+        return (da, ds, dt)
+
+    return _emit(out, (a, s, t), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +195,28 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
         (m, lr, ep) for m in ("seq_bn", "lora") for lr in (1e-3, 5e-3) for ep in (1, 2)]
 
 
+def test_train_names_the_blas_kernel_on_stderr_and_nowhere_else(capsys, tmp_path,
+                                                                 monkeypatch):
+    runs = []
+    for found in (True, False):
+        if not found:           # a numpy whose BLAS exports neither function
+            monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda path: object()))
+        out_f, csv_f = tmp_path / f"{found}.jsonl", tmp_path / f"{found}.csv"
+        code, out, err = _train(capsys, tmp_path, "--config", "seq_bn", "--lr", "1e-3",
+                                "--epochs", "1", "--out", str(out_f), "--csv", str(csv_f))
+        assert code == 0
+        header = [line for line in err.splitlines() if line.startswith("# blas")]
+        assert header == err.splitlines()[:1]
+        seconds = CSV_FIELDS.index("seconds")
+        csv = [[v for i, v in enumerate(row.split(",")) if i != seconds]
+               for row in csv_f.read_text().splitlines()]
+        runs.append((header[0], [re.sub(r'"seconds": [^,}]*', "", text)
+                                 for text in (out, out_f.read_text())], csv))
+    assert re.fullmatch(r"# blas \S+ threads=\d+", runs[0][0])
+    assert runs[1][0] == "# blas unknown threads=unknown"
+    assert runs[0][1:] == runs[1][1:]
+
+
 def test_train_hands_chains_out_longest_first_and_writes_them_in_grid_order(
         capsys, tmp_path, monkeypatch):
     real = training._run_chains
@@ -234,7 +257,8 @@ def test_train_summary_ranks_methods_with_their_gap_to_full_ft(capsys, tmp_path)
     assert code == 0
     best = {r["method"]: r["metric"] for r in map(json.loads, out.splitlines())}
     summary = _summary(err)
-    assert len(summary) == len(err.splitlines())
+    assert err.startswith("# blas ")                  # then only the summary
+    assert len(summary) == len(err.splitlines()) - 1
     assert sorted(m for m, _, _ in summary) == sorted(best) == ["full-ft", "lora", "seq_bn"]
     values = [v for _, v, _ in summary]
     assert values == sorted(values, reverse=True)
@@ -245,7 +269,7 @@ def test_train_summary_ranks_methods_with_their_gap_to_full_ft(capsys, tmp_path)
     code, _, err = _train(capsys, tmp_path, *grid)
     assert code == 0
     summary = _summary(err)
-    assert len(summary) == len(err.splitlines()) == 2
+    assert len(summary) == len(err.splitlines()) - 1 == 2
     assert all(gap is None for _, _, gap in summary)
 
 

@@ -182,10 +182,19 @@ def test_no_setup_starts_inside_the_last_layer():
 def test_composed_setups_start_at_their_earliest_leaf():
     model = composed_model()
     got = {s: model.validate_setup(s).start for s in COMPOSED_GOLDEN}
-    assert {s: st for s, st in got.items() if st is not None} == COMPOSED_STAGES
-    # Parallel replicates rows, Average sums every hook's output, prompts
-    # prepend rows: each acts at the embedding
-    assert all(got[s] is None for s in COMPOSED_GOLDEN if s not in COMPOSED_STAGES)
+    # Parallel's branches start at their earliest leaf's stage, from frozen
+    # layers computed once on the input rows and then copied
+    replicating = {"Parallel(s1, pb)": PRESET_STAGES["par_bn"],
+                   "Stack(Parallel(s1, pb), BatchSplit(s1, pb, batch_sizes=[3, 3]))":
+                   PRESET_STAGES["par_bn"]}
+    assert ({s: st for s, st in got.items() if st is not None}
+            == {**COMPOSED_STAGES, **replicating})
+    # Average sums every hook's output and prompts prepend rows: each acts at
+    # the embedding, also over Parallel
+    assert all(got[s] is None for s in COMPOSED_GOLDEN
+               if s not in COMPOSED_STAGES and s not in replicating)
+    assert got["Average(Parallel(s1, lo), Parallel(pb, ia))"] is None
+    assert got["Stack(pr, Parallel(s1, lo))"] is None
     assert model.validate_setup("Stack(s1, pb)").start == PRESET_STAGES["par_bn"]
     assert model.validate_setup("Parallel(lo)").start == PRESET_STAGES["lora"]
 

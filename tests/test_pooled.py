@@ -30,6 +30,7 @@ from peftlab.registry import AdapterModel
 from peftlab.tensor import ContractError, ShapeError, Tape
 from peftlab.training import FULL_FT, task_loss
 
+from conftest import SMALL_DIMS
 from test_frozen_prefix import _openblas_core
 from test_golden import COMPOSED_GOLDEN, composed_model
 from test_lifecycle import randomize
@@ -349,6 +350,32 @@ def test_windowed_linear_and_matmul_gradients_equal_the_full_products():
 
     for op in (T.linear, lambda x, w, b: T.matmul(x, w)):
         assert grads(op, (5, 2, 32)) == grads(op, None)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 16])
+def test_a_windowed_product_of_any_width_equals_the_full_product(columns):
+    # numpy hands a one-column product to gemv, and some kernels round two
+    # and three columns by the row count too: those run at full length
+    rng = np.random.default_rng(columns)
+    x = rng.normal(size=(3, 9, 16))
+    w, b = T.Tensor(rng.normal(size=(16, columns))), T.Tensor(rng.normal(size=columns))
+    full = T.linear(T.Tensor(x), w, b).data
+    for start in range(7):
+        with T.row_window(start, 2, 9):
+            part = T.linear(T.Tensor(np.ascontiguousarray(x[:, start:start + 2])), w, b).data
+        assert part.tobytes() == np.ascontiguousarray(full[:, start:start + 2]).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["seq_bn", "double_seq_bn", "seq_bn_inv"])
+def test_pooled_readout_with_a_one_wide_bottleneck_equals_the_full_path(preset):
+    # at hidden 16 the bottlenecks are one column wide
+    model = AdapterModel(SMALL_DIMS, seed=0)
+    model.add_prediction_head("h", CLASSIFICATION, 3)
+    randomize(model.add_adapter("a", preset), seed=5)
+    model.set_active("a")
+    for batch, seq in ((1, 8), (2, 5), (3, 12)):
+        tokens = np.random.default_rng(seq).integers(0, SMALL_DIMS.vocab, size=(batch, seq))
+        assert _assert_pooled_equals_full(model, tokens).window_start == 0
 
 
 def test_the_attention_query_window_is_checked_and_its_gradients_equal_the_full_call():

@@ -460,6 +460,68 @@ def test_attention_equals_unfused_chain(rng, sq, sk):
     assert_fused_equals_unfused(T.attention, unfused_attention, arrays, (bias, heads), rng)
 
 
+def unfused_kron_sum(a, s, t):
+    """The per-``i`` chain :func:`peftlab.tensor.kron_sum` replaces."""
+    n, p, q = a.shape[0], s.shape[1], t.shape[1]
+    total = None
+    for i in range(n):
+        a_i = T.reshape(T.narrow(a, 0, i, 1), (n, n))
+        s_i = T.reshape(T.narrow(s, 0, i, 1), (p, 1))
+        t_i = T.reshape(T.narrow(t, 0, i, 1), (1, q))
+        term = T.kron(a_i, T.matmul(s_i, t_i))
+        total = term if total is None else total + term
+    return total
+
+
+def two_weights(kron_sum):
+    """Two modules' weights over one shared ``a``, flattened and joined, so
+    that both accumulate into ``a``'s gradient."""
+    def op(a, s1, t1, s2, t2):
+        w1, w2 = kron_sum(a, s1, t1), kron_sum(a, s2, t2)
+        return T.concat([T.reshape(w1, (w1.size,)), T.reshape(w2, (w2.size,))])
+    return op
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_kron_sum_equals_the_unfused_chain_bit_for_bit(rng, n):
+    # a zero t (an up projection at init) and a zero row of another, with
+    # signed zeros in the upstream gradient: every -0.0 must match too
+    s1, t1 = rng.normal(size=(n, 3)), np.zeros((n, 2))
+    s2, t2 = rng.normal(size=(n, 2)), rng.normal(size=(n, 3))
+    t2[0] = 0.0
+    arrays = [rng.normal(size=(n, n, n)), s1, t1, s2, t2]
+    upstream = rng.normal(size=6 * n * n + 6 * n * n)
+    upstream[::3] = 0.0
+    upstream[1::5] = -0.0
+    fused, unfused = two_weights(T.kron_sum), two_weights(unfused_kron_sum)
+    for k in range(len(arrays) + 1):
+        for trainable in itertools.combinations(range(len(arrays)), k):
+            out_f, grads_f = run_op(fused, arrays, trainable, (), upstream)
+            out_u, grads_u = run_op(unfused, arrays, trainable, (), upstream)
+            assert out_f.tobytes() == out_u.tobytes()
+            for i, (gf, gu) in enumerate(zip(grads_f, grads_u)):
+                assert (gf is None) == (gu is None) == (i not in trainable)
+                assert gf is None or gf.tobytes() == gu.tobytes(), (trainable, i)
+
+
+def test_kron_sum_is_one_record_and_checks_shapes(rng):
+    a, s, w = t(rng.normal(size=(2, 2, 2))), t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 4)))
+    with Tape() as tape:
+        assert T.kron_sum(a, s, w).shape == (6, 8)
+        assert len(tape) == 1
+    for bad in ((t(np.ones((2, 2))), s, w), (a, t(np.ones((3, 3))), w),
+                (a, s, t(np.ones((2, 2, 2)))), (t(np.ones((2, 3, 2))), s, w)):
+        with pytest.raises(T.ShapeError):
+            T.kron_sum(*bad)
+
+
+def test_grad_check_kron_sum(rng):
+    a, s, w = t(rng.normal(size=(2, 2, 2))), t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 2)))
+    assert grad_check(lambda v: scalarize(T.kron_sum(v, s, w)), a) < 1e-6
+    assert grad_check(lambda v: scalarize(T.kron_sum(a, v, w)), s) < 1e-6
+    assert grad_check(lambda v: scalarize(T.kron_sum(a, s, v)), w) < 1e-6
+
+
 def test_attention_gives_masked_keys_no_weight(rng):
     q, k, v = (t(rng.normal(size=(1, 3, 4))) for _ in range(3))
     bias = np.array([[0.0, 0.0, -1e9]])
