@@ -169,7 +169,7 @@ class PlanNode:
     inst: object = None        # Leaf: its AdapterInstance
     gated_prefix: bool = False  # Leaf: binds a gated key/value prefix
     attn: bool = False         # some leaf below modifies attention
-    replicates: bool = False   # the embedding stage multiplies the rows here
+    replicates: bool = False   # the encoder copies the rows for the branches here
     sizes: tuple = ()          # Split: token widths; BatchSplit: input rows per child
     rows: tuple = ()           # Parallel, BatchSplit: output rows per child
     weights: tuple = ()        # Average: the weights normalised to sum to one
@@ -199,24 +199,24 @@ class Plan:
 
     @cached_property
     def start(self) -> Optional[Stage]:
-        """The first stage the setup acts at, below which an encode
-        computes only frozen layers, so that it can start there from
-        activations computed earlier (``TransformerEncoder.prefix``).  None:
-        it acts at the embedding (prompts, invertible couplings,
-        ``Average``'s weighted sums), or only in the last layer, where the
-        pooled window begins.  A setup that replicates rows (``Parallel``)
-        starts at its earliest leaf's stage: its branches share the frozen
-        layers below it, computed once on the input rows and then copied by
-        :attr:`row_index`.  Worked out when first asked, since only
-        training and replicating setups read it."""
+        """The first stage the setup acts at, below which an encode over a
+        frozen base computes only frozen layers: the encoder routes from
+        there on, copies the rows there by :attr:`row_index`, and can start
+        there from activations computed earlier
+        (``TransformerEncoder.prefix``).  None: it acts at the embedding
+        (prompts, invertible couplings, ``Average``'s weighted sums), or
+        only in the last layer, where the pooled window begins.  A setup
+        that replicates rows (``Parallel``) starts at its earliest leaf's
+        stage, so its branches share the frozen layers below it.  Worked
+        out when first asked."""
         return _start(self.root)
 
     @cached_property
     def row_index(self) -> Optional[np.ndarray]:
-        """The input row that each row after the embedding stage copies, for
-        a setup that replicates rows (``Parallel``) compiled for a batch:
-        the map the router's embedding stage applies.  None when every row
-        is its own."""
+        """The input row that each routed row copies, for a setup that
+        replicates rows (``Parallel``) compiled for a batch: the map the
+        encoder applies where routing begins (:attr:`start`, or the
+        embedding).  None when every row is its own."""
         if not self.root.replicates:
             return None
         return _replicate(self.root, np.arange(self.batch))
@@ -298,7 +298,7 @@ class _Compiler:
                     branches = [(branches[0][0], rows)]
             _check_stack_attention(members)
             if sum(m.replicates for m in members) > 1:
-                # the embedding stage replicates rows member by member, so a
+                # rows are copied member by member (Plan.row_index), so a
                 # second replicating member's copies interleave the first's
                 # branches, which each later hook then slices as contiguous
                 raise CompositionError(
@@ -421,7 +421,7 @@ def _start(node: PlanNode) -> Optional[Stage]:
 
 
 def _replicate(node: PlanNode, rows: np.ndarray) -> np.ndarray:
-    """The rows after ``node``'s embedding stage, as indices into ``rows``:
+    """The rows that ``node`` routes, as indices into ``rows``:
     ``Parallel`` repeats them per child, ``BatchSplit`` hands each child
     its own, a ``Stack`` applies its children in turn and an ``Average``
     one child's map, which all its children share."""

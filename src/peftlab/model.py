@@ -278,6 +278,10 @@ class TransformerEncoder:
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
 
+    def trains(self) -> bool:
+        """Whether any weight requires a gradient."""
+        return any(t.requires_grad for t in self.params.values())
+
     def set_requires_grad(self, flag: bool) -> None:
         for t in self.params.values():
             t.requires_grad = flag
@@ -322,7 +326,7 @@ class TransformerEncoder:
 
     def encode(self, tokens, mask=None, ctx=None, pooled: bool = False,
                start: Optional[Activations] = None) -> EncoderState:
-        """Run the encoder; ``ctx`` (if given) routes every hook point.
+        """Run the encoder; ``ctx`` (if given) routes the hook points.
 
         ``pooled`` asks for a state that only a head reading the pooled
         position (the first one after any prepended rows: classification
@@ -356,14 +360,16 @@ class TransformerEncoder:
         (rows taken in the same order), skips everything before its stage:
         the encode starts there from the stored activations instead of
         recomputing the frozen layers below it.  Only a ``ctx`` whose plan
-        starts at that stage or later (``Plan.start``), over frozen
-        weights, gives the same bits as the full encode; the caller checks
-        that.  When the plan replicates rows (``Parallel``), the stored
-        rows and the mask are copied by ``Plan.row_index``, as the
-        router's embedding stage copies the embeddings, so every branch
-        starts from the one computation of the frozen layers.  A sequence's
+        starts at that stage or later (``Plan.start``), over frozen weights,
+        gives the same bits as the full encode; the caller checks that.
+
+        Over frozen weights, ``ctx`` routes from its plan's first adapted
+        stage on, and a plan that copies rows (``Parallel``) has them
+        copied there, once, with the mask, by ``Plan.row_index``: every
+        branch starts from the one computation of the frozen layers on the
+        input rows.  Otherwise the embeddings are copied.  A sequence's
         activations do not depend on the batch it is computed in, so the
-        bits are those of the full encode."""
+        bits are those of copying the embeddings."""
         return self._forward(tokens, mask, ctx, pooled, start, None)
 
     def prefix(self, tokens, stage, mask=None):
@@ -390,10 +396,24 @@ class TransformerEncoder:
 
     def _forward(self, tokens, mask, ctx, pooled: bool, start: Optional[Activations],
                  stops: Optional[list]):
-        """The encoder's one layer loop: :meth:`encode` from the embedding,
-        or from ``start``'s stage, to the exit; or, with ``stops``, from the
-        embedding to the latest of those stages, returning the arrays each
-        stores, in their order."""
+        """The encoder's one loop over stage positions (:attr:`Stage.position`;
+        the embedding is -1 and the exit ``3 * num_layers``): :meth:`encode`
+        from the embedding, or from ``start``'s stage, to the exit; or, with
+        ``stops``, from the embedding to the latest of those stages,
+        returning the arrays each stores, in their order.
+
+        The segment that reaches position P runs the hooks placed after
+        P - 1.  Up to a layer's ``ATTENTION``: the embedding stage, or the
+        previous layer's feed-forward block hook, then LN1, q, k and v.  Up
+        to its ``ATTENTION_RESIDUAL``: the attention hook, ``wo`` and the
+        residual.  Up to its ``FFN_RESIDUAL``: the hook after attention and
+        the feed-forward block with its inner hook.  Up to the exit: the
+        final layer norm and the exit stage.  Over a frozen base, ``ctx``
+        routes only from its plan's first adapted stage on (``Plan.start``),
+        since below it no leaf acts and no tensor trains; otherwise from the
+        embedding.  Where routing begins (or at ``start``'s stage, if
+        later), a plan that copies rows has every live array and the mask
+        copied by ``Plan.row_index``."""
         tokens = self._check_tokens(tokens)
         B, S = tokens.shape
         if mask is None:
@@ -404,97 +424,85 @@ class TransformerEncoder:
                 raise InputError(f"mask shape {mask.shape} != tokens shape {(B, S)}")
 
         p = self.params
-        begin = -1 if start is None else start.stage.position
+        layers = self.dims.num_layers
         stops = stops or []
         stored = [None] * len(stops)
-        due = {st.position for st in stops}
-        end = max(due, default=None)
+        end = max((st.position for st in stops), default=3 * layers)
         if start is None:
+            at = -1
             tok = T.gather_rows(p["embed.token"], tokens)
             pos = T.gather_rows(p["embed.position"], np.tile(np.arange(S), (B, 1)))
-            h = tok + pos
+            live = {"h": tok + pos}
         else:
-            if ctx is not None and ctx.plan.row_index is not None:
-                # the rows the router's embedding stage would have copied
-                rows = ctx.plan.row_index
-                start, mask = start.take(rows), mask[rows]
-            held = {name: Tensor(a) for name, a in start.arrays.items()}
-            h = held["h"]
-        state = EncoderState(hidden=h, prompt_len=0, seq_len=S,
-                             branches=[(None, B)])
-        if ctx is not None and start is None:
-            h, mask = ctx.embedding_stage(h, mask, state)
-            if state.prompt_len + S > self.dims.max_seq:
-                raise CapacityError(
-                    f"sequence {S} + prepended rows {state.prompt_len} exceeds "
-                    f"max_seq {self.dims.max_seq}"
-                )
-        elif ctx is not None:
+            at = start.stage.position
+            live = {name: Tensor(a) for name, a in start.arrays.items()}
+        state = EncoderState(hidden=None, prompt_len=0, seq_len=S, branches=[(None, B)])
+        routed = copied = None
+        if ctx is not None:
             state.branches = ctx.plan.branches
-
-        def reached(position, **arrays):
-            """Store the arrays of every stop at ``position``; whether it is
-            the last."""
-            for i, st in enumerate(stops):
-                if st.position == position:
-                    stored[i] = {name: arrays[name].data for name in st.arrays}
-            return position == end
-
-        last = self.dims.num_layers - 1
+            first = ctx.plan.start
+            routed = -1 if first is None or self.trains() else first.position
+            if ctx.plan.row_index is not None:
+                copied = max(routed, at)
         pool = pooled and S > 2 and (ctx is None or ctx.plan.pools)
         with ExitStack() as scope:
-            for l in range(self.dims.num_layers):
-                at = 3 * l          # the position of this layer's ATTENTION stage
-                if begin > at + FFN_RESIDUAL:
-                    continue
-                pre = f"layer{l}."
-                if begin < at:
-                    x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-                    q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
-                    k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
-                    v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
-                elif begin == at:
-                    x, q, k, v = (held.get(name) for name in ("x", "q", "k", "v"))
-                if at in due and reached(at, h=h, x=x, q=q, k=k, v=v):
-                    return stored
-                if begin <= at:
-                    core = self._attn_core
-                    window = None
-                    if pool and l == last:
+            while True:
+                if at == copied:
+                    live = {name: T.gather_rows(a, ctx.plan.row_index)
+                            for name, a in live.items()}
+                    mask = mask[ctx.plan.row_index]
+                for i, st in enumerate(stops):
+                    if st.position == at:
+                        stored[i] = {name: live[name].data for name in st.arrays}
+                if at == end:
+                    break
+                hooks = ctx if routed is not None and at >= routed else None
+                at += 1
+                l, point = divmod(at, 3)
+                pre, h = f"layer{l}.", live["h"]
+                if point == ATTENTION:
+                    if hooks is not None and l > 0:
+                        h = hooks.ffn_block(l - 1, h, live.get("f_in"))
+                    elif hooks is not None:
+                        h, mask = hooks.embedding_stage(h, mask, state)
+                        if state.prompt_len + S > self.dims.max_seq:
+                            raise CapacityError(
+                                f"sequence {S} + prepended rows {state.prompt_len} "
+                                f"exceeds max_seq {self.dims.max_seq}")
+                    if l == layers:
+                        h = T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
+                        live = {"h": h if hooks is None else hooks.exit_stage(h)}
+                    else:
+                        x = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
+                        q = T.linear(x, p[pre + "attn.wq"], p[pre + "attn.bq"])
+                        k = T.linear(x, p[pre + "attn.wk"], p[pre + "attn.bk"])
+                        v = T.linear(x, p[pre + "attn.wv"], p[pre + "attn.bv"])
+                        live = {"h": h, "x": x, "q": q, "k": k, "v": v}
+                elif point == ATTENTION_RESIDUAL:
+                    q, k, v = live["q"], live["k"], live["v"]
+                    core, window = self._attn_core, None
+                    if pool and l == layers - 1:
                         state.window_start = state.prompt_len
                         window = (state.window_start, 2)
                         core = partial(self._attn_core, window=window)
                         full, h = h.shape[1], T.narrow(h, 1, *window)
-                    if ctx is not None:
-                        attn = ctx.attention(l, x, q, k, v, mask, core)
+                    if hooks is not None:
+                        attn = hooks.attention(l, live.get("x"), q, k, v, mask, core)
                     else:
                         attn = core(q, k, v, mask)
                     if window is not None:
                         scope.enter_context(T.row_window(*window, full))
-                    attn = T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])
-                    h = h + attn
-                if at + ATTENTION_RESIDUAL in due and reached(at + ATTENTION_RESIDUAL, h=h):
-                    return stored
-                if begin <= at + ATTENTION_RESIDUAL:
-                    if ctx is not None:
-                        h = ctx.post_attention(l, h)
-                    f_in = h
+                    live = {"h": h + T.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"])}
+                else:
+                    if hooks is not None:
+                        h = hooks.post_attention(l, h)
                     y = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
                     inter = T.linear(y, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
-                    if ctx is not None:
-                        inter = ctx.ffn_intermediate(l, inter)
+                    if hooks is not None:
+                        inter = hooks.ffn_intermediate(l, inter)
                     ffn = T.linear(T.gelu(inter), p[pre + "ffn.w2"], p[pre + "ffn.b2"])
-                    h = f_in + ffn
-                else:
-                    f_in = held.get("f_in")
-                if at + FFN_RESIDUAL in due and reached(at + FFN_RESIDUAL, h=h, f_in=f_in):
-                    return stored
-                if ctx is not None:
-                    h = ctx.ffn_block(l, h, f_in)
-
-            h = T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-            if ctx is not None:
-                h = ctx.exit_stage(h)
-
-        state.hidden = h
+                    live = {"h": h + ffn, "f_in": h}
+        if stops:
+            return stored
+        state.hidden = live["h"]
         return state

@@ -245,12 +245,9 @@ class AdapterModel:
         :meth:`TransformerEncoder.prefix` activations; None with no active
         setup, a trainable base weight, or a setup that acts at the
         embedding."""
-        if self._active is None or self._base_trains():
+        if self._active is None or self.encoder.trains():
             return None
         return self.validate_setup(self._active).start
-
-    def _base_trains(self) -> bool:
-        return any(t.requires_grad for t in self.encoder.params.values())
 
     def encode(self, tokens, mask=None, pooled: bool = False,
                start: Optional[Activations] = None) -> EncoderState:
@@ -263,12 +260,10 @@ class AdapterModel:
         setup, a base weight is trainable, or the setup acts before that
         stage or reads an array there that ``start`` does not hold.
 
-        A setup that replicates rows (``Parallel``) over a frozen base, and
-        that has a first adapted stage (``Plan.start``), starts there
-        without a ``start`` too: the input rows' activations are computed
-        once and copied to every branch, instead of every branch computing
-        the frozen layers below its first hook on its own copy of the
-        rows.  The bits are those of the encode from the embedding."""
+        The encoder copies a ``Parallel`` setup's rows where routing
+        begins: over a frozen base, at the setup's first adapted stage
+        (``Plan.start``), so its branches share the frozen layers below it
+        (see :meth:`TransformerEncoder.encode`)."""
         tokens = np.asarray(tokens)
         ctx = plan = None
         if self._active is not None:
@@ -276,14 +271,10 @@ class AdapterModel:
             plan = self.validate_setup(self._active, batch=batch, seq=seq)
             ctx = RoutingContext(plan)
         if start is not None:
-            need = None if plan is None or self._base_trains() else plan.start
+            need = None if plan is None or self.encoder.trains() else plan.start
             if need is None or not start.stage.serves(need):
                 raise ValueError(f"activations at {start.stage} cannot start the active "
                                  f"setup, which starts at {need or 'the embedding'}")
-        elif plan is not None and plan.root.replicates and not self._base_trains():
-            stage = plan.start
-            if stage is not None:
-                start = self.encoder.prefix(tokens, stage, mask)
         return self.encoder.encode(tokens, mask, ctx, pooled, start)
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:

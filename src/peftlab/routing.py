@@ -7,11 +7,11 @@ rule, the resolved adapters and fusion layers, the rows each block hands
 its children, the prompt order and the branch list, so the context only
 moves tensors:
 
-* the embedding stage replicates the input for ``Parallel`` branches,
-  prepends the plan's prompts and applies entry-direction invertible
-  transforms.  An encode that starts at the plan's first adapted stage
-  (``Plan.start``) skips it: the encoder copies the stored activations of
-  the input rows by ``Plan.row_index``, the map ``_expand`` applies here;
+* the embedding stage prepends the plan's prompts and applies
+  entry-direction invertible transforms.  The encoder, not the router,
+  copies the rows of ``Parallel`` branches (``Plan.row_index``), and over
+  a frozen base it calls the hooks only from the plan's first adapted stage
+  (``Plan.start``) on;
 * pointwise hooks (residual adapters, elementwise scales, invertible
   couplings) slice the payload by rows/tokens and apply leaf modules; a
   hook that no leaf binds (``Plan.hooks``) returns its input when no tape
@@ -69,9 +69,8 @@ def _rescale(target: Tensor, m, gate, source: Tensor) -> Tensor:
 
 class RoutingContext:
     """Per-encode adapter router for one compiled setup.  Its rows are the
-    rows after the embedding stage: each input row once per ``Parallel``
-    branch, in ``Plan.row_index`` order, whether the embedding stage
-    copied them or the encoder started from copied stored activations."""
+    rows the encoder copied by ``Plan.row_index``: each input row once per
+    ``Parallel`` branch, in that order."""
 
     def __init__(self, plan: Plan):
         self.plan = plan
@@ -81,9 +80,6 @@ class RoutingContext:
     # -- embedding stage ----------------------------------------------------
 
     def embedding_stage(self, h: Tensor, mask: np.ndarray, state) -> tuple:
-        root = self.plan.root
-        h, mask = self._expand(root, h, mask)
-
         # Prepended rows first (pure-Stack ancestry, so they cover every row),
         # then entry-direction invertible transforms over the full sequence.
         for pm in self.plan.prompts:
@@ -94,36 +90,8 @@ class RoutingContext:
             state.prompt_len += pm.length
 
         if not self._idle(HookPoint.EMBEDDING_BOUNDARY):
-            h = self._route_point(root, h, {}, self._leaf_embed_forward)
-        state.branches = self.plan.branches
+            h = self._route_point(self.plan.root, h, {}, self._leaf_embed_forward)
         return h, mask
-
-    def _expand(self, node, h, mask):
-        if node.kind is Stack:
-            for c in node.children:
-                h, mask = self._expand(c, h, mask)
-            return h, mask
-        if node.kind is Parallel:
-            hs, ms = [], []
-            for c in node.children:
-                hc, mc = self._expand(c, h, mask)
-                hs.append(hc)
-                ms.append(mc)
-            return T.concat(hs, axis=0), np.concatenate(ms, axis=0)
-        if node.kind is BatchSplit:
-            hs, ms = [], []
-            off = 0
-            for c, s in zip(node.children, node.sizes):
-                hc, mc = self._expand(c, T.narrow(h, 0, off, s), mask[off:off + s])
-                hs.append(hc)
-                ms.append(mc)
-                off += s
-            return T.concat(hs, axis=0), np.concatenate(ms, axis=0)
-        if node.kind is Average:
-            # Children replicate identically (equal output rows, same input),
-            # so one child's expansion is the shared payload for all of them.
-            return self._expand(node.children[0], h, mask)
-        return h, mask          # Leaf, Split, Fuse
 
     # -- generic pointwise routing ------------------------------------------
 

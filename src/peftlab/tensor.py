@@ -126,17 +126,10 @@ class Tape:
     waiting for the cyclic garbage collector (records -> output tensor ->
     ``Tensor._tape`` -> tape is a cycle).  ``backward`` therefore runs only
     inside the block.
-
-    ``window`` is the row window in force (:func:`row_window`), or
-    ``None``.
     """
 
     def __init__(self):
         self._records: Optional[list[_Record]] = []
-
-    @property
-    def window(self) -> Optional[tuple]:
-        return _WINDOW
 
     @staticmethod
     def current() -> Optional["Tape"]:
@@ -151,11 +144,6 @@ class Tape:
         self._records = None
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape stack corrupted")
-
-    @staticmethod
-    def row_window(start: int, length: int, full: int):
-        """:func:`row_window`, for the products this tape records."""
-        return row_window(start, length, full)
 
     def __len__(self) -> int:
         return 0 if self._records is None else len(self._records)
@@ -701,12 +689,15 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]``; used for token/position embeddings."""
+    """Row lookup ``table[indices]`` along the first axis of a table of rank
+    >= 2: token and position embeddings, and the encoder's copies of a
+    batch's rows (``Plan.row_index``).  The backward adds each row's
+    gradients in index order into zeros."""
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather_rows needs integer indices")
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows table must be 2-D, got {table.shape}")
+    if table.data.ndim < 2:
+        raise ShapeError(f"gather_rows table must be at least 2-D, got {table.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(
             f"gather_rows index out of range [0, {table.data.shape[0]}): "
@@ -715,7 +706,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def rule(g):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        np.add.at(dt, idx.reshape(-1), g.reshape((-1,) + table.data.shape[1:]))
         return (dt,)
 
     return _emit(table.data[idx], (table,), rule)

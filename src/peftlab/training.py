@@ -205,12 +205,18 @@ def train_milestones(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarra
     :class:`ValueError` for a milestone that is not an int >= 1, and for
     the cases :func:`evaluate` refuses (no sequence, a ``y`` row count
     other than ``x``'s, a ``batch_size`` that is not an int >= 1, a
-    ``start`` with other rows); :class:`RuntimeError` when nothing is
+    ``start`` with other rows) and for an active setup that copies rows
+    (``Parallel``), whose branches the loss, reading one label row per
+    input row, cannot score; :class:`RuntimeError` when nothing is
     trainable."""
     _check_batches(x, y, batch_size, start)
     milestones = list(milestones)
     if not all(_is_int(m, 1) for m in milestones):
         raise ValueError(f"every milestone must be an int >= 1, got {milestones}")
+    if model.active is not None and model.validate_setup(model.active).root.replicates:
+        raise ValueError("the active setup copies each input row into several branches, "
+                         "but the loss reads one label row per input row; train each "
+                         "branch alone and score branches with branch_logits")
     params = model.trainable_parameters()
     if not params:
         raise RuntimeError("nothing is trainable; call train_adapter or train_full first")

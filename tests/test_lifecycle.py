@@ -2,19 +2,27 @@
 persistence, averaging, merging, and integrity fingerprints."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from peftlab import AdapterModel, parse_config
-from peftlab.checkpoint import BASE_CONFIG_FILE, CheckpointError, read_weights, write_weights
+from peftlab.checkpoint import (BASE_CONFIG_FILE, CONFIG_FILE, WEIGHTS_FILE, CheckpointError,
+                                read_weights, write_weights)
 from peftlab.configs import CONFIG_NAMES, ConfigError
-from peftlab.composition import Fuse, Parallel, Stack, leaves
+from peftlab.composition import CompositionError, Fuse, Parallel, Stack, leaves
 from peftlab import methods
 from peftlab import model as model_module
 from peftlab.methods import StateError
 from peftlab.model import DESK_DIMS, InputError, ModelDims
 from peftlab.registry import RegistryError
+from peftlab.training import train_model
 
 from conftest import SMALL_DIMS, random_tokens
 
@@ -660,3 +668,114 @@ def test_adapter_fingerprint_is_stable_across_save_load(tmp_path):
     m2 = AdapterModel(SMALL_DIMS, seed=99)
     m2.load_adapter(tmp_path)
     assert m2.adapter_fingerprint("a") == fp
+
+
+# ---------------------------------------------------------------------------
+# random lifecycles
+
+
+POOL = st.sampled_from(["a", "b", "c", "d"])
+PRESETS = st.sampled_from(["seq_bn", "lora", "par_bn", "ia3"])
+SETUPS = POOL | st.builds("{}({}, {})".format,
+                          st.sampled_from(["Stack", "Parallel", "Fuse", "Average"]), POOL, POOL)
+
+# what a registry call that cannot run raises
+DOCUMENTED = (RegistryError, StateError, CompositionError, CheckpointError, KeyError)
+
+
+class Lifecycle(RuleBasedStateMachine):
+    """Random walks over the registry.  Every call succeeds or raises a
+    documented error; only merge and unmerge move the base, which is back
+    within 1e-12 whenever nothing is merged; and an adapter saved, loaded
+    and saved again writes the same bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.model = AdapterModel(SMALL_DIMS, seed=1)
+        self.model.add_prediction_head("h", num_labels=2)
+        self.base = self.model.encoder.state_array()
+        self.dir = Path(tempfile.mkdtemp())
+        self.saves = 0
+        r = np.random.default_rng(0)
+        self.x, self.y = r.integers(0, SMALL_DIMS.vocab, size=(4, 6)), r.integers(0, 2, size=4)
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+    @initialize(presets=st.lists(PRESETS, min_size=2, max_size=2))
+    def add_three(self, presets):
+        for name, preset in zip("abc", ["lora"] + presets):     # one that merges
+            self.model.add_adapter(name, preset)
+
+    def _call(self, fn, *args, moves_base=False):
+        before = self.model.base_fingerprint()
+        try:
+            fn(*args)
+        except DOCUMENTED:
+            pass
+        if not moves_base:
+            assert self.model.base_fingerprint() == before
+
+    @rule(name=POOL, preset=PRESETS)
+    def add(self, name, preset):
+        self._call(self.model.add_adapter, name, preset)
+
+    @rule(name=POOL)
+    def delete(self, name):
+        self._call(self.model.delete_adapter, name)
+
+    @rule(setup=st.none() | SETUPS)
+    def set_active(self, setup):
+        self._call(self.model.set_active, setup)
+
+    @rule(setup=SETUPS)
+    def train_one_step(self, setup):
+        def train():
+            self.model.train_adapter(setup, extra_heads=("h",))
+            try:
+                res = train_model(self.model, "h", self.x, self.y, 0.05, 1, batch_size=4)
+            except ValueError as e:         # the loss cannot score Parallel's copies
+                assert "copies each input row" in str(e)
+                return
+            assert res.steps == 1 and np.isfinite(res.losses).all()
+        self._call(train)
+
+    @rule(name=POOL)
+    def merge(self, name):
+        self._call(self.model.merge_adapter, name, moves_base=True)
+
+    @rule(name=POOL)
+    def unmerge(self, name):
+        self._call(self.model.unmerge_adapter, name, moves_base=True)
+
+    @rule(new=POOL, a=POOL, b=POOL, w=st.floats(0.0, 1.0))
+    def average(self, new, a, b, w):
+        self._call(self.model.average_adapters, new, [a, b], [w, 1.0 - w])
+
+    @rule(name=POOL, copy=POOL)
+    def save_and_load(self, name, copy):
+        def save_load_save():
+            self.saves += 1
+            first, again = self.dir / f"{self.saves}", self.dir / f"{self.saves}-again"
+            self.model.save_adapter(name, first)
+            other = AdapterModel(SMALL_DIMS)
+            other.save_adapter(other.load_adapter(first), again)
+            for f in (WEIGHTS_FILE, CONFIG_FILE):
+                assert (first / f).read_bytes() == (again / f).read_bytes()
+            self.model.load_adapter(first, name=copy)
+        self._call(save_load_save)
+
+    @rule(a=POOL, b=POOL)
+    def add_fusion(self, a, b):
+        self._call(self.model.add_adapter_fusion, [a, b])
+
+    @invariant()
+    def the_base_is_back_when_nothing_is_merged(self):
+        m = self.model
+        if not any(m.adapter_instance(n).merged for n in m.adapter_names()):
+            for k, t in m.encoder.params.items():
+                assert np.max(np.abs(t.data - self.base[k])) <= 1e-12
+
+
+TestLifecycle = Lifecycle.TestCase
+TestLifecycle.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)

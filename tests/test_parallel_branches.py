@@ -5,9 +5,9 @@ activations at its first adapted stage once and copies them to every
 branch (``Plan.row_index``), instead of copying the embeddings and running
 the frozen layers once per branch.  The oracle: each branch's output rows
 equal that branch's setup run alone on its input rows, bit for bit, with
-and without a tape, pooled and full, at any batch; and training from the
-copied activations gives the weights that training from the embedding
-gives.
+and without a tape, pooled and full, at any batch.  Below that stage no
+hook runs, and training a setup that copies rows is refused, since the loss
+reads one label row per input row.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from peftlab import routing, training
 from peftlab import tensor as T
 from peftlab.composition import Plan, parse_setup
 from peftlab.model import (ATTENTION, ATTENTION_RESIDUAL, CLASSIFICATION, DESK_DIMS,
-                           FFN_RESIDUAL, TAGGING, TransformerEncoder)
+                           FFN_RESIDUAL, TAGGING)
 
 from test_golden import composed_model
 
@@ -33,15 +33,16 @@ BRANCHED = {
 
 @pytest.fixture
 def prefix_rows(monkeypatch):
-    """The row count of each ``TransformerEncoder.prefix`` call."""
+    """The row count of each layer norm of layer 0's attention input."""
     rows = []
-    real = TransformerEncoder.prefix
+    real = T.layer_norm
 
-    def spy(self, tokens, stage, mask=None):
-        rows.append(len(tokens))
-        return real(self, tokens, stage, mask)
+    def spy(x, gamma, beta, *a, **k):
+        if gamma.name == "layer0.ln1.g":
+            rows.append(x.shape[0])
+        return real(x, gamma, beta, *a, **k)
 
-    monkeypatch.setattr(TransformerEncoder, "prefix", spy)
+    monkeypatch.setattr(T, "layer_norm", spy)
     return rows
 
 
@@ -92,7 +93,7 @@ def test_a_prompt_before_parallel_keeps_the_embedding_path(prefix_rows):
     model = composed_model()
     tokens, mask = _tokens(4), _mask(4)
     got, _ = _encode(model, "Stack(pr, Parallel(s1, lo))", tokens, mask, False, False)
-    assert prefix_rows == []
+    assert prefix_rows == [8]
     assert got == [_encode(model, f"Stack(pr, {s})", tokens, mask, False, False)[0][0]
                    for s in ("s1", "lo")]
 
@@ -125,16 +126,25 @@ def test_a_trainable_base_copies_the_embeddings(prefix_rows):
     model.set_active("Parallel(s1, pb)")
     model.encoder.params["layer1.attn.wq"].requires_grad = True
     model.encode(_tokens(2))
-    assert prefix_rows == []
+    assert prefix_rows == [4]
+
+
+@pytest.mark.parametrize("setup", ["Parallel(s1, pb)", "Parallel(lo, cp)",
+                                   "BatchSplit(Parallel(s1, pb), lo, batch_sizes=[2, 2])"])
+def test_training_a_setup_that_copies_rows_is_refused(setup):
+    # the loss reads one label row per input row, so it cannot score copies
+    model = composed_model()
+    model.add_prediction_head("h", CLASSIFICATION, 3)
+    model.train_adapter(parse_setup(setup), extra_heads=("h",))
+    x = np.random.default_rng(5).integers(0, DESK_DIMS.vocab, size=(8, 7))
+    with pytest.raises(ValueError, match="copies each input row.*branch_logits"):
+        training.train_milestones(model, "h", x, np.zeros(8, dtype=int), 5e-3, (1,), 4)
 
 
 @pytest.mark.parametrize("kind, labels", [(CLASSIFICATION, 3), (TAGGING, 4)])
-@pytest.mark.parametrize("setup", ["Parallel(s1, pb)", "Parallel(lo, cp)",
-                                   "BatchSplit(Parallel(s1, pb), lo, batch_sizes=[2, 2])"])
-def test_training_a_parallel_setup_equals_training_from_the_embedding(monkeypatch, setup,
-                                                                      kind, labels):
-    # the loss reads the first rows, one label row per input row: so with
-    # the batch split, both Parallel branches train
+@pytest.mark.parametrize("setup", ["Stack(s1, lo)", "BatchSplit(s1, lo, batch_sizes=[2, 2])"])
+def test_training_from_the_first_stage_equals_training_from_the_embedding(monkeypatch, setup,
+                                                                          kind, labels):
     r = np.random.default_rng(5)
     x = r.integers(0, DESK_DIMS.vocab, size=(8, 7))
     y = r.integers(0, labels, size=(8, 7) if kind == TAGGING else 8)
@@ -152,6 +162,47 @@ def test_training_a_parallel_setup_equals_training_from_the_embedding(monkeypatc
             runs.append((res, {k: t.data.tobytes()
                                for k, t in model.trainable_parameters().items()}))
     assert runs[0] == runs[1]
+
+
+# every hook call of an encode, in encoder order, with the stage position
+# it follows: the embedding is -1, and the exit stage follows the last
+# layer's feed-forward residual
+LAYERS = DESK_DIMS.num_layers
+ALL_HOOKS = ([("embedding_stage", None, -1)]
+             + [call for l in range(LAYERS) for call in (
+                 ("attention", l, 3 * l + ATTENTION),
+                 ("post_attention", l, 3 * l + ATTENTION_RESIDUAL),
+                 ("ffn_intermediate", l, 3 * l + ATTENTION_RESIDUAL),
+                 ("ffn_block", l, 3 * l + FFN_RESIDUAL))]
+             + [("exit_stage", None, 3 * LAYERS - 1)])
+
+
+@pytest.fixture
+def hook_calls(monkeypatch):
+    """(hook, layer) of each ``RoutingContext`` hook call; no layer for the
+    embedding and exit stages."""
+    calls = []
+    for name in {hook for hook, _, _ in ALL_HOOKS}:
+        def spy(self, *a, _name=name, _real=getattr(routing.RoutingContext, name)):
+            calls.append((_name, a[0] if isinstance(a[0], int) else None))
+            return _real(self, *a)
+        monkeypatch.setattr(routing.RoutingContext, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("setup", ["s1", "Parallel(s1, pb)",
+                                   "BatchSplit(s1, lo, batch_sizes=[2, 2])",
+                                   "Split(s1, pb, splits=[3, 2])",
+                                   "Average(s1, s2)"])
+def test_no_hook_runs_below_the_first_adapted_stage(hook_calls, setup, tape):
+    # below it no leaf acts and nothing trains; an Average has no such stage
+    model = composed_model()
+    first = model.validate_setup(setup).start
+    _encode(model, setup, _tokens(4), _mask(4), False, tape)
+    assert hook_calls == [(hook, l) for hook, l, after in ALL_HOOKS
+                          if first is None or after >= first.position]
+    assert (first is None) == setup.startswith("Average")
 
 
 @pytest.mark.parametrize("setup, idle", [("Parallel(s1, pb)", True),

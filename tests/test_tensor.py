@@ -186,6 +186,58 @@ def test_gather_rows_accumulates_repeated_indices(rng):
     assert np.allclose(table.grad, expect)
 
 
+@pytest.mark.parametrize("index", [[2, 0, 2, 3, 2], [[1, 3], [3, 0]]])
+def test_gather_rows_of_a_3d_table_is_numpy_indexing_and_add_at(rng, index):
+    table = t(rng.normal(size=(4, 3, 2)))
+    idx = np.array(index)
+    g = rng.normal(size=idx.shape + (3, 2))
+    with Tape() as tape:
+        out = T.gather_rows(table, idx)
+        assert out.data.tobytes() == table.data[idx].tobytes()
+        tape.backward(T.tsum(T.mul(out, T.constant(g))))
+    expect = np.zeros((4, 3, 2))
+    np.add.at(expect, idx.reshape(-1), g.reshape(-1, 3, 2))
+    assert table.grad.tobytes() == expect.tobytes()
+    with pytest.raises(T.ShapeError, match="at least 2-D"):
+        T.gather_rows(t(np.zeros(4)), idx)
+
+
+def _concat_copies(h, branches):
+    """The rows of ``h`` copied as concatenations: ``Parallel`` of
+    ``branches`` children over the whole batch, or, for a tuple, a
+    ``BatchSplit`` of such a ``Parallel`` over the first two rows and a
+    leaf over the last two."""
+    if isinstance(branches, int):
+        return T.concat([h] * branches, axis=0)
+    first = T.narrow(h, 0, 0, 2)
+    return T.concat([T.concat([first] * branches[0], axis=0), T.narrow(h, 0, 2, 2)], axis=0)
+
+
+@pytest.mark.parametrize("branches, index", [(2, [0, 1, 2, 3, 0, 1, 2, 3]),
+                                             (3, [0, 1, 2, 3] * 3),
+                                             ((2,), [0, 1, 0, 1, 2, 3])])
+def test_copying_rows_by_gather_rows_gives_the_embeddings_the_gradients_of_concat(
+        branches, index):
+    # the copies' gradients add up in another order (from zeros, where -0.0
+    # turns into +0.0), but the embedding tables add them into zeros anyway
+    for trial in range(100):
+        r = np.random.default_rng(trial)
+        tokens = r.integers(0, 5, size=(4, 3))              # ids repeat: rows accumulate
+        g = r.normal(size=(len(index), 3, 2))
+        g[r.random(g.shape) < 0.3] = 0.0
+        g[r.random(g.shape) < 0.3] = -0.0
+        tables = r.normal(size=(5, 2)), r.normal(size=(3, 2))
+        grads = []
+        for concat in (True, False):
+            tok, pos = map(t, tables)
+            with Tape() as tape:
+                h = T.gather_rows(tok, tokens) + T.gather_rows(pos, np.tile(np.arange(3), (4, 1)))
+                out = _concat_copies(h, branches) if concat else T.gather_rows(h, index)
+                tape.backward(T.tsum(T.mul(out, T.constant(g))))
+            grads.append((tok.grad.tobytes(), pos.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
 def test_softmax_backward_closed_form(rng):
     x = t(rng.normal(size=(2, 5)))
     g = rng.normal(size=(2, 5))

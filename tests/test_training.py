@@ -258,6 +258,11 @@ BAD_TRAINING_INPUT = {
     "milestone True": ({"milestones": (True,)}, "every milestone must be an int >= 1"),
     "empty x": ({"rows": slice(0, 0)}, "at least one sequence"),
     "3 labels for 8 rows": ({"rows": slice(0, 8), "labels": 3}, "y has 3 rows but x has 8"),
+    # the loss reads one label row per input row, not one per copied row
+    "Parallel": ({"setup": "Parallel(bn, b2)"}, "copies each input row.*branch_logits"),
+    "Parallel in a BatchSplit": ({"setup": "BatchSplit(Parallel(bn, b2), b3, batch_sizes=[2, 2])",
+                                  "rows": slice(0, 8), "batch_size": 4},
+                                 "copies each input row.*branch_logits"),
 }
 
 
@@ -265,6 +270,10 @@ BAD_TRAINING_INPUT = {
 def test_training_refuses_bad_input_before_any_step(monkeypatch, case):
     kwargs, message = BAD_TRAINING_INPUT[case]
     model, data = _tiny_setup()
+    if "setup" in kwargs:
+        model.add_adapter("b2", "par_bn")
+        model.add_adapter("b3", "lora")
+        model.train_adapter(kwargs["setup"])
     before = {k: t.data.copy() for k, t in model.trainable_parameters().items()}
     monkeypatch.setattr(training, "_train_step", lambda *a: pytest.fail("a step ran"))
     rows = kwargs.get("rows", slice(None))
