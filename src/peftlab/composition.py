@@ -16,12 +16,12 @@ Nesting rules (validated exhaustively):
   each other;
 * ``Fuse`` and ``Split`` admit only leaves as children.
 
-:func:`validate_composition` checks every rule in one walk of the tree and
-returns a :class:`Plan`: the resolved adapters, the rows each block hands
-its children, the normalised ``Average`` weights, the fusion layers, the
-prepended prompts, the branch list, whether the encoder's pooled readout
-may run and the first stage any adapter acts at.  :mod:`peftlab.routing` and
-the encoder only read it.
+:func:`validate_composition` checks every rule in one walk of the tree (and,
+given a batch, in its row maps) and returns a :class:`Plan`: the resolved
+adapters, the rows each block hands its children, the normalised
+``Average`` weights, the fusion layers, the prepended prompts, the branch
+list, whether the encoder's pooled readout may run and the first stage any
+adapter acts at.  :mod:`peftlab.routing` and the encoder only read it.
 """
 
 from __future__ import annotations
@@ -167,11 +167,13 @@ class PlanNode:
     kind: type                 # Leaf or the block class
     children: tuple = ()
     inst: object = None        # Leaf: its AdapterInstance
-    gated_prefix: bool = False  # Leaf: binds a gated key/value prefix
     attn: bool = False         # some leaf below modifies attention
-    replicates: bool = False   # the encoder copies the rows for the branches here
+    replicates: bool = False   # some Parallel below has two or more children
     sizes: tuple = ()          # Split: token widths; BatchSplit: input rows per child
-    rows: tuple = ()           # Parallel, BatchSplit: output rows per child
+    src: tuple = ()            # with a batch: the input row each output row copies
+    takes: tuple = ()          # Parallel, BatchSplit: each child's rows of those routed
+                               # here, a slice where contiguous
+    join: np.ndarray = None    # Parallel, BatchSplit: the order of the joined rows, if new
     weights: tuple = ()        # Average: the weights normalised to sum to one
     fusion: object = None      # Fuse: its FusionLayer
     members: tuple = ()        # Stack: the children, nested Stacks flattened
@@ -179,8 +181,9 @@ class PlanNode:
 
 @dataclass
 class Plan:
-    """A validated setup.  Row counts hold only when it was compiled for a
-    batch; ``fused`` holds ``(member names, FusionLayer)`` per ``Fuse``."""
+    """A validated setup.  Row counts and row maps hold only when it was
+    compiled for a batch; ``fused`` holds ``(member names, FusionLayer)`` per
+    ``Fuse``."""
 
     root: PlanNode = None
     prompts: list = field(default_factory=list)     # prepended-row modules, outermost first
@@ -191,11 +194,14 @@ class Plan:
     # Split (it routes by position) and no gate read after that layer's
     # attention (a gate averages its source over every position).
     pools: bool = True
-    batch: Optional[int] = None     # the input rows it was compiled for, if known
     # The hook points where routing can change a value: every hook a leaf
     # binds, and every hook when an Average, whose weighted sum rounds, is
     # in the setup.  Elsewhere routing only slices and joins copies of rows.
     hooks: set = field(default_factory=set)
+    # For a setup that replicates rows (Parallel), compiled for a batch: the
+    # input row that each routed row copies (the root's src), the map the
+    # encoder applies where routing begins (start, or the embedding).
+    row_index: Optional[np.ndarray] = None
 
     @cached_property
     def start(self) -> Optional[Stage]:
@@ -210,16 +216,6 @@ class Plan:
         stage, so its branches share the frozen layers below it.  Worked
         out when first asked."""
         return _start(self.root)
-
-    @cached_property
-    def row_index(self) -> Optional[np.ndarray]:
-        """The input row that each routed row copies, for a setup that
-        replicates rows (``Parallel``) compiled for a batch: the map the
-        encoder applies where routing begins (:attr:`start`, or the
-        embedding).  None when every row is its own."""
-        if not self.root.replicates:
-            return None
-        return _replicate(self.root, np.arange(self.batch))
 
 
 class _Rows(NamedTuple):
@@ -281,31 +277,33 @@ class _Compiler:
         pn = PlanNode(kind)
 
         if kind is Stack:
-            children, members = [], []
+            children, members, out = [], [], rows
             branches = branches or [(None, rows)]
             for c in node.children:
-                sub, rows, sub_branches = self.walk(c, rows, within, branches)
+                sub, out, sub_branches = self.walk(c, out, within, branches)
                 children.append(sub)
                 members.extend(sub.members if sub.kind is Stack else (sub,))
                 # a leaf labels the current rows; a branching block, or a
                 # nested Stack folding on from them, replaces them; any other
-                # block keeps a single label over its output
+                # block keeps a single label over its output, or its own
+                # when it copies rows under several
                 if isinstance(c, Leaf):
                     branches = [(c.adapter, r) for _, r in branches]
                 elif isinstance(c, (Parallel, BatchSplit, Stack)):
                     branches = sub_branches
                 elif len(branches) == 1:
-                    branches = [(branches[0][0], rows)]
-            _check_stack_attention(members)
-            if sum(m.replicates for m in members) > 1:
-                # rows are copied member by member (Plan.row_index), so a
-                # second replicating member's copies interleave the first's
-                # branches, which each later hook then slices as contiguous
+                    branches = [(branches[0][0], out)]
+                elif sub.replicates:
+                    branches = sub_branches
+            # the attention hook runs the members in order until the first
+            # block that modifies attention, then hands the rows to that block
+            attention_blocks = [m.kind is not Leaf for m in members if m.attn]
+            if any(attention_blocks[:-1]):
                 raise CompositionError(
-                    "within a Stack, only one member may replicate rows (Parallel)"
+                    "within a Stack, attention-modifying members must come before "
+                    "any block that modifies attention"
                 )
             pn.members = tuple(members)
-            out = rows
 
         elif kind is Parallel or kind is BatchSplit:
             if kind is BatchSplit:
@@ -316,7 +314,6 @@ class _Compiler:
                 inputs = [rows] * len(node.children)
             walked = [self.walk(c, r, within) for c, r in zip(node.children, inputs)]
             children = [w[0] for w in walked]
-            pn.rows = tuple(w[1].count() for w in walked)
             out = sum((w[1] for w in walked), _Rows(0, 0))
             branches = [b for w in walked for b in w[2]]
 
@@ -394,14 +391,11 @@ class _Compiler:
         self.plan.hooks.update(inst.footprint)
         # prompt adapters sit under Stacks only, so leaf order is prompt order
         self.plan.prompts.extend(inst.bindings.get(HookPoint.INPUT_PREPEND, ()))
-        gated = any(gate is not None
-                    for per_layer in inst.bindings.get(HookPoint.ATTN_KV, ())
-                    for _, gate in per_layer)
         last = inst.dims.num_layers - 1
         if last >= 0 and any(entry[1] is not None for hook in _AFTER_ATTENTION
                              for entry in inst.at(hook, last)):
             self.plan.pools = False
-        pn = PlanNode(Leaf, inst=inst, gated_prefix=gated, attn=inst.touches_attention)
+        pn = PlanNode(Leaf, inst=inst, attn=inst.touches_attention)
         return pn, rows, [(name, rows)]
 
 
@@ -420,25 +414,58 @@ def _start(node: PlanNode) -> Optional[Stage]:
     return _earliest(_start(c) for c in node.children)
 
 
-def _replicate(node: PlanNode, rows: np.ndarray) -> np.ndarray:
-    """The rows that ``node`` routes, as indices into ``rows``:
-    ``Parallel`` repeats them per child, ``BatchSplit`` hands each child
-    its own, a ``Stack`` applies its children in turn and an ``Average``
-    one child's map, which all its children share."""
-    kind = node.kind
+def _copies(node: PlanNode, rows: int) -> tuple:
+    """Record on ``node``, entered by ``rows`` rows, and below it the input
+    row that each output row copies: ``Parallel`` hands every child all of
+    them, ``BatchSplit`` each child its own, a ``Stack`` chains its
+    children's maps and an ``Average`` takes its children's, which must
+    agree.  The maps are as short as the batch, so tuples beat arrays."""
+    kind, src = node.kind, tuple(range(rows))
     if kind is Stack:
         for c in node.children:
-            rows = _replicate(c, rows)
-        return rows
-    if kind is Parallel:
-        return np.concatenate([_replicate(c, rows) for c in node.children])
-    if kind is BatchSplit:
-        offsets = np.cumsum((0,) + node.sizes)
-        return np.concatenate([_replicate(c, rows[lo:hi]) for c, lo, hi
-                               in zip(node.children, offsets, offsets[1:])])
-    if kind is Average:
-        return _replicate(node.children[0], rows)
-    return rows             # Leaf, Split, Fuse
+            src = tuple(src[i] for i in _copies(c, len(src)))
+    elif kind is Parallel:
+        src = sum((_copies(c, rows) for c in node.children), ())
+    elif kind is BatchSplit:
+        src, lo = (), 0
+        for c, n in zip(node.children, node.sizes):
+            src, lo = src + tuple(lo + i for i in _copies(c, n)), lo + n
+    elif kind is Average:
+        srcs = [_copies(c, rows) for c in node.children]
+        if any(s != srcs[0] for s in srcs):
+            raise CompositionError(
+                f"Average children must copy rows alike, but their rows copy input rows "
+                f"{' and '.join(map(str, map(list, srcs)))}")
+        src = srcs[0]
+    node.src = src
+    return src
+
+
+def _route(node: PlanNode, at: tuple) -> None:
+    """Record ``takes`` and ``join`` on every ``Parallel`` and ``BatchSplit``
+    under ``node``, whose routed rows carry its output rows ``at``, in
+    order.  Every member of a ``Stack`` sees the Stack's rows, each the row
+    that the later members' maps lead back to."""
+    kind = node.kind
+    if kind is Stack:
+        for c in reversed(node.children):
+            _route(c, at)
+            at = tuple(c.src[i] for i in at)
+    elif kind is Average:
+        for c in node.children:
+            _route(c, at)
+    elif kind is Parallel or kind is BatchSplit:
+        takes, lo = [], 0
+        for c in node.children:
+            hi = lo + len(c.src)
+            take = [j for j, i in enumerate(at) if lo <= i < hi]
+            _route(c, tuple(at[j] - lo for j in take))
+            takes.append(take)
+            lo = hi
+        order = [j for take in takes for j in take]
+        node.join = None if order == list(range(len(at))) else np.argsort(order)
+        node.takes = tuple(slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1
+                           else np.array(t) for t in takes)
 
 
 def _earliest(stages) -> Optional[Stage]:
@@ -505,35 +532,9 @@ def _average_weights(node) -> tuple:
     return tuple(float(w) for w in weights / weights.sum())
 
 
-def _check_stack_attention(members) -> None:
-    """The attention hook runs a Stack's members (nested Stacks flattened)
-    in order until the first block that modifies attention, then hands the
-    rows to that block.  So no member after that block may modify attention,
-    and no gated key/value prefix, which needs a second attention pass over
-    the same rows, may come before it."""
-    gated = block_seen = False
-    for m in members:
-        if not m.attn:
-            continue
-        if block_seen:
-            raise CompositionError(
-                "within a Stack, attention-modifying members must come before "
-                "any block that modifies attention"
-            )
-        if m.kind is Leaf:
-            gated = gated or m.gated_prefix
-            continue
-        if gated:
-            raise CompositionError(
-                "within a Stack, gated key/value prefixes cannot come before "
-                "a block that modifies attention"
-            )
-        block_seen = True
-
-
 def validate_composition(node, resolve, batch=None, seq=None,
                          fusion_exists=None) -> Plan:
-    """Check every composition rule in one walk and compile the route plan.
+    """Check every composition rule and compile the route plan.
 
     ``resolve(name)`` maps adapter ids to instances (KeyError for unknown
     ones).  ``fusion_exists(names)``, when given, returns the fusion layer
@@ -544,7 +545,9 @@ def validate_composition(node, resolve, batch=None, seq=None,
     rows = _Rows(0, batch) if batch is not None else _Rows(1, 0)
     plan = compiler.plan
     plan.root, _, branches = compiler.walk(_as_node(node), rows, ())
-    plan.batch = batch
+    if batch is not None:
+        _route(plan.root, tuple(range(len(_copies(plan.root, batch)))))
+        plan.row_index = np.array(plan.root.src) if plan.root.replicates else None
     plan.branches = [(label, r.count()) for label, r in branches]
     return plan
 

@@ -3,23 +3,26 @@
 A :class:`RoutingContext` is created per encode call from the
 :class:`~peftlab.composition.Plan` that ``validate_composition`` compiled
 for that call's batch.  The plan holds the verdict of every composition
-rule, the resolved adapters and fusion layers, the rows each block hands
-its children, the prompt order and the branch list, so the context only
-moves tensors:
+rule, the resolved adapters and fusion layers, the rows each child takes,
+the prompt order and the branch list, so the context only moves tensors:
 
+* the encoder, not the router, copies the input rows once, by
+  ``Plan.row_index``, and over a frozen base it calls the hooks only from
+  the plan's first adapted stage (``Plan.start``) on.  Every member of a
+  ``Stack`` acts on all of its rows; a ``Parallel`` or ``BatchSplit`` hands
+  each child its rows (``PlanNode.takes``), a ``narrow`` where they are
+  contiguous and a ``gather_rows`` where a later member's copies interleave
+  them, and joins the outputs back in order (``PlanNode.join``);
 * the embedding stage prepends the plan's prompts and applies
-  entry-direction invertible transforms.  The encoder, not the router,
-  copies the rows of ``Parallel`` branches (``Plan.row_index``), and over
-  a frozen base it calls the hooks only from the plan's first adapted stage
-  (``Plan.start``) on;
+  entry-direction invertible transforms;
 * pointwise hooks (residual adapters, elementwise scales, invertible
   couplings) slice the payload by rows/tokens and apply leaf modules; a
   hook that no leaf binds (``Plan.hooks``) returns its input when no tape
   records, since slicing and joining rows there would only copy them;
 * the attention hook applies the projection deltas and key/value scales of
   a ``Stack``'s members (nested Stacks flattened), then their prefix
-  extensions, runs the core attention per row block, and realizes gated
-  prefixes as a two-pass delta.
+  extensions, and runs the core attention per row block; a gated prefix
+  becomes a two-pass delta on each row block it reaches.
 """
 
 from __future__ import annotations
@@ -44,14 +47,23 @@ class _AttnPayload:
     v: Tensor
     km: np.ndarray       # key mask (rows, S_k)
 
-    def slice_rows(self, start: int, count: int) -> "_AttnPayload":
-        return _AttnPayload(
-            x=None if self.x is None else T.narrow(self.x, 0, start, count),
-            q=T.narrow(self.q, 0, start, count),
-            k=T.narrow(self.k, 0, start, count),
-            v=T.narrow(self.v, 0, start, count),
-            km=self.km[start:start + count],
-        )
+    def take(self, rows) -> "_AttnPayload":
+        return _AttnPayload(x=None if self.x is None else _take(self.x, rows),
+                            q=_take(self.q, rows), k=_take(self.k, rows),
+                            v=_take(self.v, rows), km=self.km[rows])
+
+
+def _take(x: Tensor, rows) -> Tensor:
+    """The rows ``rows`` of ``x``: a ``narrow`` for a slice, else a gather."""
+    if isinstance(rows, slice):
+        return T.narrow(x, 0, rows.start, rows.stop - rows.start)
+    return T.gather_rows(x, rows)
+
+
+def _join(node, outs) -> Tensor:
+    """The outputs of ``node``'s children, joined in its rows' order."""
+    out = T.concat(outs, axis=0)
+    return out if node.join is None else T.gather_rows(out, node.join)
 
 
 def _add_delta(target: Tensor, m, gate, source: Tensor) -> Tensor:
@@ -69,8 +81,7 @@ def _rescale(target: Tensor, m, gate, source: Tensor) -> Tensor:
 
 class RoutingContext:
     """Per-encode adapter router for one compiled setup.  Its rows are the
-    rows the encoder copied by ``Plan.row_index``: each input row once per
-    ``Parallel`` branch, in that order."""
+    rows the encoder copied by ``Plan.row_index``, one per output row."""
 
     def __init__(self, plan: Plan):
         self.plan = plan
@@ -106,15 +117,9 @@ class RoutingContext:
                 main = self._route_point(c, main, aux, leaf_apply, reverse, fusion_hook)
             return main
         if kind is Parallel or kind is BatchSplit:
-            outs = []
-            off = 0
-            for c, r in zip(node.children, node.rows):
-                sub_main = T.narrow(main, 0, off, r)
-                sub_aux = {k: T.narrow(v, 0, off, r) for k, v in aux.items()}
-                outs.append(self._route_point(c, sub_main, sub_aux, leaf_apply,
-                                              reverse, fusion_hook))
-                off += r
-            return T.concat(outs, axis=0)
+            return _join(node, [self._route_point(
+                c, _take(main, rows), {k: _take(v, rows) for k, v in aux.items()},
+                leaf_apply, reverse, fusion_hook) for c, rows in zip(node.children, node.takes)])
         if kind is Split:
             seq = main.shape[1]
             parts = []
@@ -228,33 +233,28 @@ class RoutingContext:
         return self._route_attention(self.plan.root, pay, core)
 
     def _route_attention(self, node, pay: _AttnPayload, core, pending=()) -> Tensor:
-        """Attention of ``node``'s rows.  ``pending`` holds the ungated
-        key/value prefixes of earlier ``Stack`` members, which extend the
-        rows once this node's projection hooks have run."""
-        # Split and Fuse children never modify attention (the plan checked).
-        if not node.attn:
-            return self._run_attention(self._extend(pay, pending), (), core)
+        """Attention of ``node``'s rows.  ``pending`` holds the key/value
+        prefixes of earlier ``Stack`` members with their gates (None when
+        ungated), which join once this node's projection hooks have run."""
         kind = node.kind
         if kind is Leaf or kind is Stack:
             # As in the paper's library, projection deltas and key/value
             # scales act on the token rows, and prefixes join after every
             # member's projections.  The plan admits attention members only
-            # before the first block that modifies attention, and gated
-            # prefixes only when no such block follows them, so that block
+            # before the first block that modifies attention, so that block
             # takes the projected rows and the pending prefixes.
-            prefixes, deferred = list(pending), []
+            pending = list(pending)
             for m in (node,) if kind is Leaf else node.members:
                 if not m.attn:
                     continue
                 if m.kind is not Leaf:
-                    return self._route_attention(m, pay, core, prefixes)
+                    return self._route_attention(m, pay, core, pending)
                 pay = self._project(m.inst, pay)
-                for pm, gate in m.inst.at(HookPoint.ATTN_KV, self._layer):
-                    if gate is None:
-                        prefixes.append(pm)
-                    else:
-                        deferred.append((pm, gate))
-            return self._run_attention(self._extend(pay, prefixes), deferred, core)
+                pending.extend(m.inst.at(HookPoint.ATTN_KV, self._layer))
+            return self._run_attention(pay, pending, core)
+        # Split and Fuse children never modify attention (the plan checked).
+        if not node.attn:
+            return self._run_attention(pay, pending, core)
         if kind is Average:
             total = None
             for c, w in zip(node.children, node.weights):
@@ -262,12 +262,8 @@ class RoutingContext:
                 total = term if total is None else total + term
             return total
         # Parallel, BatchSplit
-        outs = []
-        off = 0
-        for c, r in zip(node.children, node.rows):
-            outs.append(self._route_attention(c, pay.slice_rows(off, r), core, pending))
-            off += r
-        return T.concat(outs, axis=0)
+        return _join(node, [self._route_attention(c, pay.take(rows), core, pending)
+                            for c, rows in zip(node.children, node.takes)])
 
     def _project(self, inst: AdapterInstance, pay: _AttnPayload) -> _AttnPayload:
         """``pay`` after ``inst``'s projection deltas and key/value scales."""
@@ -283,20 +279,18 @@ class RoutingContext:
             v = _rescale(v, m, gate, x)
         return _AttnPayload(x=x, q=q, k=k, v=v, km=pay.km)
 
-    def _extend(self, pay: _AttnPayload, prefixes) -> _AttnPayload:
-        """``pay`` with each prefix's key/value rows joined in turn."""
+    def _run_attention(self, pay: _AttnPayload, prefixes, core) -> Tensor:
+        """The core attention of ``pay`` with each ungated prefix's key/value
+        rows joined in turn, and each gated one then as a two-pass delta."""
         k, v, km = pay.k, pay.v, pay.km
-        for pm in prefixes:
-            k, v, km = self._extend_kv(pm, k, v, km)
-        return _AttnPayload(x=pay.x, q=pay.q, k=k, v=v, km=km)
-
-    def _run_attention(self, pay: _AttnPayload, deferred, core) -> Tensor:
-        out = core(pay.q, pay.k, pay.v, pay.km)
-        for pm, gate in deferred:
-            k2, v2, km2 = self._extend_kv(pm, pay.k, pay.v, pay.km)
-            out2 = core(pay.q, k2, v2, km2)
-            g = gate.value(pay.x)
-            out = out + T.mul(g, out2 - out)
+        for pm, gate in prefixes:
+            if gate is None:
+                k, v, km = self._extend_kv(pm, k, v, km)
+        out = core(pay.q, k, v, km)
+        for pm, gate in prefixes:
+            if gate is not None:
+                out2 = core(pay.q, *self._extend_kv(pm, k, v, km))
+                out = out + T.mul(gate.value(pay.x), out2 - out)
         return out
 
     def _extend_kv(self, pm, k: Tensor, v: Tensor, km: np.ndarray):

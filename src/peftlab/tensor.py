@@ -690,9 +690,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]`` along the first axis of a table of rank
-    >= 2: token and position embeddings, and the encoder's copies of a
-    batch's rows (``Plan.row_index``).  The backward adds each row's
-    gradients in index order into zeros."""
+    >= 2: token and position embeddings, and copies of a batch's rows
+    (``Plan.row_index``, and routed row blocks that are not contiguous).
+    The backward adds each row's gradients in index order into zeros."""
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather_rows needs integer indices")

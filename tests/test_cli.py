@@ -712,6 +712,29 @@ def test_compose_reports_branch_outputs(capsys, workspace):
     assert doc["outputs"]["a1"] == doc["outputs"]["a2"]
 
 
+def test_compose_routes_a_member_that_slices_rows_before_one_that_copies_them(capsys,
+                                                                              workspace):
+    adapters = [f"--adapter={n}={workspace['bn']}" for n in ("a", "c", "d")]
+    code, out, err = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "8",
+                             "--base", str(workspace["base"]), *adapters,
+                             "--setup", "Stack(Parallel(a), Parallel(c, d))")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["branches"] == [{"label": "c", "rows": 8},
+                                           {"label": "d", "rows": 8}]
+
+
+def test_compose_refuses_an_average_whose_children_copy_rows_apart(capsys, workspace):
+    # with two rows in, both children give four rows, copied in other orders
+    adapters = [f"--adapter={n}={workspace['bn']}" for n in ("a", "b")]
+    code, out, err = run_cli(capsys, "compose", *TASK_ARGS, "--samples", "2",
+                             "--base", str(workspace["base"]), *adapters, "--setup",
+                             "Average(Parallel(a, b), BatchSplit(Parallel(a, b), "
+                             "Parallel(a, b), batch_sizes=[1, 1]))")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Average children must copy rows alike")
+    assert "Traceback" not in err
+
+
 def test_compose_stacks_a_lora_adapter_after_a_prefix(capsys, workspace, tmp_path):
     # p carries a copy of l's head, so each order's branch reads the same head
     model = AdapterModel.load_base(workspace["base"])

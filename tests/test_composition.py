@@ -243,18 +243,32 @@ def test_stack_tracks_row_growth_for_later_members():
         m.validate_setup(bad, batch=3, seq=8)
 
 
-@pytest.mark.parametrize("text", [
-    "Stack(Parallel(a, b), Parallel(c, d))",
-    "Stack(Parallel(a, b), Average(Parallel(c, d), Parallel(e, f)))",
-    "Stack(Parallel(a, b), Stack(c, Parallel(d, e)))",
-])
-def test_stack_rejects_a_second_row_replicating_member(text):
-    # these used to validate and then fail the first forward with a ShapeError
+# setup -> its branches at batch 2, and the setups whose outputs its rows
+# are, in order
+COPIED_TWICE = {
+    "Stack(Parallel(a, b), Parallel(c, d))": (
+        [("c", 4), ("d", 4)], ["Stack(a, c)", "Stack(b, c)", "Stack(a, d)", "Stack(b, d)"]),
+    "Stack(Parallel(a, b), Average(Parallel(c, d), Parallel(e, f)))": (
+        [(None, 8)], ["Stack(a, Average(c, e))", "Stack(b, Average(c, e))",
+                      "Stack(a, Average(d, f))", "Stack(b, Average(d, f))"]),
+    "Stack(Parallel(a, b), Stack(c, Parallel(d, e)))": (
+        [("d", 4), ("e", 4)], ["Stack(a, c, d)", "Stack(b, c, d)", "Stack(a, c, e)",
+                               "Stack(b, c, e)"]),
+}
+
+
+@pytest.mark.parametrize("text", sorted(COPIED_TWICE))
+def test_a_stack_routes_each_copy_through_every_member_that_copies_rows(rng, text):
+    # a later member's copies interleave an earlier member's branches, so
+    # the earlier one takes its rows by index, not as contiguous blocks
     m = make_model(tuple("abcdef"))
-    with pytest.raises(CompositionError, match="only one member may replicate rows"):
-        m.validate_setup(text, batch=2, seq=8)
-    with pytest.raises(CompositionError, match="only one member may replicate rows"):
-        m.set_active(parse_setup(text))
+    tokens = random_tokens(rng, 2, 8, SMALL_DIMS.vocab)
+    branches, parts = COPIED_TWICE[text]
+    m.set_active(parse_setup(text))
+    state = m.encode(tokens)
+    assert state.branches == branches
+    want = np.concatenate([run(m, parse_setup(p), tokens) for p in parts])
+    assert state.hidden.data.tobytes() == want.tobytes()
 
 
 def test_nested_stack_branches_fold_like_a_flat_stack(rng):
@@ -282,7 +296,9 @@ def test_validation_without_a_batch_rejects_only_impossible_row_counts():
     both = Average(Parallel("a", "b"),
                    BatchSplit(Parallel("a", "b"), Parallel("b", "c"), batch_sizes=[1, 1]))
     m.validate_setup(both)
-    m.validate_setup(both, batch=2)
+    # ... but the second child's rows copy the input rows in another order
+    with pytest.raises(CompositionError, match="copy rows alike"):
+        m.validate_setup(both, batch=2)
     with pytest.raises(CompositionError, match="sum to 2"):
         m.validate_setup(both, batch=3)
     m.validate_setup(Average(BatchSplit("a", "b", batch_sizes=[2, 2]), "c"))
@@ -302,9 +318,15 @@ def test_plan_holds_layout_weights_fusions_prompts_and_branches():
     assert plan.prompts == list(m.adapter_instance("p").bindings[HookPoint.INPUT_PREPEND])
     assert plan.branches == [("a", 3), ("a", 1), ("a", 2), ("b", 2)]
     par, avg = plan.root.children[1], plan.root.children[2]
-    assert par.rows == (3, 5)
-    assert (par.children[1].sizes, par.children[1].rows) == ((1, 2), (1, 4))
+    assert par.takes == (slice(0, 3), slice(3, 8)) and par.join is None
+    split = par.children[1]
+    assert (split.sizes, split.takes) == ((1, 2), (slice(0, 1), slice(1, 5)))
+    assert plan.row_index.tolist() == [0, 1, 2, 0, 1, 2, 1, 2]
     assert avg.weights == (0.25, 0.75)
+    # copies of a later member interleave an earlier member's blocks
+    first = m.validate_setup("Stack(Parallel(a, b), Parallel(a, b))", batch=1).root.children[0]
+    assert [t.tolist() for t in first.takes] == [[0, 2], [1, 3]]
+    assert first.join.tolist() == [0, 2, 1, 3]
     fused = m.validate_setup(Fuse("a", "b"))
     assert fused.fused == [(("a", "b"), fl)]
     assert fused.root.fusion is fl
@@ -667,18 +689,29 @@ def test_attention_members_must_precede_branching_attention_blocks():
     m.validate_setup(Stack(Parallel("b1", "b2"), "l3"))
 
 
-def test_gated_prefixes_before_a_branching_attention_block_are_rejected():
-    m = AdapterModel(SMALL_DIMS, seed=1)
-    m.add_adapter("u", parse_config("unipelt"))
-    for n in ("l1", "l2"):
-        m.add_adapter(n, parse_config("lora"))
-    with pytest.raises(CompositionError, match="gated"):
-        m.validate_setup("Stack(u, Parallel(l1, l2))")
-    with pytest.raises(CompositionError, match="gated"):
-        m.set_active(Stack(Stack("u"), Parallel("l1", "l2")))
-    assert m.active is None
-    m.validate_setup("Stack(u, l1)")
-    m.validate_setup("Parallel(u, Stack(l1, l2))")
+@pytest.mark.parametrize("text", ["Stack(u, Parallel(l, i))", "Stack(Stack(u), Parallel(l, i))"])
+def test_a_gated_prefix_joins_each_row_block_of_a_later_attention_block(rng, text):
+    # the block takes the gated prefix with its gate and runs the two-pass
+    # delta per row block
+    m = _attention_members_model()
+    tokens = random_tokens(rng, 3, 6, DESK_DIMS.vocab)
+    got = run(m, parse_setup(text), tokens)
+    want = np.concatenate([run(m, f"Stack(u, {n})", tokens) for n in ("l", "i")])
+    assert got.tobytes() == want.tobytes()
+    assert not np.allclose(got[:3], run(m, "l", tokens), atol=1e-6)
+
+
+def test_average_children_must_copy_rows_alike(rng):
+    # at batch 2 both children give four rows, but the first child's rows
+    # copy input rows 0, 1, 0, 1 and the second's 0, 0, 1, 1
+    m = make_model(tuple("abcd"))
+    text = ("Average(Parallel(a, b), BatchSplit(Parallel(c, d), Parallel(c, d), "
+            "batch_sizes=[1, 1]), weights=[0, 1])")
+    with pytest.raises(CompositionError, match="copy rows alike"):
+        m.validate_setup(text, batch=2)
+    m.set_active(parse_setup(text))
+    with pytest.raises(CompositionError, match="copy rows alike"):
+        m.encode(random_tokens(rng, 2, 8, SMALL_DIMS.vocab))
 
 
 def test_attention_members_after_any_attention_block_are_rejected(rng):

@@ -5,20 +5,31 @@ activations at its first adapted stage once and copies them to every
 branch (``Plan.row_index``), instead of copying the embeddings and running
 the frozen layers once per branch.  The oracle: each branch's output rows
 equal that branch's setup run alone on its input rows, bit for bit, with
-and without a tape, pooled and full, at any batch.  Below that stage no
-hook runs, and training a setup that copies rows is refused, since the loss
-reads one label row per input row.
+and without a tape, pooled and full, at any batch.  That holds too where a
+member that slices rows comes before one that copies them, so that it acts
+on every copy of its rows.  Below that stage no hook runs, and training a
+setup that copies rows is refused, since the loss reads one label row per
+input row.
 """
+
+import os
+import subprocess
+import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from peftlab import routing, training
 from peftlab import tensor as T
-from peftlab.composition import Plan, parse_setup
+from peftlab.composition import (Average, BatchSplit, CompositionError, Parallel, Plan, Stack,
+                                 parse_setup)
 from peftlab.model import (ATTENTION, ATTENTION_RESIDUAL, CLASSIFICATION, DESK_DIMS,
                            FFN_RESIDUAL, TAGGING)
 
+from test_frozen_prefix import _openblas_core
 from test_golden import composed_model
 
 # setup -> (its first adapted stage's point, the setup each branch runs alone)
@@ -87,6 +98,145 @@ def test_each_branch_equals_its_setup_alone(prefix_rows, setup, batch, pooled, t
     want = [_encode(model, s, tokens, mask, pooled, tape) for s in alone]
     assert got == [w[0][0] for w in want]
     assert all(w[1] == window for w in want)
+
+
+# setup -> (batch, its branches, and per branch the setup it runs alone and
+# on which input rows).  In each, a member that slices rows (a Parallel,
+# even of one child, or a BatchSplit) comes before one that copies them, or
+# a gated prefix (un) before a block that modifies attention.
+ROUTED = {
+    "Stack(Parallel(s1), Parallel(lo, ia))": (
+        3, [("lo", 3), ("ia", 3)], [("Stack(s1, lo)", None), ("Stack(s1, ia)", None)]),
+    "Stack(BatchSplit(s1, pb, batch_sizes=[1, 1]), Parallel(lo, ia))": (
+        2, [("lo", 2), ("ia", 2)],
+        [("Stack(BatchSplit(s1, pb, batch_sizes=[1, 1]), lo)", None),
+         ("Stack(BatchSplit(s1, pb, batch_sizes=[1, 1]), ia)", None)]),
+    "Parallel(Stack(Parallel(s1), Parallel(lo, ia)), pb)": (
+        3, [("lo", 3), ("ia", 3), ("pb", 3)],
+        [("Stack(s1, lo)", None), ("Stack(s1, ia)", None), ("pb", None)]),
+    "Stack(Parallel(s1), BatchSplit(Parallel(lo, ia), pb, batch_sizes=[1, 1]))": (
+        2, [("lo", 1), ("ia", 1), ("pb", 1)],
+        [("Stack(s1, lo)", slice(0, 1)), ("Stack(s1, ia)", slice(0, 1)),
+         ("Stack(s1, pb)", slice(1, 2))]),
+    "Stack(Parallel(s1, pb), Parallel(lo, ia))": (
+        3, [("lo", 6), ("ia", 6)],
+        [("Stack(Parallel(s1, pb), lo)", None), ("Stack(Parallel(s1, pb), ia)", None)]),
+    "Stack(un, Parallel(lo, pb))": (
+        3, [("lo", 3), ("pb", 3)], [("Stack(un, lo)", None), ("Stack(un, pb)", None)]),
+}
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["full", "pooled"])
+@pytest.mark.parametrize("setup", sorted(ROUTED))
+def test_a_member_before_one_that_copies_rows_acts_on_every_copy(prefix_rows, setup,
+                                                                 pooled, tape):
+    batch, branches, alone = ROUTED[setup]
+    model = composed_model()
+    tokens, mask = _tokens(batch), _mask(batch)
+    got, window = _encode(model, setup, tokens, mask, pooled, tape)
+    assert prefix_rows == [batch]
+    state = model.encode(tokens, mask)          # the branches cover the rows in order
+    assert state.branches == branches
+    assert sum(rows for _, rows in branches) == state.hidden.shape[0]
+    for out, (other, rows) in zip(got, alone, strict=True):
+        rows = rows or slice(None)
+        want, want_window = _encode(model, other, tokens[rows], mask[rows], pooled, tape)
+        assert out == b"".join(want)
+        assert want_window == window
+
+
+def _rows_out(node, rows: int) -> int:
+    """The output rows of ``node`` entered by ``rows`` rows."""
+    if isinstance(node, Stack):
+        for c in node.children:
+            rows = _rows_out(c, rows)
+        return rows
+    if isinstance(node, Parallel):
+        return sum(_rows_out(c, rows) for c in node.children)
+    if isinstance(node, BatchSplit):
+        return sum(_rows_out(c, n) for c, n in zip(node.children, node.batch_sizes))
+    if isinstance(node, Average):
+        return _rows_out(node.children[0], rows)
+    return rows
+
+
+def _alone(node, row: int, rows: int) -> tuple:
+    """The setup without Parallel or BatchSplit that output row ``row`` of
+    ``node``, entered by ``rows`` rows, runs, and the input row it runs on:
+    an oracle that reads no plan."""
+    if isinstance(node, Stack):
+        ins = [rows]
+        for c in node.children[:-1]:
+            ins.append(_rows_out(c, ins[-1]))
+        members = []
+        for c, n in zip(reversed(node.children), reversed(ins)):
+            member, row = _alone(c, row, n)
+            members.insert(0, member)
+        return Stack(*members), row
+    if isinstance(node, Average):
+        alone = [_alone(c, row, rows) for c in node.children]
+        assert len({r for _, r in alone}) == 1
+        return Average(*[a for a, _ in alone], weights=list(node.weights)), alone[0][1]
+    if isinstance(node, (Parallel, BatchSplit)):
+        split = isinstance(node, BatchSplit)
+        start = 0
+        for c, n in zip(node.children, node.batch_sizes if split else [rows] * len(node.children)):
+            out = _rows_out(c, n)
+            if row < out:
+                member, row = _alone(c, row, n)
+                return member, (start if split else 0) + row
+            row -= out
+            start += n
+    return node, row
+
+
+@st.composite
+def _stacks(draw):
+    """A Stack of two or three members that slice rows or copy them, maybe
+    under a Parallel, over 1 to 3 input rows.  Only the last member's blocks
+    may modify attention, as the plan requires.  An Average weighs its
+    children equally, so that its weighted sum of one attention output,
+    where no child in a row's path modifies attention, is that output."""
+    batch = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 3))
+    members, rows = [], batch
+    for i in range(count):
+        name = st.sampled_from(["s1", "s2", "pb"] + ["lo", "ia", "pf", "un"] * (i == count - 1))
+        a, b, c = draw(name), draw(name), draw(name)
+        members.append(draw(st.sampled_from([
+            draw(st.sampled_from(["s1", "pb", "lo", "ia", "pf", "un"])), Parallel(a),
+            Parallel(a, b), Stack(a, Parallel(b, c)),
+            Average(Parallel(a, b), Parallel(b, c)),
+            BatchSplit(Parallel(a, b), c, batch_sizes=[1, rows - 1]) if rows > 1 else b])))
+        rows = _rows_out(members[-1], rows)
+    node = Stack(*members)
+    return (Parallel(node, draw(name)) if draw(st.booleans()) else node), batch
+
+
+@lru_cache(maxsize=None)
+def _shared_model():
+    return composed_model()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(drawn=_stacks(), seed=st.integers(0, 2 ** 16))
+def test_every_routed_row_equals_its_path_run_alone_on_its_input_row(drawn, seed):
+    node, batch = drawn
+    model = _shared_model()
+    try:
+        model.validate_setup(node, batch=batch)
+    except CompositionError:
+        assume(False)
+    tokens, mask = _tokens(batch, seed), _mask(batch)
+    model.set_active(node)
+    hidden = model.encode(tokens, mask).hidden.data
+    assert hidden.shape[0] == _rows_out(node, batch)
+    for row in range(hidden.shape[0]):
+        alone, i = _alone(node, row, batch)
+        model.set_active(alone)
+        assert (model.encode(tokens[i:i + 1], mask[i:i + 1]).hidden.data[0].tobytes()
+                == hidden[row].tobytes()), (node, row, alone)
 
 
 def test_a_prompt_before_parallel_keeps_the_embedding_path(prefix_rows):
@@ -222,3 +372,18 @@ def test_hooks_nothing_binds_return_their_input_unless_a_tape_records(monkeypatc
         assert ("_leaf_post_attn" not in routed) == (idle and not tape)
         assert ("_leaf_embed_inverse" not in routed) == (idle and not tape)
         assert "_leaf_ffn_block" in routed
+
+
+def test_every_branch_case_is_the_same_on_haswell():
+    # a branch computed on copies gathered from the routed rows runs its
+    # products at another row count than alone
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    running = _openblas_core(env)
+    if running != "Haswell":
+        pytest.skip(f"numpy's BLAS does not run OpenBLAS's Haswell kernel here "
+                    f"(it reports {running or 'no OpenBLAS kernel'})")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "not same_on_haswell"],
+                          cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

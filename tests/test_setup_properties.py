@@ -12,7 +12,7 @@ does not divide that width, run at desk dims.
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from peftlab import tensor as T
@@ -98,6 +98,8 @@ def _fusions(model, node) -> None:
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(drawn=setups(), seed=st.integers(0, 2 ** 16))
+# a member that slices rows before one that copies them
+@example(drawn=(Stack(Parallel("compacter"), Parallel("compacter", "compacter")), 1), seed=0)
 def test_every_setup_that_validates_encodes_pools_and_backpropagates(drawn, seed):
     node, batch = drawn
     model = _model(DESK_DIMS if "compacter" in leaves(node) else SMALL_DIMS)
