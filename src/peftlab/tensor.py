@@ -2,8 +2,16 @@
 
 Values live in contiguous numpy buffers; every differentiable operation
 records itself on the innermost active :class:`Tape`, which replays the
-records in exact reverse order on ``backward``.  Gradient accumulation into
-``Tensor.grad`` is additive: callers zero gradients between optimizer steps.
+records in exact reverse order on ``backward``, once.  Gradient accumulation
+into ``Tensor.grad`` is additive: callers zero gradients between optimizer
+steps.
+
+A record keeps per operand the record that produced it on the same tape
+(a leaf that requires a gradient stands for itself) and a rule holding only
+the arrays, shapes and flags its gradients read: never a tensor, nor its
+own output.  Whether an operand needs a gradient is read from
+``requires_grad`` when the op records.  So an activation that no rule reads
+dies with its last outside name while the tape is still open.
 
 Every product with a 2-D weight records through :func:`linear` (``x @ w``
 plus an optional bias), :func:`attention` is multi-head scaled dot-product
@@ -62,17 +70,19 @@ class Tensor:
 
     The constructor takes ownership of ``data`` when it already is a
     C-contiguous float64 array; other inputs are converted (and copied).
-    ``grad`` is ``None`` until a backward pass deposits into it.
+    ``grad`` is ``None`` until a backward pass deposits into it.  ``_rec``
+    is the record of the op that produced it, which holds neither this
+    tensor nor its array; ops read ``requires_grad`` when they record.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_rec")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.name = name
-        self._tape: Optional["Tape"] = None
+        self._rec: Optional["_Record"] = None
 
     @property
     def shape(self) -> tuple:
@@ -104,15 +114,18 @@ class Tensor:
 
 
 class _Record:
-    """One recorded operation: output, inputs, and the rule mapping the
-    output gradient to per-input gradients (``None`` marks a stop)."""
+    """One recorded operation, without its output: its tape, the rule
+    mapping the output gradient to per-operand gradients (``None`` marks a
+    stop), and per operand the record that produced it on the same tape,
+    else the operand if it required a gradient when the op recorded, else
+    ``None``.  Backward drops the rule, so it runs once."""
 
-    __slots__ = ("output", "inputs", "backward")
+    __slots__ = ("tape", "backward", "parents")
 
-    def __init__(self, output: Tensor, inputs: tuple, backward: Callable):
-        self.output = output
-        self.inputs = inputs
+    def __init__(self, tape: "Tape", backward: Callable, parents: tuple):
+        self.tape = tape
         self.backward = backward
+        self.parents = parents
 
 
 _TAPES: list = []     # the active tapes of the process, innermost last
@@ -121,11 +134,12 @@ _TAPES: list = []     # the active tapes of the process, innermost last
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    Leaving the ``with`` block frees the records, so a step's activations
-    and per-op closures die with their last outside reference instead of
-    waiting for the cyclic garbage collector (records -> output tensor ->
-    ``Tensor._tape`` -> tape is a cycle).  ``backward`` therefore runs only
-    inside the block.
+    A record keeps its operands' records and the arrays its rule reads, not
+    its output (see :class:`_Record`); ops read ``requires_grad`` when they
+    record.  ``backward`` runs once, inside the block.  Leaving the block
+    drops every record's rule and operands and the list of records (tape ->
+    records -> tape is a cycle), so a tensor held after the block, such as
+    the loss, keeps no activation alive.
     """
 
     def __init__(self):
@@ -141,6 +155,8 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         popped = _TAPES.pop()
+        for rec in self._records:
+            rec.backward = rec.parents = None
         self._records = None
         if popped is not self:  # pragma: no cover - defensive
             raise ContractError("tape stack corrupted")
@@ -151,31 +167,35 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Walk records newest-to-oldest, seeding d(loss)/d(loss)=1.
 
-        Leaf tensors with ``requires_grad`` accumulate into ``.grad``
-        additively; tensors with ``requires_grad=False`` are never touched,
-        and neither is the ``.grad`` of a tensor this tape recorded.
+        Leaf tensors that required a gradient when an op recorded them
+        accumulate into ``.grad`` additively; other tensors are never
+        touched, and neither is the ``.grad`` of a tensor this tape
+        recorded.  Each rule is dropped as the walk passes it, so a second
+        ``backward`` on this tape raises :class:`ContractError`.
         """
         if self._records is None:
             raise ContractError("backward after the tape's with block ended; "
                                 "its records were freed on exit")
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if loss._rec is None or loss._rec.tape is not self:
             raise ContractError("loss was not recorded on this tape")
-        flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        if loss._rec.backward is None:
+            raise ContractError("backward already ran on this tape; it runs once")
+        flows: dict[_Record, np.ndarray] = {loss._rec: np.ones_like(loss.data)}
         for rec in reversed(self._records):
-            g = flows.pop(id(rec.output), None)
+            rule, rec.backward = rec.backward, None
+            g = flows.pop(rec, None)
             if g is None:
                 continue
-            contribs = rec.backward(g)
-            for t, dg in zip(rec.inputs, contribs):
+            for p, dg in zip(rec.parents, rule(g)):
                 if dg is None:
                     continue
-                if t._tape is self:
-                    prev = flows.get(id(t))
-                    flows[id(t)] = dg if prev is None else prev + dg
-                elif t.requires_grad:
-                    t.grad = dg if t.grad is None else t.grad + dg
+                if type(p) is _Record:
+                    prev = flows.get(p)
+                    flows[p] = dg if prev is None else prev + dg
+                else:
+                    p.grad = dg if p.grad is None else p.grad + dg
 
 
 _WINDOW: Optional[tuple] = None     # the row window in force (see row_window)
@@ -199,19 +219,22 @@ def row_window(start: int, length: int, full: int):
 
 def backward(loss: Tensor) -> None:
     """Run the backward pass of the tape that recorded ``loss``."""
-    if loss._tape is None:
+    if loss._rec is None:
         raise ContractError("loss is not attached to any tape")
-    loss._tape.backward(loss)
+    loss._rec.tape.backward(loss)
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
-    """Wrap ``out_data`` and record ``rule`` on the current tape."""
+    """Wrap ``out_data`` and record ``rule`` on the current tape, with each
+    input's producer on that tape, else the input if it needs a gradient."""
     out = Tensor(out_data)
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
-        tape._records.append(_Record(out, tuple(inputs), rule))
+        out._rec = rec = _Record(tape, rule, tuple(
+            t._rec if t._rec is not None and t._rec.tape is tape
+            else t if t.requires_grad else None for t in inputs))
+        tape._records.append(rec)
     return out
 
 
@@ -229,8 +252,16 @@ def _pad_rows(a: np.ndarray, window: tuple) -> np.ndarray:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+def _grad_shape(t: Tensor) -> Optional[tuple]:
+    """``t``'s shape when it needs a gradient, else ``None``."""
+    return t.data.shape if t.requires_grad else None
+
+
+def _unbroadcast(g: np.ndarray, shape: Optional[tuple]) -> Optional[np.ndarray]:
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting); ``None``
+    for a ``None`` shape, an operand without a gradient."""
+    if shape is None:
+        return None
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -247,25 +278,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def rule(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-
-    return _emit(a.data + b.data, (a, b), rule)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    return _emit(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def rule(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-
-    return _emit(a.data - b.data, (a, b), rule)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    return _emit(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, sa), None if sb is None else _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ak = None if sb is None else a.data     # each operand only for the other's gradient
+    bk = None if sa is None else b.data
+
     def rule(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g * bk, sa),
+                None if sb is None else _unbroadcast(g * ak, sb))
 
     return _emit(a.data * b.data, (a, b), rule)
 
@@ -291,11 +322,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"unsupported matmul operand ranks: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    ak = ad if b.requires_grad else None    # each operand only for the other's gradient
+    bk = bd if a.requires_grad else None
 
     def rule(g):
-        da = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
-        db = ad.swapaxes(-1, -2) @ g if b.requires_grad else None
-        return (da, db)
+        return (None if bk is None else g @ bk.swapaxes(-1, -2),
+                None if ak is None else ak.swapaxes(-1, -2) @ g)
 
     return _emit(ad @ bd, (a, b), rule)
 
@@ -339,21 +371,24 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         out = xd @ wd
     if bd is not None:
         out += bd
+    k, n = wd.shape
+    xk = xd if w.requires_grad else None    # x only for dw, w only for dx
+    wk = wd if x.requires_grad else None
+    sb = None if b is None else _grad_shape(b)
 
     def rule(g):
-        db = _unbroadcast(g, bd.shape) if b is not None and b.requires_grad else None
-        xg = xd
+        db = _unbroadcast(g, sb)
         if window is not None:
             g = _pad_rows(g, window)
-            if w.requires_grad:
-                xg = _pad_rows(xd, window)
-        dx = g @ wd.T if x.requires_grad else None
-        if window is not None and dx is not None:
-            dx = np.ascontiguousarray(dx[:, window[0]:window[0] + window[1]])
-        dw = None
-        if w.requires_grad:     # for a 2-D x both reshapes are views with the same strides
-            dw = xg.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
-        return (dx, dw) if b is None else (dx, dw, db)
+        dx = dw = None
+        if wk is not None:
+            dx = g @ wk.T
+            if window is not None:
+                dx = np.ascontiguousarray(dx[:, window[0]:window[0] + window[1]])
+        if xk is not None:      # for a 2-D x both reshapes are views with the same strides
+            xg = xk if window is None else _pad_rows(xk, window)
+            dw = xg.reshape(-1, k).T @ g.reshape(-1, n)
+        return (dx, dw, db)
 
     return _emit(out, (x, w) if b is None else (x, w, b), rule)
 
@@ -408,6 +443,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
     att /= att.sum(axis=-1, keepdims=True)
     ctx = att @ v4                                                    # (B,H,Sq,dh)
     out = np.ascontiguousarray(ctx.swapaxes(1, 2)).reshape(B, Sq, d)
+    gv = v.requires_grad
+    q4 = q4 if k.requires_grad else None    # each layout only for a gradient that reads it
+    kt = kt if q.requires_grad else None
+    v4 = v4 if q.requires_grad or k.requires_grad else None
 
     # Each product below takes its operands in the memory layout the
     # unfused chain gave them (a transposed view of a contiguous array, a
@@ -420,16 +459,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, heads: int,
             a[:, :, start:start + Sq] = att
         g4 = g.reshape(B, full, heads, dh).swapaxes(1, 2)
         dq = dk = dv = None
-        if v.requires_grad:
+        if gv:
             dv = (a.swapaxes(-1, -2) @ g4).swapaxes(1, 2).reshape(B, Sk, d)
-        if q.requires_grad or k.requires_grad:
+        if v4 is not None:
             datt = g4 @ v4.swapaxes(-1, -2)       # a * (datt - sum(datt * a)) * s, in place
             datt -= np.multiply(datt, a).sum(axis=-1, keepdims=True)
             dscores = np.multiply(a, datt, out=datt)
             dscores *= s
-            if q.requires_grad:
+            if kt is not None:
                 dq = (dscores @ kt.swapaxes(-1, -2)).swapaxes(1, 2).reshape(B, full, d)
-            if k.requires_grad:
+            if q4 is not None:
                 dk = (q4.swapaxes(-1, -2) @ dscores).transpose(0, 3, 1, 2).reshape(B, Sk, d)
         return (dq, dk, dv)
 
@@ -443,12 +482,13 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"kron needs 2-D operands, got {ad.shape} (x) {bd.shape}")
     n, m = ad.shape
     p, q = bd.shape
+    ak = ad if b.requires_grad else None    # each operand only for the other's gradient
+    bk = bd if a.requires_grad else None
 
     def rule(g):
         blocks = g.reshape(n, p, m, q)
-        da = np.einsum("ipjq,pq->ij", blocks, bd) if a.requires_grad else None
-        db = np.einsum("ipjq,ij->pq", blocks, ad) if b.requires_grad else None
-        return (da, db)
+        return (None if bk is None else np.einsum("ipjq,pq->ij", blocks, bk),
+                None if ak is None else np.einsum("ipjq,ij->pq", blocks, ak))
 
     return _emit(np.kron(ad, bd), (a, b), rule)
 
@@ -485,12 +525,13 @@ def kron_sum(a: Tensor, s: Tensor, t: Tensor) -> Tensor:
     for term in terms[1:]:
         out = out + term
     out = out.reshape(n * p, n * q)
+    ga, gs, gt = a.requires_grad, s.requires_grad, t.requires_grad
 
     def rule(g):
         blocks = g.reshape(n, p, n, q)
-        da = np.empty_like(ad) if a.requires_grad else None
-        ds = np.empty_like(sd) if s.requires_grad else None
-        dt = np.empty_like(td) if t.requires_grad else None
+        da = np.empty_like(ad) if ga else None
+        ds = np.empty_like(sd) if gs else None
+        dt = np.empty_like(td) if gt else None
         for i in range(n):
             if da is not None:
                 da[i] = np.einsum("ipjq,pq->ij", blocks, st[i])
@@ -597,14 +638,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv_std
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
+    gx, gg, gb, gd = x.requires_grad, gamma.requires_grad, beta.requires_grad, gamma.data
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead) if gamma.requires_grad else None
-        dbeta = g.sum(axis=lead) if beta.requires_grad else None
+        dgamma = (g * xhat).sum(axis=lead) if gg else None
+        dbeta = g.sum(axis=lead) if gb else None
         dx = None
-        if x.requires_grad:     # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            dx = np.multiply(g, gamma.data)
+        if gx:                  # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            dx = np.multiply(g, gd)
             t = np.multiply(dx, xhat)
             m2 = np.add.reduce(t, axis=-1, keepdims=True)
             m2 /= n
@@ -624,14 +666,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
     def rule(g):
         g = np.asarray(g)
         if axis is None:
-            return (np.broadcast_to(g.reshape(()), x.data.shape).copy(),)
+            return (np.broadcast_to(g.reshape(()), shape).copy(),)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(out, (x,), rule)
 
@@ -645,8 +688,8 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = x.data.reshape(shape).copy()
-    return _emit(out, (x,), lambda g: (g.reshape(x.data.shape),))
+    in_shape = x.data.shape
+    return _emit(x.data.reshape(shape).copy(), (x,), lambda g: (g.reshape(in_shape),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
@@ -661,12 +704,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     datas = [p.data for p in parts]
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
+    spans = [range(lo, hi) if p.requires_grad else None
+             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])]
 
     def rule(g):
-        return tuple(
-            np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis))
-            for i in range(len(parts))
-        )
+        return tuple(None if span is None else np.ascontiguousarray(np.take(g, span, axis=axis))
+                     for span in spans)
 
     return _emit(np.concatenate(datas, axis=axis), tuple(parts), rule)
 
@@ -679,9 +722,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    shape = x.data.shape
 
     def rule(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -704,9 +748,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             f"min={idx.min() if idx.size else 0}, max={idx.max() if idx.size else 0}"
         )
 
+    shape = table.data.shape
+
     def rule(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.reshape(-1), g.reshape((-1,) + table.data.shape[1:]))
+        dt = np.zeros(shape)
+        np.add.at(dt, idx.reshape(-1), g.reshape((-1,) + shape[1:]))
         return (dt,)
 
     return _emit(table.data[idx], (table,), rule)
