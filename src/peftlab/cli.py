@@ -9,7 +9,8 @@ Verbs::
     check-paper    shorthand for ``count-params --check-paper``
     train          hyperparameter-grid training on a synthetic task: JSON-line
                    records (optionally CSV); on stderr a ``# blas <kernel>
-                   threads=<n>`` line first, then a per-method ranking
+                   threads=<n> encode_threads=<m>`` line first, then a
+                   per-method ranking
     eval           evaluate a saved adapter (or bare head) on a task split
     compose        execute a composition DSL string over saved adapters
     average        weighted parameter averaging of same-config adapters
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model as M
 from .checkpoint import HEAD_FILE, CheckpointError, write_atomic
 from .composition import CompositionError, parse_setup
 from .configs import (AUDIT_GRID, ConfigError, audit_counts, config_label,
@@ -196,7 +198,8 @@ def cmd_train(args) -> int:
     else:
         data, base_state = prepare_base(dims, task, grid)
     core, threads = blas_kernel()
-    print(f"# blas {core} threads={threads}", file=sys.stderr)
+    print(f"# blas {core} threads={threads} encode_threads={M.ENCODE_THREADS}",
+          file=sys.stderr)
 
     if args.save_base:
         AdapterModel(dims, base_state=base_state).save_base(args.save_base)

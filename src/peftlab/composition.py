@@ -202,6 +202,10 @@ class Plan:
     # input row that each routed row copies (the root's src), the map the
     # encoder applies where routing begins (start, or the embedding).
     row_index: Optional[np.ndarray] = None
+    # Some Parallel or BatchSplit hands its children rows by their index in
+    # the batch.  Without one the setup has a single output branch, and a
+    # sequence's output does not depend on the other rows of its batch.
+    routes_rows: bool = False
 
     @cached_property
     def start(self) -> Optional[Stage]:
@@ -306,6 +310,7 @@ class _Compiler:
             pn.members = tuple(members)
 
         elif kind is Parallel or kind is BatchSplit:
+            self.plan.routes_rows = True
             if kind is BatchSplit:
                 _check_batch_split(node, rows)
                 pn.sizes = node.batch_sizes

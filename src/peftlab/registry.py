@@ -263,19 +263,38 @@ class AdapterModel:
         The encoder copies a ``Parallel`` setup's rows where routing
         begins: over a frozen base, at the setup's first adapted stage
         (``Plan.start``), so its branches share the frozen layers below it
-        (see :meth:`TransformerEncoder.encode`)."""
+        (see :meth:`TransformerEncoder.encode`).
+
+        With no tape recording, a batch of many tokens under a setup that
+        does not route rows is encoded in row blocks on threads, each with
+        its own router, and their hidden states are joined in row order
+        (:meth:`TransformerEncoder.in_row_blocks`): the state, and every
+        head's logits of it, equal one call's bit for bit.  The tokens and
+        mask are checked first, so a bad batch raises what one call
+        raises."""
         tokens = np.asarray(tokens)
-        ctx = plan = None
+        plan = None
         if self._active is not None:
             batch, seq = tokens.shape if tokens.ndim == 2 else (None, None)
             plan = self.validate_setup(self._active, batch=batch, seq=seq)
-            ctx = RoutingContext(plan)
         if start is not None:
             need = None if plan is None or self.encoder.trains() else plan.start
             if need is None or not start.stage.serves(need):
                 raise ValueError(f"activations at {start.stage} cannot start the active "
                                  f"setup, which starts at {need or 'the embedding'}")
-        return self.encoder.encode(tokens, mask, ctx, pooled, start)
+        tokens, mask = self.encoder.check_batch(tokens, mask)
+
+        def run(rows):
+            return self.encoder.encode(tokens[rows], mask[rows],
+                                       None if plan is None else RoutingContext(plan), pooled,
+                                       None if start is None else start.take(rows))
+
+        states = self.encoder.in_row_blocks(run, tokens.shape, plan)
+        state = states[0]
+        if len(states) > 1:
+            state.hidden = Tensor(np.concatenate([s.hidden.data for s in states]))
+            state.branches = [(state.branches[0][0], tokens.shape[0])]
+        return state
 
     def logits(self, state: EncoderState, head_name: str) -> Tensor:
         return self.head(head_name).logits(state)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import sys
+import threading
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -49,10 +50,19 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # that were already in use, so peak memory does not grow.
 _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 64 << 20
+# Forward-only encodes run row blocks on threads (see
+# TransformerEncoder.in_row_blocks), and glibc gives each new thread its own
+# malloc arena, which keeps its own freed pages mapped: 7-8 MB more peak
+# memory on a desk-dims sweep.  One arena (glibc's M_ARENA_MAX) serves every
+# thread from the one heap, whose pad is already mapped.
+_M_ARENA_MAX = -8
 
 if sys.platform.startswith("linux"):
     try:
-        ctypes.CDLL(None).mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+        _mallopt = ctypes.CDLL(None).mallopt
+        _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+        _mallopt(_M_ARENA_MAX, 1)
     except AttributeError:      # a C library without mallopt
         pass
 
@@ -198,23 +208,28 @@ class Tape:
                     p.grad = dg if p.grad is None else p.grad + dg
 
 
-_WINDOW: Optional[tuple] = None     # the row window in force (see row_window)
+class _Window(threading.local):
+    rows: Optional[tuple] = None    # this thread's row window in force (see row_window)
+
+
+_WINDOW = _Window()
 
 
 @contextmanager
 def row_window(start: int, length: int, full: int):
-    """Declare that every (B, S, ...) ``x`` of a :func:`linear` in the block
-    holds rows ``[start, start + length)`` of a ``full``-row sequence along
-    axis 1, and that the other rows' gradients are zero.  Those products run
-    their backward at full length, with zero rows, and so do the forwards
-    that BLAS rounds by the row count (see :func:`linear`).  The window ends
-    with the block, also when it raises."""
-    global _WINDOW
-    _WINDOW = (start, length, full)
+    """Declare that every (B, S, ...) ``x`` of a :func:`linear` that this
+    thread runs in the block holds rows ``[start, start + length)`` of a
+    ``full``-row sequence along axis 1, and that the other rows' gradients
+    are zero.  Those products run their backward at full length, with zero
+    rows, and so do the forwards that BLAS rounds by the row count (see
+    :func:`linear`).  The window is the calling thread's own, so row blocks
+    of one encode that run on other threads each keep theirs.  It ends with
+    the block, also when it raises."""
+    _WINDOW.rows = (start, length, full)
     try:
         yield
     finally:
-        _WINDOW = None
+        _WINDOW.rows = None
 
 
 def backward(loss: Tensor) -> None:
@@ -360,7 +375,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                          f"{xd.shape}, {wd.shape}, {None if bd is None else bd.shape}")
     if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear inner dims differ: {xd.shape} @ {wd.shape}")
-    window = None if xd.ndim < 3 else _WINDOW
+    window = None if xd.ndim < 3 else _WINDOW.rows
     if window is not None and xd.shape[1] != window[1]:
         raise ContractError(f"operand of shape {xd.shape} does not hold the "
                             f"{window[1]} rows of the row window")

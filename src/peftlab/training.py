@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import model as M
 from . import tensor as T
 from .composition import Leaf, validate_composition
 from .configs import ConfigError, config_to_dict, expand_axes, parse_config, prepended_rows
@@ -128,10 +129,15 @@ def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
     """``head``'s task metric on ``x`` against ``y``, through the active
     setup, in batches of ``batch_size``.  Classification and regression
     heads read one position, so they use the encoder's pooled readout.  A
-    setup with more than one output branch is refused: each branch has its
-    own rows, which :meth:`AdapterModel.branch_logits` scores.  So are an
-    ``x`` with no sequence, a ``y`` row count other than ``x``'s and a
-    ``batch_size`` that is not an int >= 1 (:class:`ValueError`).
+    setup with more than one output branch is refused before anything is
+    encoded: each branch has its own rows, which
+    :meth:`AdapterModel.branch_logits` scores.  So are an ``x`` with no
+    sequence, a ``y`` row count other than ``x``'s and a ``batch_size``
+    that is not an int >= 1 (:class:`ValueError`).
+
+    Each batch of many tokens is encoded in row blocks on threads (see
+    :meth:`AdapterModel.encode`), and the head runs once on the joined
+    batch, so the metric is the same to all digits as on one thread.
 
     ``start``, ``x``'s activations at a frozen stage
     (:meth:`~peftlab.model.TransformerEncoder.prefix`), lets each batch
@@ -140,14 +146,16 @@ def evaluate(model: AdapterModel, head: str, x: np.ndarray, y: np.ndarray,
     such activations itself."""
     kind = model.head(head).kind
     _check_batches(x, y, batch_size, start)
+    if model.active is not None:
+        branches = len(model.validate_setup(model.active).branches)
+        if branches > 1:
+            raise ValueError(f"the active setup has {branches} output branches; "
+                             f"score each with branch_logits")
     outs = []
     for off in range(0, x.shape[0], batch_size):
         rows = slice(off, off + batch_size)
         state = model.encode(x[rows], pooled=kind != TAGGING,
                              start=None if start is None else start.take(rows))
-        if len(state.branches) > 1:
-            raise ValueError(f"the active setup has {len(state.branches)} output "
-                             f"branches; score each with branch_logits")
         outs.append(model.logits(state, head).data)
     return task_metric(kind, np.concatenate(outs, axis=0), y)
 
@@ -547,6 +555,13 @@ def run_grid(dims: ModelDims, spec: TaskSpec, grid: GridSpec, sink=None,
     copy-on-write.  Every step and evaluation of a chain starts there; the
     records are the same to all digits.
 
+    This process's forward-only encodes (those activations, and the
+    evaluations of full-ft cells) run in row blocks on one thread per CPU
+    (:meth:`~peftlab.model.TransformerEncoder.in_row_blocks`), which are
+    joined before each encode returns, so no fork copies a live thread.
+    Workers encode on one thread each, since together they already use
+    every CPU.
+
     ``data``/``base_state`` may be supplied to reuse an existing pretrained
     snapshot; otherwise the base is pretrained here, once every config of
     the grid has passed :func:`validate_config`."""
@@ -767,6 +782,7 @@ def _chain_worker(conn, parent_ends: list, chains: list, run_one) -> None:
     None)`` when the chain is done, or ``(index, (exception, traceback
     text))`` when it raised."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)     # the parent stops its workers
+    M.ENCODE_THREADS = 1              # the workers already fill the CPUs
     for end in parent_ends:           # so that a lost parent reads as end of file here
         end.close()
     while (i := conn.recv()) is not None:

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peftlab import cli, training
+from peftlab import model as M
 from peftlab.checkpoint import (BASE_CONFIG_FILE, BASE_WEIGHTS_FILE, CheckpointError,
                                 read_weights, write_weights)
 from peftlab.cli import main
@@ -197,6 +198,7 @@ def test_train_files_are_the_same_from_workers_and_from_one_process(capsys, tmp_
 
 def test_train_names_the_blas_kernel_on_stderr_and_nowhere_else(capsys, tmp_path,
                                                                  monkeypatch):
+    monkeypatch.setattr(M, "ENCODE_THREADS", 3)
     runs = []
     for found in (True, False):
         if not found:           # a numpy whose BLAS exports neither function
@@ -212,8 +214,8 @@ def test_train_names_the_blas_kernel_on_stderr_and_nowhere_else(capsys, tmp_path
                for row in csv_f.read_text().splitlines()]
         runs.append((header[0], [re.sub(r'"seconds": [^,}]*', "", text)
                                  for text in (out, out_f.read_text())], csv))
-    assert re.fullmatch(r"# blas \S+ threads=\d+", runs[0][0])
-    assert runs[1][0] == "# blas unknown threads=unknown"
+    assert re.fullmatch(r"# blas \S+ threads=\d+ encode_threads=3", runs[0][0])
+    assert runs[1][0] == "# blas unknown threads=unknown encode_threads=3"
     assert runs[0][1:] == runs[1][1:]
 
 
