@@ -17,6 +17,11 @@ prepended prompt, a gated prefix before a low-rank adapter and a ``Split``
 that covers part of the sequence.  Each entry holds a digest of the encoder
 output with its branch list and a digest of every trainable tensor's
 gradient, fusion layers included.
+
+A fourth table pins the pretrained base: a digest of every tensor of
+``prepare_base``'s snapshot after one epoch of full fine-tuning, for a
+classification and a regression task, so every bit of a full training step
+(embedding gradients included) is held.
 """
 
 import hashlib
@@ -30,6 +35,8 @@ from peftlab.configs import (CONFIG_NAMES, BottleneckConfig, CompacterConfig,
                              PrefixTuningConfig, parse_config)
 from peftlab.model import DESK_DIMS
 from peftlab.registry import AdapterModel
+from peftlab.tasks import MASKED_SUM, PARITY, TaskSpec
+from peftlab.training import GridSpec, prepare_base
 
 from test_lifecycle import randomize
 
@@ -229,3 +236,26 @@ def composed_digests(setup, batch):
 def test_golden_composed_forward_and_gradients(setup):
     batch, fwd, grad = COMPOSED_GOLDEN[setup]
     assert composed_digests(setup, batch) == (fwd, grad)
+
+
+# ---------------------------------------------------------------------------
+# the pretrained base: one epoch of full fine-tuning on desk dims
+
+
+# task kind -> digest of (name, values) for every tensor of the base snapshot
+BASE_GOLDEN = {
+    PARITY: "590aedd9ce9e9192",
+    MASKED_SUM: "621d18ead71ae737",
+}
+
+
+def base_digest(kind):
+    spec = TaskSpec(kind=kind, vocab=DESK_DIMS.vocab, seq_len=16, n_train=8, n_eval=8,
+                    n_pretrain=64, seed=7)
+    _, state = prepare_base(DESK_DIMS, spec, GridSpec(pretrain_epochs=1))
+    return _digest(b"".join(k.encode() + state[k].tobytes() for k in sorted(state)))
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_GOLDEN))
+def test_golden_pretrained_base(kind):
+    assert base_digest(kind) == BASE_GOLDEN[kind]
