@@ -751,24 +751,24 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]`` along the first axis of a table of rank
     >= 2: token and position embeddings, and copies of a batch's rows
     (``Plan.row_index``, and routed row blocks that are not contiguous).
-    The backward adds each row's gradients in index order into zeros."""
+    The backward is one ``np.bincount`` over keys ``row * width + column``
+    (indices as intp: bincount refuses uint64) that adds each element's rows
+    from +0.0 in index order: ``np.add.at``'s bits, bar where two NaNs meet."""
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather_rows needs integer indices")
     if table.data.ndim < 2:
         raise ShapeError(f"gather_rows table must be at least 2-D, got {table.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ShapeError(
-            f"gather_rows index out of range [0, {table.data.shape[0]}): "
-            f"min={idx.min() if idx.size else 0}, max={idx.max() if idx.size else 0}"
-        )
+        raise ShapeError(f"gather_rows index out of range [0, {table.data.shape[0]}): "
+                         f"min={idx.min()}, max={idx.max()}")
 
     shape = table.data.shape
+    width = int(np.prod(shape[1:]))
 
     def rule(g):
-        dt = np.zeros(shape)
-        np.add.at(dt, idx.reshape(-1), g.reshape((-1,) + shape[1:]))
-        return (dt,)
+        keys = idx.astype(np.intp).reshape(-1, 1) * width + np.arange(width)
+        return (np.bincount(keys.ravel(), g.ravel(), shape[0] * width).reshape(shape),)
 
     return _emit(table.data[idx], (table,), rule)
 

@@ -184,7 +184,7 @@ def test_gather_rows_accumulates_repeated_indices(rng):
         tape.backward(loss)
     expect = np.zeros((6, 2))
     np.add.at(expect, idx.reshape(-1), 1.0)
-    assert np.allclose(table.grad, expect)
+    assert table.grad.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("index", [[2, 0, 2, 3, 2], [[1, 3], [3, 0]]])
@@ -201,6 +201,54 @@ def test_gather_rows_of_a_3d_table_is_numpy_indexing_and_add_at(rng, index):
     assert table.grad.tobytes() == expect.tobytes()
     with pytest.raises(T.ShapeError, match="at least 2-D"):
         T.gather_rows(t(np.zeros(4)), idx)
+
+
+INDEX_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+SPECIAL_GRADS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table_shape=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    index_shape=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+    dtype=st.sampled_from(INDEX_DTYPES),
+    data=st.data(),
+)
+def test_gather_rows_gradient_is_add_at_byte_for_byte(table_shape, index_shape, dtype, data):
+    """Repeated, unsorted and empty indices of every integer dtype; the
+    gradient holds signed zeros, infinities and NaNs.  Where two NaNs meet
+    in one element's sum, IEEE 754 leaves open whose sign and payload the
+    result keeps, and ``np.add.at`` and ``np.bincount`` keep different
+    ones, so there only the NaN is compared."""
+    table = t(np.zeros(table_shape))
+    idx = np.array(data.draw(st.lists(st.integers(0, table_shape[0] - 1),
+                                      min_size=int(np.prod(index_shape)),
+                                      max_size=int(np.prod(index_shape)))),
+                   dtype=dtype).reshape(index_shape)
+    values = st.one_of(st.sampled_from(SPECIAL_GRADS), st.floats(-1e3, 1e3))
+    g_shape = tuple(index_shape) + tuple(table_shape[1:])
+    g = np.array(data.draw(st.lists(values, min_size=int(np.prod(g_shape)),
+                                    max_size=int(np.prod(g_shape)))),
+                 dtype=np.float64).reshape(g_shape)
+    rows = idx.reshape(-1)
+    arriving = (np.ones(g_shape) * g).reshape((-1,) + tuple(table_shape[1:]))
+    expect = np.zeros(table_shape)
+    with np.errstate(invalid="ignore"):
+        np.add.at(expect, rows, arriving)
+        with Tape() as tape:
+            tape.backward(T.tsum(T.mul(T.gather_rows(table, idx), T.constant(g))))
+
+    def count(flags):
+        n = np.zeros(table_shape)
+        np.add.at(n, rows, flags)
+        return n
+
+    # NaN operands of each element's sum; an inf meeting a -inf makes one
+    nans = count(np.isnan(arriving)) + ((count(arriving == np.inf) > 0)
+                                        & (count(arriving == -np.inf) > 0))
+    got = table.grad
+    assert np.array_equal(np.isnan(got), np.isnan(expect))
+    assert got[nans < 2].tobytes() == expect[nans < 2].tobytes()
 
 
 def _concat_copies(h, branches):
