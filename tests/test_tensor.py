@@ -12,6 +12,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from peftlab import tensor as T
 from peftlab.model import DESK_DIMS
@@ -205,6 +206,7 @@ def test_gather_rows_of_a_3d_table_is_numpy_indexing_and_add_at(rng, index):
 
 INDEX_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 SPECIAL_GRADS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
+THIRDS = st.integers(-3000, 3000).map(lambda n: n / 3)   # sums round, so their order shows
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,17 +223,11 @@ def test_gather_rows_gradient_is_add_at_byte_for_byte(table_shape, index_shape, 
     result keeps, and ``np.add.at`` and ``np.bincount`` keep different
     ones, so there only the NaN is compared."""
     table = t(np.zeros(table_shape))
-    idx = np.array(data.draw(st.lists(st.integers(0, table_shape[0] - 1),
-                                      min_size=int(np.prod(index_shape)),
-                                      max_size=int(np.prod(index_shape)))),
-                   dtype=dtype).reshape(index_shape)
-    values = st.one_of(st.sampled_from(SPECIAL_GRADS), st.floats(-1e3, 1e3))
-    g_shape = tuple(index_shape) + tuple(table_shape[1:])
-    g = np.array(data.draw(st.lists(values, min_size=int(np.prod(g_shape)),
-                                    max_size=int(np.prod(g_shape)))),
-                 dtype=np.float64).reshape(g_shape)
-    rows = idx.reshape(-1)
-    arriving = (np.ones(g_shape) * g).reshape((-1,) + tuple(table_shape[1:]))
+    idx = data.draw(hnp.arrays(dtype, index_shape, elements=st.integers(0, table_shape[0] - 1)))
+    g = data.draw(hnp.arrays(np.float64, tuple(index_shape) + tuple(table_shape[1:]),
+                             elements=st.one_of(st.sampled_from(SPECIAL_GRADS), THIRDS),
+                             fill=st.nothing()))
+    rows, arriving = idx.reshape(-1), g.reshape((-1,) + tuple(table_shape[1:]))
     expect = np.zeros(table_shape)
     with np.errstate(invalid="ignore"):
         np.add.at(expect, rows, arriving)
